@@ -174,7 +174,9 @@ type Outcome struct {
 // workload phases, so consecutive micro-steps present the same request
 // vector over and over, and each distinct vector's fixed point is
 // solved once and replayed bit-for-bit from a bounded LRU keyed on the
-// exact float64 bits of the requests. Safe for concurrent use.
+// exact float64 bits of the requests. A vector bitwise equal to the
+// previous call's is answered from that call's entry without building
+// a key. Safe for concurrent use.
 type Model struct {
 	cfg Config
 
@@ -183,6 +185,12 @@ type Model struct {
 	keyBuf []byte
 	hits   uint64
 	misses uint64
+
+	// last is the entry the previous non-empty call answered from, and
+	// lastReqs that call's request vector. last is always the LRU's
+	// most recent entry, so a repeat hit on it leaves the order as is.
+	last     *allocEntry
+	lastReqs []Request
 }
 
 // New builds a Model, validating cfg.
@@ -228,9 +236,14 @@ func (m *Model) AllocateInto(dst []Grant, reqs []Request) ([]Grant, Outcome) {
 	}
 
 	m.mu.Lock()
-	m.keyBuf = appendKey(m.keyBuf[:0], reqs)
-	if e := m.cache.get(m.keyBuf); e != nil {
+	e := m.last
+	if e == nil || !sameRequests(m.lastReqs, reqs) {
+		m.keyBuf = appendKey(m.keyBuf[:0], reqs)
+		e = m.cache.get(m.keyBuf)
+	}
+	if e != nil {
 		m.hits++
+		m.remember(e, reqs)
 		grants := append(dst[:0], e.grants...)
 		out = e.outcome
 		m.mu.Unlock()
@@ -270,9 +283,33 @@ func (m *Model) AllocateInto(dst []Grant, reqs []Request) ([]Grant, Outcome) {
 		out.Utilization = float64(served / ceff)
 	}
 	out.Saturated = out.Utilization > SaturationKnee
-	m.cache.put(m.keyBuf, append([]Grant(nil), grants...), out)
+	m.remember(m.cache.put(m.keyBuf, append([]Grant(nil), grants...), out), reqs)
 	m.mu.Unlock()
 	return grants, out
+}
+
+// remember records e as the answer to reqs for the next call's fast
+// path. The caller holds m.mu.
+func (m *Model) remember(e *allocEntry, reqs []Request) {
+	if m.last != e {
+		m.last = e
+		m.lastReqs = append(m.lastReqs[:0], reqs...)
+	}
+}
+
+// sameRequests reports whether a and b are bitwise equal, element by
+// element — exactly when appendKey would encode them identically.
+func sameRequests(a, b []Request) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(float64(a[i].Demand)) != math.Float64bits(float64(b[i].Demand)) ||
+			math.Float64bits(a[i].StallFrac) != math.Float64bits(b[i].StallFrac) {
+			return false
+		}
+	}
+	return true
 }
 
 // effectiveCapacity applies the arbitration penalty for n masters.
@@ -333,15 +370,18 @@ func (m *Model) servedAt(reqs []Request, x float64, dmax units.Rate) units.Rate 
 }
 
 // delayCurve evaluates the open-loop latency inflation at utilization
-// rho. It is clamped just below 1 to stay finite; the bisection then
-// settles wherever the closed-loop equilibrium lies.
+// rho. The delay grows without bound as rho approaches 1 and is +Inf
+// from there on: a bus cannot serve more than its effective capacity,
+// so the bisection settles at an equilibrium with rho < 1 or pins the
+// stretch at MaxStretch. A curve held finite near rho = 1 would cap
+// the stretch and let heavy, low-stall request sets settle above
+// capacity.
 func (m *Model) delayCurve(rho float64) float64 {
 	if rho < 0 {
 		rho = 0
 	}
-	const rhoCap = 0.999
-	if rho > rhoCap {
-		rho = rhoCap
+	if rho >= 1 {
+		return math.Inf(1)
 	}
 	return 1 + m.cfg.QueueFactor*math.Pow(rho, m.cfg.CurveExponent)/(1-rho)
 }

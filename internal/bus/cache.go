@@ -34,7 +34,7 @@ type allocCache struct {
 }
 
 func newAllocCache(limit int) *allocCache {
-	return &allocCache{limit: limit, entries: make(map[string]*allocEntry, limit)}
+	return &allocCache{limit: limit, entries: make(map[string]*allocEntry)}
 }
 
 // appendKey encodes reqs into dst as the exact float64 bit patterns,
@@ -59,15 +59,17 @@ func (c *allocCache) get(key []byte) *allocEntry {
 	return e
 }
 
-// put inserts a new entry for key, evicting the least recently used
-// entry once the cache is full. grants must be a private copy.
-func (c *allocCache) put(key []byte, grants []Grant, out Outcome) {
+// put inserts and returns a new entry for key, evicting the least
+// recently used entry once the cache is full. grants must be a private
+// copy.
+func (c *allocCache) put(key []byte, grants []Grant, out Outcome) *allocEntry {
 	if len(c.entries) >= c.limit {
 		c.evictOldest()
 	}
 	e := &allocEntry{key: string(key), grants: grants, outcome: out}
 	c.entries[e.key] = e
 	c.pushFront(e)
+	return e
 }
 
 // Len returns the number of cached equilibria.

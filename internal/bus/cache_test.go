@@ -1,6 +1,7 @@
 package bus
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -107,5 +108,65 @@ func TestAllocateIntoHitPathZeroAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("hit path allocates %v times per call, want 0", avg)
+	}
+}
+
+// sameAnswer reports whether two allocations agree bit for bit.
+func sameAnswer(g1 []Grant, o1 Outcome, g2 []Grant, o2 Outcome) bool {
+	bits := math.Float64bits
+	if len(g1) != len(g2) || o1.Masters != o2.Masters || o1.Saturated != o2.Saturated ||
+		bits(float64(o1.EffectiveCapacity)) != bits(float64(o2.EffectiveCapacity)) ||
+		bits(float64(o1.Offered)) != bits(float64(o2.Offered)) ||
+		bits(float64(o1.Served)) != bits(float64(o2.Served)) ||
+		bits(o1.Utilization) != bits(o2.Utilization) || bits(o1.Stretch) != bits(o2.Stretch) {
+		return false
+	}
+	for i := range g1 {
+		if bits(g1[i].Speed) != bits(g2[i].Speed) || bits(float64(g1[i].Rate)) != bits(float64(g2[i].Rate)) {
+			return false
+		}
+	}
+	return true
+}
+
+// For the request sequence A, A, B, A the second A is answered by the
+// last-vector fast path and the last by the keyed LRU lookup. Both
+// must replay the first solve bit for bit, count as hits, and leave
+// the LRU order a keyed lookup would: A most recent, then B.
+func TestFastPathMatchesLRUPath(t *testing.T) {
+	m := mustModel(t, DefaultConfig())
+	a := []Request{{Demand: 11.65, StallFrac: 0.65}, {Demand: 23.6, StallFrac: 0.65}, {Demand: 0, StallFrac: 0.1}}
+	b := []Request{{Demand: 5.2, StallFrac: 0.42}, {Demand: 23.6, StallFrac: 0.65}}
+	type answer struct {
+		grants []Grant
+		out    Outcome
+	}
+	var got []answer
+	for _, reqs := range [][]Request{a, a, b, a} {
+		// A fresh copy each call: the fast path compares values, not
+		// backing arrays.
+		g, out := m.Allocate(append([]Request(nil), reqs...))
+		got = append(got, answer{g, out})
+	}
+	for _, i := range []int{1, 3} {
+		if !sameAnswer(got[i].grants, got[i].out, got[0].grants, got[0].out) {
+			t.Errorf("call %d diverged from the first solve of A:\n%+v %+v\n%+v %+v",
+				i, got[i].grants, got[i].out, got[0].grants, got[0].out)
+		}
+	}
+	if hits, misses, size := m.CacheStats(); hits != 2 || misses != 2 || size != 2 {
+		t.Errorf("hits %d, misses %d, size %d; want 2, 2, 2", hits, misses, size)
+	}
+	if m.cache.head.key != string(appendKey(nil, a)) || m.cache.tail.key != string(appendKey(nil, b)) {
+		t.Error("LRU order after A, A, B, A is not A then B")
+	}
+
+	// A vector equal to A in value but not in bits (+0 demand as -0)
+	// is a different key, so the fast path must not answer it.
+	negZero := append([]Request(nil), a...)
+	negZero[2].Demand = units.Rate(math.Copysign(0, -1))
+	m.Allocate(negZero)
+	if _, misses, _ := m.CacheStats(); misses != 3 {
+		t.Errorf("-0 demand answered as A: misses %d, want 3", misses)
 	}
 }

@@ -17,6 +17,7 @@ import (
 
 	"busaware/internal/bus"
 	"busaware/internal/cache"
+	"busaware/internal/perfctr"
 	"busaware/internal/units"
 	"busaware/internal/workload"
 )
@@ -149,12 +150,15 @@ type Machine struct {
 	// Per-call scratch, reused across Steps so the quantum loop
 	// allocates nothing beyond the returned ThreadStep slice.
 	cpuUsed  []bool
-	thrUsed  map[*workload.Thread]bool
 	busyCore []int
 	reqs     []bus.Request
 	grants   []bus.Grant
+	ctrs     [][perfctr.NumEvents]uint64 // per-placement counter sums
 	steps    []ThreadStep
-	plan     StretchPlan
+
+	// PlanStretch scratch: the plan and its SoloPerSub backing array.
+	plan       StretchPlan
+	soloPerSub []float64
 }
 
 // New builds a Machine.
@@ -176,10 +180,10 @@ func New(cfg Config) (*Machine, error) {
 		lastThread: make([]*workload.Thread, cfg.NumCPUs),
 		busyTime:   make([]units.Time, cfg.NumCPUs),
 		cpuUsed:    make([]bool, cfg.NumCPUs),
-		thrUsed:    make(map[*workload.Thread]bool, cfg.NumCPUs),
 		busyCore:   make([]int, (cfg.NumCPUs+1)/2),
 		reqs:       make([]bus.Request, 0, cfg.NumCPUs),
 		grants:     make([]bus.Grant, 0, cfg.NumCPUs),
+		ctrs:       make([][perfctr.NumEvents]uint64, cfg.NumCPUs),
 		steps:      make([]ThreadStep, 0, cfg.NumCPUs),
 	}, nil
 }
@@ -214,6 +218,12 @@ func (m *Machine) LastCPU(t *workload.Thread) int {
 // Step runs the given placements for dt of wall-clock time. Placements
 // must reference distinct CPUs within range and distinct, unfinished
 // threads; violations return an error and leave state untouched.
+//
+// Each placed thread's virtual counters are committed once, at the end
+// of the Step: the per-micro-step increments are summed first and
+// added with one Counters.AddAll, which is exact because masked counter
+// addition is associative. Nothing may read a placed thread's counters
+// while Step runs.
 func (m *Machine) Step(placements []Placement, dt units.Time) (StepResult, error) {
 	if dt <= 0 {
 		return StepResult{}, errors.New("machine: non-positive step duration")
@@ -224,8 +234,7 @@ func (m *Machine) Step(placements []Placement, dt units.Time) (StepResult, error
 	for i := range m.cpuUsed {
 		m.cpuUsed[i] = false
 	}
-	clear(m.thrUsed)
-	for _, p := range placements {
+	for i, p := range placements {
 		if p.Thread == nil {
 			return StepResult{}, errors.New("machine: nil thread placed")
 		}
@@ -235,11 +244,12 @@ func (m *Machine) Step(placements []Placement, dt units.Time) (StepResult, error
 		if m.cpuUsed[p.CPU] {
 			return StepResult{}, fmt.Errorf("machine: CPU %d double-booked", p.CPU)
 		}
-		if m.thrUsed[p.Thread] {
-			return StepResult{}, fmt.Errorf("machine: thread %s/%d placed twice", p.Thread.App.Instance, p.Thread.Index)
+		for _, q := range placements[:i] {
+			if q.Thread == p.Thread {
+				return StepResult{}, fmt.Errorf("machine: thread %s/%d placed twice", p.Thread.App.Instance, p.Thread.Index)
+			}
 		}
 		m.cpuUsed[p.CPU] = true
-		m.thrUsed[p.Thread] = true
 	}
 
 	scratch := m.steps[:cap(m.steps)]
@@ -295,6 +305,8 @@ func (m *Machine) Step(placements []Placement, dt units.Time) (StepResult, error
 	var utilSum float64
 	var servedSum units.Rate
 	reqs := m.reqs[:len(placements)] // cap is NumCPUs >= len(placements)
+	ctrs := m.ctrs[:len(placements)]
+	clear(ctrs)
 	for s := 0; s < steps; s++ {
 		sub := m.cfg.MicroStep
 		if sub > remaining {
@@ -318,7 +330,8 @@ func (m *Machine) Step(placements []Placement, dt units.Time) (StepResult, error
 				speed *= m.cfg.SMTEfficiency
 			}
 			wall := float64(sub)
-			p.Thread.Advance(wall*speed, wall, g.Rate*units.Rate(speed/maxf(g.Speed, 1e-12)))
+			p.Thread.AccrueCounters(&ctrs[i], wall, g.Rate*units.Rate(speed/maxf(g.Speed, 1e-12)))
+			p.Thread.AdvanceWork(wall * speed)
 			w := float64(sub) / float64(dt)
 			res.Threads[i].Speed += speed * w
 			res.Threads[i].Rate += g.Rate * units.Rate(w*speed/maxf(g.Speed, 1e-12))
@@ -326,6 +339,9 @@ func (m *Machine) Step(placements []Placement, dt units.Time) (StepResult, error
 		utilSum += out.Utilization
 		servedSum += out.Served
 		res.Outcome = out
+	}
+	for i, p := range placements {
+		p.Thread.Counters.AddAll(ctrs[i])
 	}
 	res.MeanUtilization = utilSum / float64(steps)
 	res.MeanServed = servedSum / units.Rate(steps)

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"busaware/internal/bus"
+	"busaware/internal/perfctr"
 	"busaware/internal/units"
 	"busaware/internal/workload"
 )
@@ -21,10 +22,11 @@ type StretchThread struct {
 	// micro-step summation order.
 	Speed float64
 	Rate  units.Rate
-	// Per-quantum virtual-counter increments, already summed over the
-	// quantum's micro-steps. Counter addition is modular, hence
-	// associative, so k replayed quanta batch exactly as k× these.
-	CyclesPerQ, TransPerQ, RefsPerQ, MissPerQ uint64
+	// CountersPerQ is the per-quantum virtual-counter increment of
+	// each event, summed over the quantum's micro-steps exactly as Step
+	// sums it. Counter addition is modular, hence associative, so k
+	// replayed quanta batch exactly as k× these.
+	CountersPerQ [perfctr.NumEvents]uint64
 	// Req is the bus request the plan was computed for. Step re-reads
 	// demands every micro-step, so the plan is exact only while each
 	// thread's request stays bitwise equal to this.
@@ -92,28 +94,31 @@ func (m *Machine) PlanStretch(placements []Placement, dt units.Time) (*StretchPl
 		}
 	}
 
+	steps := int((dt + m.cfg.MicroStep - 1) / m.cfg.MicroStep)
+	if steps < 1 {
+		steps = 1
+	}
 	plan := &m.plan
 	plan.Quantum = dt
-	// Recycle the scratch plan's thread slots, keeping each slot's
-	// SoloPerSub backing array — a probe per leap attempt must not
-	// reallocate per-micro-step slices.
-	for cap(plan.Threads) < len(placements) {
-		plan.Threads = append(plan.Threads[:cap(plan.Threads)], StretchThread{})
+	plan.Steps = steps
+	// Recycle the scratch plan: thread slots for every CPU, and one
+	// backing array carved into the slots' SoloPerSub, so probing for a
+	// leap allocates only on a Machine's first plan (or a longer
+	// quantum), not per slot and per micro-step.
+	if cap(plan.Threads) < len(placements) {
+		plan.Threads = make([]StretchThread, 0, m.cfg.NumCPUs)
+	}
+	if need := m.cfg.NumCPUs * steps; cap(m.soloPerSub) < need {
+		m.soloPerSub = make([]float64, need)
 	}
 	plan.Threads = plan.Threads[:len(placements)]
 	for i, p := range placements {
 		plan.Threads[i] = StretchThread{
 			Thread:     p.Thread,
 			CPU:        p.CPU,
-			SoloPerSub: plan.Threads[i].SoloPerSub[:0],
+			SoloPerSub: m.soloPerSub[i*steps : i*steps : (i+1)*steps],
 		}
 	}
-
-	steps := int((dt + m.cfg.MicroStep - 1) / m.cfg.MicroStep)
-	if steps < 1 {
-		steps = 1
-	}
-	plan.Steps = steps
 
 	// One bus allocation covers every micro-step: the demand vector is
 	// constant by precondition, and AllocateInto is deterministic for
@@ -151,14 +156,7 @@ func (m *Machine) PlanStretch(placements []Placement, dt units.Time) (*StretchPl
 			wall := float64(sub)
 			t := &plan.Threads[i]
 			t.SoloPerSub = append(t.SoloPerSub, wall*speed)
-			actualRate := g.Rate * units.Rate(speed/maxf(g.Speed, 1e-12))
-			t.CyclesPerQ += uint64(wall * workload.CPUFrequencyMHz)
-			t.TransPerQ += uint64(float64(actualRate) * wall)
-			if miss := 1 - p.Thread.App.Profile.WorkingSet.HitRate; miss > 0 {
-				trans := float64(actualRate) * wall
-				t.RefsPerQ += uint64(trans / miss)
-				t.MissPerQ += uint64(trans)
-			}
+			p.Thread.AccrueCounters(&t.CountersPerQ, wall, g.Rate*units.Rate(speed/maxf(g.Speed, 1e-12)))
 			w := float64(sub) / float64(dt)
 			t.Speed += speed * w
 			t.Rate += g.Rate * units.Rate(w*speed/maxf(g.Speed, 1e-12))

@@ -75,6 +75,18 @@ func (c *Counters) Add(ev Event, n uint64) {
 	c.mu.Unlock()
 }
 
+// AddAll increments every event by the matching entry of d under one
+// lock, wrapping each at the hardware width. Masked addition is
+// associative, so committing summed increments with one AddAll leaves
+// the same values as adding each part with Add.
+func (c *Counters) AddAll(d [NumEvents]uint64) {
+	c.mu.Lock()
+	for i, n := range d {
+		c.values[i] = (c.values[i] + n) & counterMask
+	}
+	c.mu.Unlock()
+}
+
 // Read returns the current value of event ev.
 func (c *Counters) Read(ev Event) uint64 {
 	if ev < 0 || ev >= numEvents {

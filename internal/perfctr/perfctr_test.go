@@ -1,6 +1,7 @@
 package perfctr
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -43,6 +44,34 @@ func TestHardwareWrap(t *testing.T) {
 	c.Add(EventCycles, 5)           // wraps to 4
 	if got := c.Read(EventCycles); got != 4 {
 		t.Errorf("wrapped value = %d, want 4", got)
+	}
+}
+
+// AddAll of summed increments must leave every event where the same
+// increments added one by one with Add leave it: each run starts just
+// below the 40-bit wrap and mixes full-width and small increments, so
+// the sums cross the hardware wrap and overflow uint64.
+func TestAddAllMatchesSequentialAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for run := 0; run < 200; run++ {
+		var seq, batch Counters
+		var sum [NumEvents]uint64
+		for ev := Event(0); ev < Event(NumEvents); ev++ {
+			start := counterMask - uint64(rng.Intn(1<<20))
+			seq.Add(ev, start)
+			batch.Add(ev, start)
+		}
+		for n := rng.Intn(40); n >= 0; n-- {
+			for ev := range sum {
+				inc := rng.Uint64() >> uint(rng.Intn(64))
+				seq.Add(Event(ev), inc)
+				sum[ev] += inc
+			}
+		}
+		batch.AddAll(sum)
+		if got, want := batch.Snapshot(), seq.Snapshot(); got != want {
+			t.Fatalf("run %d: AddAll %v, sequential Add %v", run, got, want)
+		}
 	}
 }
 

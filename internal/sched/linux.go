@@ -28,9 +28,16 @@ type Linux struct {
 	numCPUs int
 	rng     *rand.Rand
 
-	list     jobList
-	counters map[*workload.Thread]int
-	queue    []*workload.Thread // runqueue order, shuffled per epoch
+	list jobList
+	// queue is the runqueue in its current order, shuffled per epoch.
+	// counters[i] is queue[i]'s epoch counter; the two move together.
+	queue    []*workload.Thread
+	counters []int
+	// Per-Schedule scratch parallel to queue: skip[i] marks queue[i]
+	// as finished or already placed by this call, lastCPU[i] is where
+	// it last ran.
+	skip    []bool
+	lastCPU []int
 }
 
 // LinuxQuantum is the baseline's time slice: the paper states the CPU
@@ -53,10 +60,9 @@ const affinityBonus = 1
 // deterministic seed.
 func NewLinux(numCPUs int, seed int64) *Linux {
 	return &Linux{
-		quantum:  LinuxQuantum,
-		numCPUs:  numCPUs,
-		rng:      rand.New(rand.NewSource(seed)),
-		counters: make(map[*workload.Thread]int),
+		quantum: LinuxQuantum,
+		numCPUs: numCPUs,
+		rng:     rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -70,30 +76,25 @@ func (l *Linux) Quantum() units.Time { return l.quantum }
 func (l *Linux) Add(j *Job) {
 	l.list.add(j)
 	for _, t := range j.App.Threads {
-		l.counters[t] = epochTicks
 		l.queue = append(l.queue, t)
+		l.counters = append(l.counters, epochTicks)
 	}
 }
 
 // Remove implements Scheduler.
 func (l *Linux) Remove(j *Job) {
 	l.list.remove(j)
-	for _, t := range j.App.Threads {
-		delete(l.counters, t)
-	}
-	kept := l.queue[:0]
-	for _, t := range l.queue {
+	kept := 0
+	for i, t := range l.queue {
 		if t.App != j.App {
-			kept = append(kept, t)
+			l.queue[kept] = t
+			l.counters[kept] = l.counters[i]
+			kept++
 		}
 	}
-	l.queue = kept
-}
-
-// runnable reports whether t can run.
-func (l *Linux) runnable(t *workload.Thread) bool {
-	_, tracked := l.counters[t]
-	return tracked && !t.Done()
+	clear(l.queue[kept:])
+	l.queue = l.queue[:kept]
+	l.counters = l.counters[:kept]
 }
 
 // Schedule implements Scheduler.
@@ -102,12 +103,12 @@ func (l *Linux) Schedule(now units.Time, aff Affinity) []machine.Placement {
 	// counter.
 	spent := true
 	anyRunnable := false
-	for _, t := range l.queue {
-		if !l.runnable(t) {
+	for i, t := range l.queue {
+		if t.Done() {
 			continue
 		}
 		anyRunnable = true
-		if l.counters[t] > 0 {
+		if l.counters[i] > 0 {
 			spent = false
 			break
 		}
@@ -116,40 +117,51 @@ func (l *Linux) Schedule(now units.Time, aff Affinity) []machine.Placement {
 		return nil
 	}
 	if spent {
-		for _, t := range l.queue {
-			if l.runnable(t) {
-				l.counters[t] = l.counters[t]/2 + epochTicks
+		for i, t := range l.queue {
+			if !t.Done() {
+				l.counters[i] = l.counters[i]/2 + epochTicks
 			}
 		}
 		l.rng.Shuffle(len(l.queue), func(i, j int) {
 			l.queue[i], l.queue[j] = l.queue[j], l.queue[i]
+			l.counters[i], l.counters[j] = l.counters[j], l.counters[i]
 		})
 	}
 
-	assigned := make(map[*workload.Thread]bool)
-	var placements []machine.Placement
+	// Neither whether a thread finished nor where it last ran changes
+	// within the call, so both are read once per thread, not per CPU.
+	l.skip, l.lastCPU = l.skip[:0], l.lastCPU[:0]
+	for i, t := range l.queue {
+		done, last := t.Done(), -1
+		if aff != nil && !done && l.counters[i] > 0 {
+			last = aff.LastCPU(t)
+		}
+		l.skip = append(l.skip, done)
+		l.lastCPU = append(l.lastCPU, last)
+	}
+	placements := make([]machine.Placement, 0, l.numCPUs)
 	for cpu := 0; cpu < l.numCPUs; cpu++ {
-		var best *workload.Thread
+		best := -1
 		bestGoodness := -1
-		for _, t := range l.queue {
-			if assigned[t] || !l.runnable(t) || l.counters[t] <= 0 {
+		for i, c := range l.counters {
+			if l.skip[i] || c <= 0 {
 				continue
 			}
-			g := l.counters[t]
-			if aff != nil && aff.LastCPU(t) == cpu {
+			g := c
+			if l.lastCPU[i] == cpu {
 				g += affinityBonus
 			}
 			if g > bestGoodness {
 				bestGoodness = g
-				best = t
+				best = i
 			}
 		}
-		if best == nil {
+		if best < 0 {
 			continue
 		}
-		assigned[best] = true
+		l.skip[best] = true
 		l.counters[best]--
-		placements = append(placements, machine.Placement{Thread: best, CPU: cpu})
+		placements = append(placements, machine.Placement{Thread: l.queue[best], CPU: cpu})
 	}
 	return placements
 }

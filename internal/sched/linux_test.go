@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 
 	"busaware/internal/machine"
@@ -111,6 +112,51 @@ func TestLinuxRemove(t *testing.T) {
 			if p.Thread.App == a.App {
 				t.Fatal("removed app still scheduled")
 			}
+		}
+	}
+}
+
+// Removing a job from the middle of the run queue must leave every
+// surviving thread holding its own epoch counter: the counters live in
+// a slice parallel to the queue, so the compaction has to move both.
+func TestLinuxRemoveKeepsSurvivorCounters(t *testing.T) {
+	l := NewLinux(3, 5)
+	var jobs []*Job
+	for i, name := range []string{"CG", "SP", "Raytrace", "LU CB"} {
+		j := NewJob(workload.NewApp(mustProfile(t, name), fmt.Sprintf("%s#%d", name, i)), 1, 0)
+		jobs = append(jobs, j)
+		l.Add(j)
+	}
+	// Three CPUs for eight threads: after a few quanta, including an
+	// epoch refill and its shuffle, the counters differ.
+	for q := 0; q < 5; q++ {
+		l.Schedule(0, nil)
+	}
+	before := map[*workload.Thread]int{}
+	distinct := map[int]bool{}
+	for i, th := range l.queue {
+		before[th] = l.counters[i]
+		distinct[l.counters[i]] = true
+	}
+	if len(distinct) < 2 {
+		t.Fatalf("counters never diverged: %v", l.counters)
+	}
+	victim := l.queue[len(l.queue)/2].App
+	for _, j := range jobs {
+		if j.App == victim {
+			l.Remove(j)
+		}
+	}
+	if len(l.queue) != len(before)-len(victim.Threads) || len(l.counters) != len(l.queue) {
+		t.Fatalf("queue %d, counters %d after removing %d of %d threads",
+			len(l.queue), len(l.counters), len(victim.Threads), len(before))
+	}
+	for i, th := range l.queue {
+		if th.App == victim {
+			t.Fatalf("removed thread %s/%d still queued", th.App.Instance, th.Index)
+		}
+		if l.counters[i] != before[th] {
+			t.Errorf("%s/%d: counter %d, held %d before the removal", th.App.Instance, th.Index, l.counters[i], before[th])
 		}
 	}
 }

@@ -77,10 +77,20 @@ func (j *Job) Threads() int { return len(j.App.Threads) }
 
 // PushSample records the application's measured bus bandwidth per
 // thread over the last quantum it ran (BBW/thread in the paper).
-func (j *Job) PushSample(perThread units.Rate) {
-	j.window.Push(float64(perThread))
+func (j *Job) PushSample(perThread units.Rate) { j.PushSamples(perThread, 1) }
+
+// PushSamples records the same sample for k consecutive quanta, ending
+// in exactly the state k PushSample calls leave. The event-driven
+// engine uses it to commit a leap's per-quantum samples at once.
+func (j *Job) PushSamples(perThread units.Rate, k int) {
+	if k <= 0 {
+		return
+	}
+	j.window.PushN(float64(perThread), k)
 	if j.ewma != nil {
-		j.ewma.Push(float64(perThread))
+		for i := 0; i < k; i++ {
+			j.ewma.Push(float64(perThread))
+		}
 	}
 	j.staleQuanta = 0
 	j.awaitingSample = false

@@ -332,11 +332,7 @@ func (ls *leapScratch) tryLeap(
 		for ti := range st.app.Threads {
 			var deltas [perfctr.NumEvents]uint64
 			if pi := planThreadIndex(plan, st.app.Threads[ti]); pi >= 0 {
-				pt := &plan.Threads[pi]
-				deltas[perfctr.EventCycles] = pt.CyclesPerQ
-				deltas[perfctr.EventBusTransAny] = pt.TransPerQ
-				deltas[perfctr.EventL2Refs] = pt.RefsPerQ
-				deltas[perfctr.EventL2Misses] = pt.MissPerQ
+				deltas = plan.Threads[pi].CountersPerQ
 			}
 			rates, rok := perfctr.SynthesizeRates(deltas, quantum)
 			if !rok {
@@ -379,13 +375,13 @@ func (ls *leapScratch) tryLeap(
 		}
 	}
 
-	// Replay. Per quantum: the exact micro-step advance sequence, the
-	// utilization accumulation, and one bandwidth sample per admitted
-	// application — the full float-visible footprint of a stepped
-	// quantum. Everything integer is batched afterwards. ReplayAdvance
-	// is AdvanceWork minus the debt/completion/barrier checks the leap
-	// horizon already proved are no-ops; the float arithmetic it
-	// performs is bitwise identical.
+	// Replay. Per quantum: the exact micro-step advance sequence and
+	// the utilization accumulation — the float-visible footprint of a
+	// stepped quantum on the machine. Everything integer is batched
+	// afterwards. ReplayAdvance is AdvanceWork minus the
+	// debt/completion/barrier checks the leap horizon already proved
+	// are no-ops; the float arithmetic it performs is bitwise
+	// identical.
 	startNow := m.Now()
 	k := 0
 	for k < maxK {
@@ -396,12 +392,16 @@ func (ls *leapScratch) tryLeap(
 		k++
 		res.Quanta++
 		*utilSum += plan.MeanUtilization
-		for i := range ls.apps {
-			ls.apps[i].st.job.PushSample(ls.apps[i].push)
-		}
 		if ls.leapStop(plan, finite) {
 			break
 		}
+	}
+
+	// One bandwidth sample per admitted application per quantum.
+	// Nothing reads a job's samples during the replay, so the k pushes
+	// are committed together, in the same per-job order.
+	for i := range ls.apps {
+		ls.apps[i].st.job.PushSamples(ls.apps[i].push, k)
 	}
 
 	// Batched integer commit: counters, per-app totals, machine clock
@@ -409,13 +409,11 @@ func (ls *leapScratch) tryLeap(
 	// one addition each.
 	for i := range plan.Threads {
 		pt := &plan.Threads[i]
-		c := &pt.Thread.Counters
-		c.Add(perfctr.EventCycles, uint64(k)*pt.CyclesPerQ)
-		c.Add(perfctr.EventBusTransAny, uint64(k)*pt.TransPerQ)
-		if miss := 1 - pt.Thread.App.Profile.WorkingSet.HitRate; miss > 0 {
-			c.Add(perfctr.EventL2Refs, uint64(k)*pt.RefsPerQ)
-			c.Add(perfctr.EventL2Misses, uint64(k)*pt.MissPerQ)
+		var d [perfctr.NumEvents]uint64
+		for e, perQ := range pt.CountersPerQ {
+			d[e] = uint64(k) * perQ
 		}
+		pt.Thread.Counters.AddAll(d)
 	}
 	for i := range ls.apps {
 		la := &ls.apps[i]

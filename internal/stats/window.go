@@ -38,17 +38,28 @@ func (w *Window) Len() int { return w.n }
 // The mean is memoized here, so the samples change only at Push (and
 // Reset) while Mean itself stays O(1) — the scheduler's selection loop
 // probes Mean many times per quantum between pushes.
-func (w *Window) Push(x float64) {
-	if w.n == len(w.buf) {
-		w.sum -= w.buf[w.head]
-	} else {
-		w.n++
+func (w *Window) Push(x float64) { w.PushN(x, 1) }
+
+// PushN pushes x n times. Each push updates the buffer and the running
+// sum exactly as Push does, but the memoized mean is computed once,
+// after the last: it is a function of the final state alone, so the
+// window ends bitwise equal to n Push calls. n <= 0 is a no-op.
+func (w *Window) PushN(x float64, n int) {
+	if n <= 0 {
+		return
 	}
-	w.buf[w.head] = x
-	w.sum += x
-	w.head++
-	if w.head == len(w.buf) {
-		w.head = 0
+	for ; n > 0; n-- {
+		if w.n == len(w.buf) {
+			w.sum -= w.buf[w.head]
+		} else {
+			w.n++
+		}
+		w.buf[w.head] = x
+		w.sum += x
+		w.head++
+		if w.head == len(w.buf) {
+			w.head = 0
+		}
 	}
 	w.mean = w.computeMean()
 }

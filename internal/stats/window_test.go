@@ -246,3 +246,35 @@ func TestWindowMeanZeroAllocs(t *testing.T) {
 	}
 	_ = sink
 }
+
+// PushN(x, k) must leave a window bitwise equal to k Push(x) calls:
+// the same buffer, cursor, length, running sum and memoized mean, for
+// partly filled and wrapped windows on both sides of the 64-sample
+// exact-summation limit.
+func TestWindowPushNMatchesRepeatedPush(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	bits := math.Float64bits
+	for run := 0; run < 300; run++ {
+		capacity := 1 + rng.Intn(70)
+		seq, batch := NewWindow(capacity), NewWindow(capacity)
+		for i := rng.Intn(2 * capacity); i > 0; i-- {
+			x := rng.Float64() * 20
+			seq.Push(x)
+			batch.Push(x)
+		}
+		x, k := rng.Float64()*20, rng.Intn(3*capacity)
+		for i := 0; i < k; i++ {
+			seq.Push(x)
+		}
+		batch.PushN(x, k)
+		if seq.head != batch.head || seq.n != batch.n ||
+			bits(seq.sum) != bits(batch.sum) || bits(seq.mean) != bits(batch.mean) {
+			t.Fatalf("run %d (cap %d, k %d): state diverged: %+v vs %+v", run, capacity, k, *seq, *batch)
+		}
+		for i := range seq.buf {
+			if bits(seq.buf[i]) != bits(batch.buf[i]) {
+				t.Fatalf("run %d: slot %d holds %v, want %v", run, i, batch.buf[i], seq.buf[i])
+			}
+		}
+	}
+}

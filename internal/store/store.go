@@ -39,6 +39,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -130,9 +131,11 @@ func (c *tierCounters) snapshot() TierStats {
 	}
 }
 
-// entry is the tier-2 index record for one resident file.
+// entry is the tier-2 index record for one resident file. The index
+// keys it by the file's binary digest (hashKey), not by a pointer or
+// the 64-byte hex name: a resident entry costs a map slot and no
+// separate allocation.
 type entry struct {
-	hash  string
 	size  int64
 	atime int64 // logical access clock; seeded from mtime at Open
 }
@@ -148,7 +151,7 @@ type Store struct {
 	// mu guards the tier-2 index (bytes, clock, entries); file I/O
 	// happens outside it so a slow disk never serializes lookups.
 	mu      sync.Mutex
-	index   map[string]*entry
+	index   map[[sha256.Size]byte]entry
 	bytes   int64
 	clock   int64
 	evictMu sync.Mutex // serializes eviction sweeps
@@ -168,7 +171,7 @@ func Open(cfg Config) (*Store, error) {
 		dir:      cfg.Dir,
 		shared:   cfg.SharedDir,
 		maxBytes: cfg.MaxBytes,
-		index:    make(map[string]*entry),
+		index:    make(map[[sha256.Size]byte]entry),
 	}
 	for _, root := range []string{s.dir, s.shared} {
 		if root == "" {
@@ -211,25 +214,24 @@ func sweepTemp(root string) {
 // hit), so a restart resumes the LRU where the last process left it.
 func (s *Store) loadIndex() error {
 	type seed struct {
-		e  *entry
-		mt time.Time
+		hash [sha256.Size]byte
+		size int64
+		mt   time.Time
 	}
 	var seeds []seed
 	err := filepath.WalkDir(s.dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
+		if err != nil || d.IsDir() {
 			return nil
 		}
-		if d.IsDir() || strings.HasPrefix(d.Name(), tmpPrefix) {
-			return nil
+		hash, ok := parseName(d.Name())
+		if !ok {
+			return nil // a temp leftover or a file the store did not write
 		}
 		info, err := d.Info()
 		if err != nil {
 			return nil
 		}
-		seeds = append(seeds, seed{
-			e:  &entry{hash: d.Name(), size: info.Size()},
-			mt: info.ModTime(),
-		})
+		seeds = append(seeds, seed{hash: hash, size: info.Size(), mt: info.ModTime()})
 		return nil
 	})
 	if err != nil {
@@ -237,37 +239,49 @@ func (s *Store) loadIndex() error {
 	}
 	// Oldest mtime gets the lowest logical atime; ties break on the
 	// hash so the order is deterministic.
-	for i := range seeds {
-		for j := i + 1; j < len(seeds); j++ {
-			if seeds[j].mt.Before(seeds[i].mt) ||
-				(seeds[j].mt.Equal(seeds[i].mt) && seeds[j].e.hash < seeds[i].e.hash) {
-				seeds[i], seeds[j] = seeds[j], seeds[i]
-			}
+	sort.Slice(seeds, func(i, j int) bool {
+		a, b := &seeds[i], &seeds[j]
+		if !a.mt.Equal(b.mt) {
+			return a.mt.Before(b.mt)
 		}
-	}
+		return bytes.Compare(a.hash[:], b.hash[:]) < 0
+	})
 	for _, sd := range seeds {
 		s.clock++
-		sd.e.atime = s.clock
-		s.index[sd.e.hash] = sd.e
-		s.bytes += sd.e.size
+		s.index[sd.hash] = entry{size: sd.size, atime: s.clock}
+		s.bytes += sd.size
 	}
 	return nil
 }
 
-// hashKey maps a canonical key to its content address: the hex SHA-256
-// of the key. Collisions are cryptographically negligible, and the
+// hashKey maps a canonical key to its content address: the SHA-256 of
+// the key. Collisions are cryptographically negligible, and the
 // embedded key is re-checked on read regardless, so even a collision
 // is a verify-fail miss, never a wrong body.
-func hashKey(key string) string {
-	h := sha256.Sum256([]byte(key))
-	return hex.EncodeToString(h[:])
+func hashKey(key string) [sha256.Size]byte {
+	return sha256.Sum256([]byte(key))
 }
 
-// pathFor is the two-level sharded location of hash under root:
-// root/ab/cd/abcd... — 65536 leaf directories, so a million entries
-// average ~15 files per directory instead of one unlistable flat dir.
-func pathFor(root, hash string) string {
-	return filepath.Join(root, hash[:2], hash[2:4], hash)
+// pathFor is the two-level sharded location of hash under root, named
+// by its lowercase hex: root/ab/cd/abcd... — 65536 leaf directories, so
+// a million entries average ~15 files per directory instead of one
+// unlistable flat dir. Hex order is byte order, so ordering entries by
+// digest or by file name is the same.
+func pathFor(root string, hash [sha256.Size]byte) string {
+	name := hex.EncodeToString(hash[:])
+	return filepath.Join(root, name[:2], name[2:4], name)
+}
+
+// parseName inverts pathFor's file naming: ok is false for any name
+// that is not the lowercase hex of a digest.
+func parseName(name string) (hash [sha256.Size]byte, ok bool) {
+	if len(name) != hex.EncodedLen(sha256.Size) {
+		return hash, false
+	}
+	if _, err := hex.Decode(hash[:], []byte(name)); err != nil {
+		return hash, false
+	}
+	return hash, hex.EncodeToString(hash[:]) == name
 }
 
 // entry file layout: a three-line header then the raw body bytes.
@@ -350,7 +364,7 @@ func (s *Store) Get(key string) ([]byte, Tier, bool) {
 // readTier reads and verifies one tier's entry for hash, accounting
 // the outcome. A corrupt entry is removed so it cannot fail every
 // future lookup; absence and corruption both return not-ok.
-func (s *Store) readTier(c *tierCounters, root, hash, key string) ([]byte, bool) {
+func (s *Store) readTier(c *tierCounters, root string, hash [sha256.Size]byte, key string) ([]byte, bool) {
 	data, err := os.ReadFile(pathFor(root, hash))
 	if err != nil {
 		c.misses.Add(1)
@@ -389,7 +403,7 @@ func (s *Store) Put(key string, body []byte) {
 // putTier writes one tier's entry. promotion marks tier-3→tier-2
 // copies, which skip conflict accounting (the body was just verified
 // against the same digest scheme it is being written with).
-func (s *Store) putTier(c *tierCounters, root, hash, key string, body []byte, promotion bool) {
+func (s *Store) putTier(c *tierCounters, root string, hash [sha256.Size]byte, key string, body []byte, promotion bool) {
 	path := pathFor(root, hash)
 	if prev, err := os.ReadFile(path); err == nil {
 		if old, ok := decode(prev, key); ok {
@@ -450,11 +464,12 @@ func writeAtomic(path string, data []byte) error {
 
 // touch bumps hash's logical access time (and, best-effort, its file
 // mtime so access order survives a restart).
-func (s *Store) touch(hash string) {
+func (s *Store) touch(hash [sha256.Size]byte) {
 	s.mu.Lock()
 	if e, ok := s.index[hash]; ok {
 		s.clock++
 		e.atime = s.clock
+		s.index[hash] = e
 	}
 	s.mu.Unlock()
 	now := time.Now()
@@ -462,23 +477,16 @@ func (s *Store) touch(hash string) {
 }
 
 // add indexes a freshly written tier-2 entry as most recently used.
-func (s *Store) add(hash string, size int64) {
+func (s *Store) add(hash [sha256.Size]byte, size int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.index[hash]; ok {
-		s.bytes += size - e.size
-		e.size = size
-		s.clock++
-		e.atime = s.clock
-		return
-	}
 	s.clock++
-	s.index[hash] = &entry{hash: hash, size: size, atime: s.clock}
-	s.bytes += size
+	s.bytes += size - s.index[hash].size // a missing entry reads as size 0
+	s.index[hash] = entry{size: size, atime: s.clock}
 }
 
 // drop unindexes hash (its file is already gone or going).
-func (s *Store) drop(hash string) {
+func (s *Store) drop(hash [sha256.Size]byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.index[hash]; ok {
@@ -503,17 +511,19 @@ func (s *Store) evict() {
 			s.mu.Unlock()
 			return
 		}
-		var oldest *entry
-		for _, e := range s.index {
-			if oldest == nil || e.atime < oldest.atime ||
-				(e.atime == oldest.atime && e.hash < oldest.hash) {
-				oldest = e
+		var oldest [sha256.Size]byte
+		var old entry
+		first := true
+		for h, e := range s.index {
+			if first || e.atime < old.atime ||
+				(e.atime == old.atime && bytes.Compare(h[:], oldest[:]) < 0) {
+				oldest, old, first = h, e, false
 			}
 		}
-		s.bytes -= oldest.size
-		delete(s.index, oldest.hash)
+		s.bytes -= old.size
+		delete(s.index, oldest)
 		s.mu.Unlock()
-		os.Remove(pathFor(s.dir, oldest.hash))
+		os.Remove(pathFor(s.dir, oldest))
 		s.t2.evictions.Add(1)
 	}
 }

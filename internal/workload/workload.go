@@ -102,8 +102,10 @@ func (p Profile) Validate() error {
 	return nil
 }
 
-// Endless reports whether the application never completes.
-func (p Profile) Endless() bool { return p.SoloTime <= 0 }
+// Endless reports whether the application never completes. Its
+// pointer receiver lets the per-micro-step completion checks ask
+// without copying the Profile.
+func (p *Profile) Endless() bool { return p.SoloTime <= 0 }
 
 // SoloRate returns the application's cumulative steady-state solo
 // transaction rate across all threads — the quantity plotted as the
@@ -293,17 +295,29 @@ func (t *Thread) Debt() float64 { return t.debt }
 // counters with the transactions issued at rate actualRate (the bus
 // grant) over wallUsec of wall-clock time.
 func (t *Thread) Advance(soloUsec float64, wallUsec float64, actualRate units.Rate) {
-	// Counters reflect wall-clock activity.
-	t.Counters.Add(perfctr.EventCycles, uint64(wallUsec*CPUFrequencyMHz))
-	t.Counters.Add(perfctr.EventBusTransAny, uint64(float64(actualRate)*wallUsec))
-	miss := 1 - t.App.Profile.WorkingSet.HitRate
-	if miss > 0 {
-		trans := float64(actualRate) * wallUsec
-		refs := trans / miss
-		t.Counters.Add(perfctr.EventL2Refs, uint64(refs))
-		t.Counters.Add(perfctr.EventL2Misses, uint64(trans))
-	}
+	var d [perfctr.NumEvents]uint64
+	t.AccrueCounters(&d, wallUsec, actualRate)
+	t.Counters.AddAll(d)
 	t.AdvanceWork(soloUsec)
+}
+
+// AccrueCounters adds to sum the virtual-counter increments of running
+// for wallUsec of wall-clock time at actualRate: cycles, the bus
+// transactions issued and, when the profile misses in L2, the L2
+// references and misses behind them. Each increment is truncated to an
+// integer per call, so a caller summing micro-steps into sum and
+// committing it with one Counters.AddAll reaches exactly the values a
+// per-micro-step Advance would (40-bit masked addition is associative
+// and 2^40 divides 2^64).
+func (t *Thread) AccrueCounters(sum *[perfctr.NumEvents]uint64, wallUsec float64, actualRate units.Rate) {
+	// Counters reflect wall-clock activity.
+	trans := float64(actualRate) * wallUsec
+	sum[perfctr.EventCycles] += uint64(wallUsec * CPUFrequencyMHz)
+	sum[perfctr.EventBusTransAny] += uint64(trans)
+	if miss := 1 - t.App.Profile.WorkingSet.HitRate; miss > 0 {
+		sum[perfctr.EventL2Refs] += uint64(trans / miss)
+		sum[perfctr.EventL2Misses] += uint64(trans)
+	}
 }
 
 // AdvanceWork is the debt/barrier/progress/phase portion of Advance,
@@ -368,22 +382,20 @@ func (t *Thread) ReplayAdvance(soloPerSub []float64) {
 	progress, used := t.progress, t.phaseUsed
 	phases := t.App.Profile.Phases
 	idx := t.phaseIdx
+	d := float64(phases[idx].Duration) // current phase length, kept in a register
 	for _, s := range soloPerSub {
 		if s <= 0 {
 			continue
 		}
 		progress += s
 		used += s
-		for {
-			d := float64(phases[idx].Duration)
-			if used < d {
-				break
-			}
+		for used >= d {
 			used -= d
 			idx++
 			if idx == len(phases) {
 				idx = 0
 			}
+			d = float64(phases[idx].Duration)
 		}
 	}
 	t.progress, t.phaseUsed, t.phaseIdx = progress, used, idx
