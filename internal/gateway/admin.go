@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
-	"time"
 )
 
 // Elastic membership. The ring is no longer fixed at startup:
@@ -110,7 +109,6 @@ type adminBackendsRequest struct {
 // POST {"op":"add"|"remove","backend":"http://host:port"} resizes it.
 // Both respond with the resulting membership.
 func (g *Gateway) handleAdminBackends(w http.ResponseWriter, r *http.Request) {
-	started := time.Now()
 	switch r.Method {
 	case http.MethodGet:
 	case http.MethodPost:
@@ -118,7 +116,7 @@ func (g *Gateway) handleAdminBackends(w http.ResponseWriter, r *http.Request) {
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil {
-			g.gwError(w, started, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+			g.reject(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 			return
 		}
 		var err error
@@ -128,7 +126,7 @@ func (g *Gateway) handleAdminBackends(w http.ResponseWriter, r *http.Request) {
 		case "remove":
 			err = g.RemoveBackend(req.Backend)
 		default:
-			g.gwError(w, started, http.StatusBadRequest, fmt.Sprintf("unknown op %q (want add or remove)", req.Op))
+			g.reject(w, http.StatusBadRequest, fmt.Sprintf("unknown op %q (want add or remove)", req.Op))
 			return
 		}
 		if err != nil {
@@ -136,12 +134,12 @@ func (g *Gateway) handleAdminBackends(w http.ResponseWriter, r *http.Request) {
 			if _, ok := err.(errMembership); ok {
 				code = http.StatusConflict
 			}
-			g.gwError(w, started, code, err.Error())
+			g.reject(w, code, err.Error())
 			return
 		}
 	default:
 		w.Header().Set("Allow", "GET, POST")
-		g.gwError(w, started, http.StatusMethodNotAllowed, "GET or POST only")
+		g.reject(w, http.StatusMethodNotAllowed, "GET or POST only")
 		return
 	}
 

@@ -202,3 +202,16 @@ func (b *breaker) Transitions() (opened, reclosed uint64) {
 	defer b.mu.Unlock()
 	return b.opened, b.reclosed
 }
+
+// OnCancel records an attempt that ended without a verdict — hung up
+// because other attempts answered its work, or abandoned by its
+// client. A half-open trial it held is released, so the next attempt
+// can claim it; nothing else moves.
+func (b *breaker) OnCancel() {
+	if b.disabled() {
+		return
+	}
+	b.mu.Lock()
+	b.probing = false
+	b.mu.Unlock()
+}

@@ -10,7 +10,6 @@ import (
 	"net/url"
 	"strconv"
 	"sync"
-	"time"
 
 	"busaware/internal/server"
 	"busaware/internal/timeline"
@@ -54,24 +53,23 @@ type BackendTimelineSummary struct {
 }
 
 func (g *Gateway) handleTimeline(w http.ResponseWriter, r *http.Request) {
-	started := time.Now()
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
-		g.gwError(w, started, http.StatusMethodNotAllowed, "GET only")
+		g.reject(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	q := r.URL.Query()
 	if q.Get("summary") != "" {
-		g.timelineSummary(w, started)
+		g.timelineSummary(w)
 		return
 	}
-	g.timelineStream(w, r, started, q)
+	g.timelineStream(w, r, q)
 }
 
 // timelineSummary fans ?summary=1 out to every backend concurrently
 // and folds the answers. Unreachable backends contribute nothing (and
 // are reported unhealthy); one live backend suffices for a 200.
-func (g *Gateway) timelineSummary(w http.ResponseWriter, started time.Time) {
+func (g *Gateway) timelineSummary(w http.ResponseWriter) {
 	backends := g.cluster.Load().backends
 	per := make([]BackendTimelineSummary, len(backends))
 	var wg sync.WaitGroup
@@ -114,7 +112,7 @@ func (g *Gateway) timelineSummary(w http.ResponseWriter, started time.Time) {
 		out.Summary = timeline.Merge(out.Summary, p.Summary)
 	}
 	if healthy == 0 {
-		g.gwError(w, started, http.StatusBadGateway, "no backend answered /v1/timeline")
+		g.reject(w, http.StatusBadGateway, "no backend answered /v1/timeline")
 		return
 	}
 	body, _ := json.Marshal(out)
@@ -131,16 +129,16 @@ func (g *Gateway) timelineSummary(w http.ResponseWriter, started time.Time) {
 // its stream mid-flight just stops contributing; the merged stream
 // ends when the client goes away, ?max is reached, or every backend
 // stream has closed.
-func (g *Gateway) timelineStream(w http.ResponseWriter, r *http.Request, started time.Time, q url.Values) {
+func (g *Gateway) timelineStream(w http.ResponseWriter, r *http.Request, q url.Values) {
 	max, err := countParam(q.Get("max"), 0)
 	if err != nil {
-		g.gwError(w, started, http.StatusBadRequest, fmt.Sprintf("bad max: %v", err))
+		g.reject(w, http.StatusBadRequest, fmt.Sprintf("bad max: %v", err))
 		return
 	}
 	path := "/v1/timeline"
 	if bl := q.Get("backlog"); bl != "" {
 		if _, err := countParam(bl, 0); err != nil {
-			g.gwError(w, started, http.StatusBadRequest, fmt.Sprintf("bad backlog: %v", err))
+			g.reject(w, http.StatusBadRequest, fmt.Sprintf("bad backlog: %v", err))
 			return
 		}
 		path += "?backlog=" + bl
@@ -163,7 +161,7 @@ func (g *Gateway) timelineStream(w http.ResponseWriter, r *http.Request, started
 		}(b)
 	}
 	if streams == 0 {
-		g.gwError(w, started, http.StatusBadGateway, "no healthy backends")
+		g.reject(w, http.StatusBadGateway, "no healthy backends")
 		return
 	}
 	done := make(chan struct{})

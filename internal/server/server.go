@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -142,12 +143,13 @@ func (s *Server) CacheStats() CacheStats { return s.cache.stats() }
 // when no store is configured).
 func (s *Server) StoreStats() store.Stats { return s.store.Stats() }
 
-// maxBodyBytes caps request bodies; specs are short strings, so 1 MiB
-// is generous.
-const maxBodyBytes = 1 << 20
+// MaxBodyBytes caps /v1/simulate request bodies; specs are short
+// strings, so 1 MiB is generous.
+const MaxBodyBytes = 1 << 20
 
-// errorBody is the JSON error envelope for every non-200.
-func (s *Server) error(w http.ResponseWriter, started time.Time, code int, msg string) {
+// WriteError writes the JSON error envelope every non-200 carries,
+// from this server and from the gateway in front of it.
+func WriteError(w http.ResponseWriter, code int, msg string) {
 	body, _ := json.Marshal(struct {
 		Error string `json:"error"`
 	}{msg})
@@ -156,8 +158,32 @@ func (s *Server) error(w http.ResponseWriter, started time.Time, code int, msg s
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
 	w.Write(body)
+}
+
+// DecodeRequest strictly decodes one /v1/simulate body: unknown fields
+// are rejected. The gateway decodes with it too, so it never forwards
+// a request the backend would reject, nor rejects one it would accept.
+func DecodeRequest(r io.Reader) (Request, error) {
+	var req Request
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return Request{}, fmt.Errorf("bad request body: %v", err)
+	}
+	return req, nil
+}
+
+func (s *Server) error(w http.ResponseWriter, started time.Time, code int, msg string) {
+	WriteError(w, code, msg)
 	s.metrics.observe(code, time.Since(started))
 }
+
+// The two endpoints share one cell pipeline: admit checks the
+// propagated deadline, lookup walks the tiers, and compute runs a miss
+// and writes its body through every tier. The handlers keep only what
+// the endpoints mean differently — /v1/simulate sheds with 429 and
+// bounds its wait by RequestTimeout, /v1/sweep throttles itself and
+// coalesces duplicate cells.
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	started := time.Now()
@@ -166,11 +192,9 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.error(w, started, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.error(w, started, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	req, err := DecodeRequest(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	if err != nil {
+		s.error(w, started, http.StatusBadRequest, err.Error())
 		return
 	}
 	c, err := compile(req)
@@ -178,41 +202,19 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.error(w, started, http.StatusBadRequest, err.Error())
 		return
 	}
-	deadline, err := ParseDeadline(r.Header)
-	if err != nil {
-		s.error(w, started, http.StatusBadRequest, err.Error())
+	deadline, ok := s.admit(w, r, started)
+	if !ok {
 		return
 	}
-
-	// Admission-time deadline shed: if the propagated deadline has
-	// already passed, the requester provably gave up — don't spend a
-	// cache lookup or a pool slot writing to nobody.
-	if !deadline.IsZero() && !time.Now().Before(deadline) {
-		s.metrics.observeDeadlineShed("admission")
-		s.error(w, started, http.StatusGatewayTimeout, "deadline already expired")
-		return
-	}
-
-	// Exact-key cache: a hit replays the byte-identical body computed
-	// for the first occurrence of this canonical request.
-	if body, ok := s.cache.get(c.Key); ok {
-		s.write(w, started, body, "hit")
-		return
-	}
-
-	// Persistent tiers: a body computed before the last restart (tier
-	// 2) or by any backend in the fleet (tier 3) is verified, promoted
-	// into the memory cache, and replayed without touching the pool.
-	if body, tier, ok := s.store.Get(c.Key); ok {
-		s.cache.put(c.Key, body)
-		s.write(w, started, body, "hit-t"+tier.String())
+	if body, cacheState, ok := s.lookup(c.Key); ok {
+		s.write(w, started, body, cacheState)
 		return
 	}
 
 	// Admission: refuse rather than queue without bound. The client is
 	// told when to come back; smpload counts these as shed, not failed.
-	out, ok := s.submit(c, deadline)
-	if !ok {
+	done := make(chan computed, 1)
+	if !s.compute(c, deadline, done) {
 		w.Header().Set("Retry-After",
 			strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
 		s.error(w, started, http.StatusTooManyRequests, "simulation queue full")
@@ -220,11 +222,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// The deadline covers queue wait plus execution; the client closing
-	// its connection cancels too. A worker finishing after we gave up
-	// still delivers into the buffered channel, and the work is not
-	// wasted: a salvage goroutine renders the late result into the
-	// response cache, so the retry the 504/Retry-After told the client
-	// to make is a hit, not a recompute.
+	// its connection cancels too. A cell finishing after we gave up is
+	// still written through every tier by its forwarder, so the retry
+	// the 504/Retry-After told the client to make is a hit, not a
+	// recompute.
 	timeout := s.cfg.RequestTimeout
 	if !deadline.IsZero() {
 		if until := time.Until(deadline); until < timeout {
@@ -235,35 +236,96 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	select {
 	case <-ctx.Done():
-		go s.salvage(c, out)
+		go func() {
+			if d := <-done; d.err == nil {
+				s.metrics.observeLateCached()
+			}
+		}()
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 			s.error(w, started, http.StatusGatewayTimeout, "deadline exceeded")
 		} else {
 			// Client went away; nothing to write, but account for it.
 			s.metrics.observe(499, time.Since(started))
 		}
-		return
-	case res := <-out:
-		if errors.Is(res.Err, errDeadlineShed) {
-			s.error(w, started, http.StatusGatewayTimeout, res.Err.Error())
+	case d := <-done:
+		if d.err != nil {
+			s.error(w, started, d.status(), d.err.Error())
 			return
 		}
-		body, err := renderBody(c, res)
-		if err != nil {
-			s.error(w, started, http.StatusInternalServerError, err.Error())
-			return
-		}
-		s.cachePut(c.Key, body)
-		s.write(w, started, body, "miss")
+		s.write(w, started, d.body, "miss")
 	}
 }
 
-// cachePut installs a freshly computed body in the memory cache and
-// writes it through to every persistent tier, so the computation
-// survives a restart and (with a shared tier) warms the whole fleet.
-func (s *Server) cachePut(key string, body []byte) {
-	s.cache.put(key, body)
-	s.store.Put(key, body)
+// admit parses the propagated deadline and sheds a request whose
+// deadline has already passed: the requester provably gave up, so no
+// tier lookup or pool slot is spent writing to nobody. False means the
+// error response has been written.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, started time.Time) (time.Time, bool) {
+	deadline, err := ParseDeadline(r.Header)
+	if err != nil {
+		s.error(w, started, http.StatusBadRequest, err.Error())
+		return deadline, false
+	}
+	if !deadline.IsZero() && !time.Now().Before(deadline) {
+		s.metrics.observeDeadlineShed("admission")
+		s.error(w, started, http.StatusGatewayTimeout, "deadline already expired")
+		return deadline, false
+	}
+	return deadline, true
+}
+
+// lookup answers key from the tiers: the memory cache replays the
+// byte-identical body of the key's first computation ("hit"); a body
+// computed before the last restart (tier 2) or by any backend in the
+// fleet (tier 3) is verified, promoted into memory, and labelled with
+// its tier ("hit-t2", "hit-t3").
+func (s *Server) lookup(key string) ([]byte, string, bool) {
+	if body, ok := s.cache.get(key); ok {
+		return body, "hit", true
+	}
+	if body, tier, ok := s.store.Get(key); ok {
+		s.cache.put(key, body)
+		return body, "hit-t" + tier.String(), true
+	}
+	return nil, "", false
+}
+
+// computed is a finished cell: its rendered body, already written
+// through every tier, or why it has none.
+type computed struct {
+	c    *compiled
+	body []byte
+	err  error
+}
+
+// status maps a failed cell to its HTTP status: 504 for a cell shed at
+// dequeue on its expired deadline, 500 otherwise.
+func (d computed) status() int {
+	if errors.Is(d.err, errDeadlineShed) {
+		return http.StatusGatewayTimeout
+	}
+	return http.StatusInternalServerError
+}
+
+// compute submits c to the pool; false means the queue is full. The
+// cell's forwarder goroutine renders the result and writes it through
+// every tier before delivering it on done, so the computation is spent
+// once even when its requester has stopped waiting. done must have
+// room for the delivery.
+func (s *Server) compute(c *compiled, deadline time.Time, done chan<- computed) bool {
+	out, ok := s.submit(c, deadline)
+	if !ok {
+		return false
+	}
+	go func() {
+		body, err := renderBody(c, <-out)
+		if err == nil {
+			s.cache.put(c.Key, body)
+			s.store.Put(c.Key, body)
+		}
+		done <- computed{c: c, body: body, err: err}
+	}()
+	return true
 }
 
 // renderBody converts a finished cell into the exact wire bytes the
@@ -284,20 +346,6 @@ func renderBody(c *compiled, res runner.PoolResult) ([]byte, error) {
 		return nil, err
 	}
 	return resp.MarshalBody()
-}
-
-// salvage waits for a cell whose requester gave up (deadline or
-// disconnect) and populates the response cache with the result, so the
-// computation is spent once even when its first requester never saw
-// it.
-func (s *Server) salvage(c *compiled, out <-chan runner.PoolResult) {
-	res := <-out
-	body, err := renderBody(c, res)
-	if err != nil {
-		return
-	}
-	s.cachePut(c.Key, body)
-	s.metrics.observeLateCached()
 }
 
 // submit offers the compiled request to the pool as one runner cell.

@@ -5,11 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
 	"busaware/internal/digest"
-	"busaware/internal/runner"
 )
 
 // The sweep endpoint is the batch face of the API: a paper-scale
@@ -33,9 +33,9 @@ import (
 // grid in the paper times policies and seeds with room to spare.
 const MaxSweepCells = 4096
 
-// sweepMaxBodyBytes caps sweep request bodies: cells are short JSON
-// objects, so even MaxSweepCells of them fit comfortably in 8 MiB.
-const sweepMaxBodyBytes = 8 << 20
+// MaxSweepBodyBytes caps /v1/sweep request bodies: cells are short
+// JSON objects, so even MaxSweepCells of them fit comfortably in 8 MiB.
+const MaxSweepBodyBytes = 8 << 20
 
 // SweepRequest is the POST /v1/sweep body: a batch of independent
 // cells, each in exactly the /v1/simulate request schema (identical
@@ -61,19 +61,22 @@ type SweepCellResult struct {
 	Response json.RawMessage `json:"response,omitempty"`
 }
 
-// sweepPending is one submitted computation and every cell index
-// coalesced onto it.
-type sweepPending struct {
-	c       *compiled
-	indices []int
-}
-
-// sweepDone is a finished computation, rendered (and cached) by its
-// forwarder goroutine.
-type sweepDone struct {
-	p    *sweepPending
-	body []byte
-	err  error
+// DecodeSweep strictly decodes and validates one /v1/sweep body, for
+// this server and for the gateway in front of it.
+func DecodeSweep(r io.Reader) (SweepRequest, error) {
+	var req SweepRequest
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return req, fmt.Errorf("bad request body: %v", err)
+	}
+	if len(req.Cells) == 0 {
+		return req, errors.New("empty sweep")
+	}
+	if len(req.Cells) > MaxSweepCells {
+		return req, fmt.Errorf("sweep of %d cells exceeds the %d-cell limit", len(req.Cells), MaxSweepCells)
+	}
+	return req, nil
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -83,31 +86,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.error(w, started, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	var req SweepRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, sweepMaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.error(w, started, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return
-	}
-	if len(req.Cells) == 0 {
-		s.error(w, started, http.StatusBadRequest, "empty sweep")
-		return
-	}
-	if len(req.Cells) > MaxSweepCells {
-		s.error(w, started, http.StatusBadRequest,
-			fmt.Sprintf("sweep of %d cells exceeds the %d-cell limit", len(req.Cells), MaxSweepCells))
-		return
-	}
-
-	deadline, err := ParseDeadline(r.Header)
+	req, err := DecodeSweep(http.MaxBytesReader(w, r.Body, MaxSweepBodyBytes))
 	if err != nil {
 		s.error(w, started, http.StatusBadRequest, err.Error())
 		return
 	}
-	if !deadline.IsZero() && !time.Now().Before(deadline) {
-		s.metrics.observeDeadlineShed("admission")
-		s.error(w, started, http.StatusGatewayTimeout, "deadline already expired")
+	deadline, ok := s.admit(w, r, started)
+	if !ok {
 		return
 	}
 
@@ -126,34 +111,33 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		s.metrics.observeSweepCell(line)
 	}
+	answer := func(idx int, body []byte, cacheState string) {
+		emit(SweepCellResult{Index: idx, Status: http.StatusOK, Cache: cacheState,
+			Response: json.RawMessage(bytes.TrimSpace(body))})
+	}
 
-	// done is buffered for every possible computation so forwarder
-	// goroutines never block on it — if the client disconnects
-	// mid-sweep the handler returns without draining, and forwarders
-	// still complete (they render and cache before delivering, so no
-	// finished cell is ever wasted).
-	done := make(chan sweepDone, len(req.Cells))
-	pending := make(map[string]*sweepPending, len(req.Cells))
+	// done is buffered for every possible computation so forwarders
+	// never block on it — if the client disconnects mid-sweep the
+	// handler returns without draining, and forwarders still complete
+	// (they write through every tier before delivering, so no finished
+	// cell is ever wasted). pending maps each computing key to every
+	// cell index coalesced onto it.
+	done := make(chan computed, len(req.Cells))
+	pending := make(map[string][]int, len(req.Cells))
 	inflight := 0
-
-	finish := func(d sweepDone) {
-		if d.err != nil {
-			status := http.StatusInternalServerError
-			if errors.Is(d.err, errDeadlineShed) {
-				status = http.StatusGatewayTimeout
+	finish := func(d computed) {
+		inflight--
+		indices := pending[d.c.Key]
+		delete(pending, d.c.Key)
+		for i, idx := range indices {
+			switch {
+			case d.err != nil:
+				emit(SweepCellResult{Index: idx, Status: d.status(), Error: d.err.Error()})
+			case i == 0:
+				answer(idx, d.body, "miss")
+			default:
+				answer(idx, d.body, "hit") // coalesced duplicate, served from the shared computation
 			}
-			for _, idx := range d.p.indices {
-				emit(SweepCellResult{Index: idx, Status: status, Error: d.err.Error()})
-			}
-			return
-		}
-		for i, idx := range d.p.indices {
-			cacheState := "miss"
-			if i > 0 {
-				cacheState = "hit" // coalesced duplicate, served from the shared computation
-			}
-			emit(SweepCellResult{Index: idx, Status: http.StatusOK, Cache: cacheState,
-				Response: json.RawMessage(bytes.TrimSpace(d.body))})
 		}
 	}
 
@@ -165,70 +149,43 @@ cells:
 			emit(SweepCellResult{Index: idx, Status: http.StatusBadRequest, Error: err.Error()})
 			continue
 		}
-		if p, ok := pending[c.Key]; ok {
-			p.indices = append(p.indices, idx)
+		if indices, ok := pending[c.Key]; ok {
+			pending[c.Key] = append(indices, idx)
 			continue
 		}
-		if body, ok := s.cache.get(c.Key); ok {
-			emit(SweepCellResult{Index: idx, Status: http.StatusOK, Cache: "hit",
-				Response: json.RawMessage(bytes.TrimSpace(body))})
+		if body, cacheState, ok := s.lookup(c.Key); ok {
+			answer(idx, body, cacheState)
 			continue
 		}
-		if body, tier, ok := s.store.Get(c.Key); ok {
-			s.cache.put(c.Key, body)
-			emit(SweepCellResult{Index: idx, Status: http.StatusOK, Cache: "hit-t" + tier.String(),
-				Response: json.RawMessage(bytes.TrimSpace(body))})
-			continue
-		}
-		p := &sweepPending{c: c, indices: []int{idx}}
-		for {
-			out, ok := s.submit(c, deadline)
-			if ok {
-				pending[c.Key] = p
-				inflight++
-				go func(p *sweepPending, out <-chan runner.PoolResult) {
-					res := <-out
-					body, err := renderBody(p.c, res)
-					if err == nil {
-						s.cachePut(p.c.Key, body)
-					}
-					done <- sweepDone{p: p, body: body, err: err}
-				}(p, out)
-				break
-			}
-			// Queue full. Prefer draining our own completions — each
-			// one both frees pool capacity and gets its line on the
-			// wire early. With nothing of ours in flight the pool is
-			// saturated by other requests; wait out a fraction of the
-			// Retry-After hint and offer again rather than shedding
-			// mid-stream.
-			if inflight > 0 {
-				select {
-				case d := <-done:
-					inflight--
-					delete(pending, d.p.c.Key)
-					finish(d)
-				case <-ctx.Done():
-					break cells
-				}
-				continue
+		for !s.compute(c, deadline, done) {
+			// Queue full. Prefer draining our own completions — each one
+			// both frees pool capacity and gets its line on the wire
+			// early. With nothing of ours in flight the pool is saturated
+			// by other requests; wait out a fraction of the Retry-After
+			// hint and offer again rather than shedding mid-stream.
+			var wait <-chan time.Time
+			if inflight == 0 {
+				wait = time.After(s.cfg.RetryAfter / 4)
 			}
 			select {
-			case <-time.After(s.cfg.RetryAfter / 4):
+			case d := <-done:
+				finish(d)
+			case <-wait:
 			case <-ctx.Done():
 				break cells
 			}
 		}
+		pending[c.Key] = []int{idx}
+		inflight++
 	}
 
 	for inflight > 0 {
 		select {
 		case d := <-done:
-			inflight--
 			finish(d)
 		case <-ctx.Done():
 			// Client gone: stop writing. Forwarders have already (or
-			// will) populate the cache with every in-flight result.
+			// will) write every in-flight result through the tiers.
 			inflight = 0
 		}
 	}
