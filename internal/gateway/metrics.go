@@ -1,20 +1,17 @@
 package gateway
 
 import (
-	"fmt"
 	"io"
-	"sort"
-	"sync"
 	"sync/atomic"
+
+	"busaware/internal/prom"
 )
 
-// gwMetrics accumulates the gateway-side counters for /metrics, in the
-// same hand-rolled Prometheus text exposition as the backend (the
-// repository is dependency-free by charter). Per-backend gauges are
-// read live from the backend structs at render time.
+// gwMetrics holds the gateway-side counters for /metrics. Per-backend
+// gauges are read live from the backend structs at scrape time, and
+// internal/prom owns the format, as it does for the backends'.
 type gwMetrics struct {
-	mu    sync.Mutex
-	codes map[int]uint64
+	codes prom.Counts[int]
 
 	// failovers counts requests moved to another ring node after a
 	// connection error; retries counts 429s absorbed by waiting out
@@ -40,113 +37,61 @@ type gwMetrics struct {
 	ringRemoves atomic.Uint64
 }
 
-func newGWMetrics() *gwMetrics {
-	return &gwMetrics{codes: make(map[int]uint64)}
-}
-
 // observe records one finished gateway request by status code.
-func (m *gwMetrics) observe(code int) {
-	m.mu.Lock()
-	m.codes[code]++
-	m.mu.Unlock()
-}
+func (m *gwMetrics) observe(code int) { m.codes.Inc(code) }
 
 // write renders the exposition: request counters plus live per-backend
 // gauges, breaker states and the retry-budget ledger.
 func (m *gwMetrics) write(w io.Writer, backends []*backend, budget *retryBudget) {
-	m.mu.Lock()
-	codes := make([]int, 0, len(m.codes))
-	for c := range m.codes {
-		codes = append(codes, c)
-	}
-	sort.Ints(codes)
-	codeVals := make([]uint64, len(codes))
-	for i, c := range codes {
-		codeVals[i] = m.codes[c]
-	}
-	m.mu.Unlock()
+	p := prom.NewWriter(w)
+	m.codes.Write(p, "smpgw_requests_total", "Gateway requests finished, by HTTP status code.", "code")
+	p.Counter("smpgw_failovers_total", "Requests failed over to the next ring node after a backend failure.", float64(m.failovers.Load()))
+	p.Counter("smpgw_retries_total", "Backend 429s absorbed by honoring Retry-After.", float64(m.retries.Load()))
+	p.Counter("smpgw_sweep_cells_total", "Sweep cells forwarded through the gateway.", float64(m.sweepCells.Load()))
+	p.Counter("smpgw_retry_budget_requests_total", "Client-facing work units credited to the retry budget.", float64(budget.requestsTotal.Load()))
+	p.Counter("smpgw_retry_budget_retries_total", "Extra backend attempts (failover, 429 retry, hedge) granted by the retry budget.", float64(budget.retriesTotal.Load()))
+	p.Counter("smpgw_retry_budget_exhausted_total", "Retry attempts refused because the budget was spent.", float64(budget.exhaustedTotal.Load()))
 
-	fmt.Fprintln(w, "# HELP smpgw_requests_total Gateway requests finished, by HTTP status code.")
-	fmt.Fprintln(w, "# TYPE smpgw_requests_total counter")
-	for i, c := range codes {
-		fmt.Fprintf(w, "smpgw_requests_total{code=\"%d\"} %d\n", c, codeVals[i])
-	}
+	f := p.Family("smpgw_hedges_total", "counter", "Hedged-request events by outcome.")
+	f.Sample(float64(m.hedgesLaunched.Load()), "outcome", "launched")
+	f.Sample(float64(m.hedgeWins.Load()), "outcome", "hedge_win")
+	f.Sample(float64(m.hedgePrimaryWins.Load()), "outcome", "primary_win")
+	f.Sample(float64(m.hedgeMismatches.Load()), "outcome", "mismatch")
+	p.Counter("smpgw_digest_mismatch_total", "Backend responses rejected for failing X-Content-Digest verification.", float64(m.digestMismatches.Load()))
 
-	fmt.Fprintln(w, "# HELP smpgw_failovers_total Requests failed over to the next ring node after a backend failure.")
-	fmt.Fprintln(w, "# TYPE smpgw_failovers_total counter")
-	fmt.Fprintf(w, "smpgw_failovers_total %d\n", m.failovers.Load())
+	p.Gauge("smpgw_ring_backends", "Backends currently on the consistent-hash ring.", float64(len(backends)))
+	f = p.Family("smpgw_ring_changes_total", "counter", "Runtime ring membership changes, by operation.")
+	f.Sample(float64(m.ringAdds.Load()), "op", "add")
+	f.Sample(float64(m.ringRemoves.Load()), "op", "remove")
 
-	fmt.Fprintln(w, "# HELP smpgw_retries_total Backend 429s absorbed by honoring Retry-After.")
-	fmt.Fprintln(w, "# TYPE smpgw_retries_total counter")
-	fmt.Fprintf(w, "smpgw_retries_total %d\n", m.retries.Load())
-
-	fmt.Fprintln(w, "# HELP smpgw_sweep_cells_total Sweep cells forwarded through the gateway.")
-	fmt.Fprintln(w, "# TYPE smpgw_sweep_cells_total counter")
-	fmt.Fprintf(w, "smpgw_sweep_cells_total %d\n", m.sweepCells.Load())
-
-	fmt.Fprintln(w, "# HELP smpgw_retry_budget_requests_total Client-facing work units credited to the retry budget.")
-	fmt.Fprintln(w, "# TYPE smpgw_retry_budget_requests_total counter")
-	fmt.Fprintf(w, "smpgw_retry_budget_requests_total %d\n", budget.requestsTotal.Load())
-	fmt.Fprintln(w, "# HELP smpgw_retry_budget_retries_total Extra backend attempts (failover, 429 retry, hedge) granted by the retry budget.")
-	fmt.Fprintln(w, "# TYPE smpgw_retry_budget_retries_total counter")
-	fmt.Fprintf(w, "smpgw_retry_budget_retries_total %d\n", budget.retriesTotal.Load())
-	fmt.Fprintln(w, "# HELP smpgw_retry_budget_exhausted_total Retry attempts refused because the budget was spent.")
-	fmt.Fprintln(w, "# TYPE smpgw_retry_budget_exhausted_total counter")
-	fmt.Fprintf(w, "smpgw_retry_budget_exhausted_total %d\n", budget.exhaustedTotal.Load())
-
-	fmt.Fprintln(w, "# HELP smpgw_hedges_total Hedged-request events by outcome.")
-	fmt.Fprintln(w, "# TYPE smpgw_hedges_total counter")
-	fmt.Fprintf(w, "smpgw_hedges_total{outcome=\"launched\"} %d\n", m.hedgesLaunched.Load())
-	fmt.Fprintf(w, "smpgw_hedges_total{outcome=\"hedge_win\"} %d\n", m.hedgeWins.Load())
-	fmt.Fprintf(w, "smpgw_hedges_total{outcome=\"primary_win\"} %d\n", m.hedgePrimaryWins.Load())
-	fmt.Fprintf(w, "smpgw_hedges_total{outcome=\"mismatch\"} %d\n", m.hedgeMismatches.Load())
-
-	fmt.Fprintln(w, "# HELP smpgw_digest_mismatch_total Backend responses rejected for failing X-Content-Digest verification.")
-	fmt.Fprintln(w, "# TYPE smpgw_digest_mismatch_total counter")
-	fmt.Fprintf(w, "smpgw_digest_mismatch_total %d\n", m.digestMismatches.Load())
-
-	fmt.Fprintln(w, "# HELP smpgw_ring_backends Backends currently on the consistent-hash ring.")
-	fmt.Fprintln(w, "# TYPE smpgw_ring_backends gauge")
-	fmt.Fprintf(w, "smpgw_ring_backends %d\n", len(backends))
-	fmt.Fprintln(w, "# HELP smpgw_ring_changes_total Runtime ring membership changes, by operation.")
-	fmt.Fprintln(w, "# TYPE smpgw_ring_changes_total counter")
-	fmt.Fprintf(w, "smpgw_ring_changes_total{op=\"add\"} %d\n", m.ringAdds.Load())
-	fmt.Fprintf(w, "smpgw_ring_changes_total{op=\"remove\"} %d\n", m.ringRemoves.Load())
-
-	fmt.Fprintln(w, "# HELP smpgw_backend_healthy Backend admitted for routing (1) or ejected (0).")
-	fmt.Fprintln(w, "# TYPE smpgw_backend_healthy gauge")
+	f = p.Family("smpgw_backend_healthy", "gauge", "Backend admitted for routing (1) or ejected (0).")
 	for _, b := range backends {
-		h := 0
+		h := 0.0
 		if b.healthy.Load() {
 			h = 1
 		}
-		fmt.Fprintf(w, "smpgw_backend_healthy{backend=%q} %d\n", b.addr, h)
+		f.Sample(h, "backend", b.addr)
 	}
-	fmt.Fprintln(w, "# HELP smpgw_breaker_state Circuit-breaker state per backend (0 closed, 1 half-open, 2 open).")
-	fmt.Fprintln(w, "# TYPE smpgw_breaker_state gauge")
+	f = p.Family("smpgw_breaker_state", "gauge", "Circuit-breaker state per backend (0 closed, 1 half-open, 2 open).")
 	for _, b := range backends {
-		fmt.Fprintf(w, "smpgw_breaker_state{backend=%q} %d\n", b.addr, b.breaker.State())
+		f.Sample(float64(b.breaker.State()), "backend", b.addr)
 	}
-	fmt.Fprintln(w, "# HELP smpgw_breaker_transitions_total Circuit-breaker transitions per backend, by destination state.")
-	fmt.Fprintln(w, "# TYPE smpgw_breaker_transitions_total counter")
+	f = p.Family("smpgw_breaker_transitions_total", "counter", "Circuit-breaker transitions per backend, by destination state.")
 	for _, b := range backends {
 		opened, reclosed := b.breaker.Transitions()
-		fmt.Fprintf(w, "smpgw_breaker_transitions_total{backend=%q,to=\"open\"} %d\n", b.addr, opened)
-		fmt.Fprintf(w, "smpgw_breaker_transitions_total{backend=%q,to=\"closed\"} %d\n", b.addr, reclosed)
+		f.Sample(float64(opened), "backend", b.addr, "to", "open")
+		f.Sample(float64(reclosed), "backend", b.addr, "to", "closed")
 	}
-	fmt.Fprintln(w, "# HELP smpgw_backend_inflight Proxied requests currently outstanding against the backend.")
-	fmt.Fprintln(w, "# TYPE smpgw_backend_inflight gauge")
+	f = p.Family("smpgw_backend_inflight", "gauge", "Proxied requests currently outstanding against the backend.")
 	for _, b := range backends {
-		fmt.Fprintf(w, "smpgw_backend_inflight{backend=%q} %d\n", b.addr, b.inflight.Load())
+		f.Sample(float64(b.inflight.Load()), "backend", b.addr)
 	}
-	fmt.Fprintln(w, "# HELP smpgw_backend_shed_total 429 responses received from the backend.")
-	fmt.Fprintln(w, "# TYPE smpgw_backend_shed_total counter")
+	f = p.Family("smpgw_backend_shed_total", "counter", "429 responses received from the backend.")
 	for _, b := range backends {
-		fmt.Fprintf(w, "smpgw_backend_shed_total{backend=%q} %d\n", b.addr, b.shed.Load())
+		f.Sample(float64(b.shed.Load()), "backend", b.addr)
 	}
-	fmt.Fprintln(w, "# HELP smpgw_backend_failovers_total Requests moved off the backend after failures.")
-	fmt.Fprintln(w, "# TYPE smpgw_backend_failovers_total counter")
+	f = p.Family("smpgw_backend_failovers_total", "counter", "Requests moved off the backend after failures.")
 	for _, b := range backends {
-		fmt.Fprintf(w, "smpgw_backend_failovers_total{backend=%q} %d\n", b.addr, b.failovers.Load())
+		f.Sample(float64(b.failovers.Load()), "backend", b.addr)
 	}
 }

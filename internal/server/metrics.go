@@ -1,86 +1,46 @@
 package server
 
 import (
-	"fmt"
 	"io"
-	"sort"
-	"strconv"
-	"sync"
+	"sync/atomic"
 	"time"
+
+	"busaware/internal/prom"
+	"busaware/internal/store"
 )
 
-// latencyBuckets are the histogram upper bounds in seconds. Simulation
-// cells run milliseconds to a few seconds, so the buckets straddle
-// both the cache-hit path (sub-millisecond) and cold heavy cells.
-var latencyBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
-
-// metrics accumulates the serving-side counters exposed on /metrics in
-// Prometheus text exposition format. Hand-rolled on the stdlib — the
-// repository is dependency-free by charter — and deliberately small:
-// request counts by status code, one latency histogram, and the
-// queue/cache/pool gauges read live from the Server at render time.
+// metrics holds the serving-side counters exposed on /metrics: request
+// counts by status code, one latency histogram and the sweep and
+// deadline tallies. Queue, pool, feed, cache and store gauges are read
+// live from the Server at scrape time; internal/prom owns the format.
 type metrics struct {
-	mu      sync.Mutex
-	codes   map[int]uint64
-	counts  []uint64 // cumulative-at-render, stored per-bucket here
-	sum     float64
-	count   uint64
-	started time.Time
+	codes prom.Counts[int]
+	// latency buckets straddle both the cache-hit path
+	// (sub-millisecond) and cold heavy cells (seconds).
+	latency *prom.Histogram
 
 	// lateCached counts cells whose requester gave up (504/disconnect)
 	// but whose result was salvaged into the response cache anyway.
-	lateCached uint64
+	lateCached atomic.Uint64
 
 	// sweepCells counts per-cell sweep outcomes by label: "hit",
 	// "hit-t2", "hit-t3", "miss", "error".
-	sweepCells map[string]uint64
+	sweepCells prom.Counts[string]
 
 	// deadlineShed counts work dropped because the propagated
 	// X-Deadline-Ms had already passed, by stage: "admission" (refused
 	// before entering the pool) or "dequeue" (aged out in the queue).
-	deadlineShed map[string]uint64
+	deadlineShed prom.Counts[string]
 }
 
 func newMetrics() *metrics {
-	return &metrics{
-		codes:        make(map[int]uint64),
-		counts:       make([]uint64, len(latencyBuckets)+1), // +1 for +Inf
-		started:      time.Now(),
-		sweepCells:   make(map[string]uint64),
-		deadlineShed: make(map[string]uint64),
-	}
+	return &metrics{latency: prom.NewHistogram(0.001, 0.005, 0.025, 0.1, 0.25, 0.5, 1, 2.5, 5, 10)}
 }
 
 // observe records one finished request.
 func (m *metrics) observe(code int, d time.Duration) {
-	secs := d.Seconds()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.codes[code]++
-	m.sum += secs
-	m.count++
-	for i, ub := range latencyBuckets {
-		if secs <= ub {
-			m.counts[i]++
-			return
-		}
-	}
-	m.counts[len(latencyBuckets)]++
-}
-
-// observeLateCached records one salvaged late completion.
-func (m *metrics) observeLateCached() {
-	m.mu.Lock()
-	m.lateCached++
-	m.mu.Unlock()
-}
-
-// observeDeadlineShed records one request or cell dropped on an
-// expired propagated deadline.
-func (m *metrics) observeDeadlineShed(stage string) {
-	m.mu.Lock()
-	m.deadlineShed[stage]++
-	m.mu.Unlock()
+	m.codes.Inc(code)
+	m.latency.Observe(d.Seconds())
 }
 
 // observeSweepCell records one streamed sweep line by outcome.
@@ -89,201 +49,75 @@ func (m *metrics) observeSweepCell(line SweepCellResult) {
 	if line.Status == 200 {
 		outcome = line.Cache // "hit", "hit-t2", "hit-t3" or "miss"
 	}
-	m.mu.Lock()
-	m.sweepCells[outcome]++
-	m.mu.Unlock()
+	m.sweepCells.Inc(outcome)
 }
 
-// write renders the full exposition: request counters and the latency
-// histogram from m, plus live gauges from srv (queue, pool, cache).
+// write renders the full exposition: the counters above plus live
+// gauges from srv.
 func (m *metrics) write(w io.Writer, srv *Server) {
-	m.mu.Lock()
-	codes := make([]int, 0, len(m.codes))
-	for c := range m.codes {
-		codes = append(codes, c)
-	}
-	sort.Ints(codes)
-	counts := append([]uint64(nil), m.counts...)
-	sum, count := m.sum, m.count
-	lateCached := m.lateCached
-	sweepOutcomes := make([]string, 0, len(m.sweepCells))
-	for o := range m.sweepCells {
-		sweepOutcomes = append(sweepOutcomes, o)
-	}
-	sort.Strings(sweepOutcomes)
-	sweepVals := make([]uint64, len(sweepOutcomes))
-	for i, o := range sweepOutcomes {
-		sweepVals[i] = m.sweepCells[o]
-	}
-	shedStages := make([]string, 0, len(m.deadlineShed))
-	for st := range m.deadlineShed {
-		shedStages = append(shedStages, st)
-	}
-	sort.Strings(shedStages)
-	shedVals := make([]uint64, len(shedStages))
-	for i, st := range shedStages {
-		shedVals[i] = m.deadlineShed[st]
-	}
-	codeVals := make([]uint64, len(codes))
-	for i, c := range codes {
-		codeVals[i] = m.codes[c]
-	}
-	m.mu.Unlock()
-
-	fmt.Fprintln(w, "# HELP smpsimd_requests_total Requests finished, by HTTP status code.")
-	fmt.Fprintln(w, "# TYPE smpsimd_requests_total counter")
-	for i, c := range codes {
-		fmt.Fprintf(w, "smpsimd_requests_total{code=%q} %d\n", strconv.Itoa(c), codeVals[i])
-	}
-
-	fmt.Fprintln(w, "# HELP smpsimd_request_duration_seconds Request latency, admission to last byte.")
-	fmt.Fprintln(w, "# TYPE smpsimd_request_duration_seconds histogram")
-	var cum uint64
-	for i, ub := range latencyBuckets {
-		cum += counts[i]
-		fmt.Fprintf(w, "smpsimd_request_duration_seconds_bucket{le=%q} %d\n", formatFloat(ub), cum)
-	}
-	cum += counts[len(latencyBuckets)]
-	fmt.Fprintf(w, "smpsimd_request_duration_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(w, "smpsimd_request_duration_seconds_sum %s\n", formatFloat(sum))
-	fmt.Fprintf(w, "smpsimd_request_duration_seconds_count %d\n", count)
+	p := prom.NewWriter(w)
+	m.codes.Write(p, "smpsimd_requests_total", "Requests finished, by HTTP status code.", "code")
+	m.latency.Write(p, "smpsimd_request_duration_seconds", "Request latency, admission to last byte.")
 
 	pool := srv.pool
 	busy, workers := pool.Busy(), pool.Workers()
-	fmt.Fprintln(w, "# HELP smpsimd_queue_depth Cells admitted but not yet running.")
-	fmt.Fprintln(w, "# TYPE smpsimd_queue_depth gauge")
-	fmt.Fprintf(w, "smpsimd_queue_depth %d\n", pool.QueueDepth())
-	fmt.Fprintln(w, "# HELP smpsimd_queue_capacity Admission queue bound.")
-	fmt.Fprintln(w, "# TYPE smpsimd_queue_capacity gauge")
-	fmt.Fprintf(w, "smpsimd_queue_capacity %d\n", pool.QueueCap())
-	fmt.Fprintln(w, "# HELP smpsimd_pool_workers Simulation pool size.")
-	fmt.Fprintln(w, "# TYPE smpsimd_pool_workers gauge")
-	fmt.Fprintf(w, "smpsimd_pool_workers %d\n", workers)
-	fmt.Fprintln(w, "# HELP smpsimd_pool_busy Workers currently executing a cell.")
-	fmt.Fprintln(w, "# TYPE smpsimd_pool_busy gauge")
-	fmt.Fprintf(w, "smpsimd_pool_busy %d\n", busy)
-	fmt.Fprintln(w, "# HELP smpsimd_pool_utilization Busy workers over pool size.")
-	fmt.Fprintln(w, "# TYPE smpsimd_pool_utilization gauge")
 	util := 0.0
 	if workers > 0 {
 		util = float64(busy) / float64(workers)
 	}
-	fmt.Fprintf(w, "smpsimd_pool_utilization %s\n", formatFloat(util))
-	fmt.Fprintln(w, "# HELP smpsimd_cells_completed_total Simulation cells finished by the pool.")
-	fmt.Fprintln(w, "# TYPE smpsimd_cells_completed_total counter")
-	fmt.Fprintf(w, "smpsimd_cells_completed_total %d\n", pool.Completed())
+	p.Gauge("smpsimd_queue_depth", "Cells admitted but not yet running.", float64(pool.QueueDepth()))
+	p.Gauge("smpsimd_queue_capacity", "Admission queue bound.", float64(pool.QueueCap()))
+	p.Gauge("smpsimd_pool_workers", "Simulation pool size.", float64(workers))
+	p.Gauge("smpsimd_pool_busy", "Workers currently executing a cell.", float64(busy))
+	p.Gauge("smpsimd_pool_utilization", "Busy workers over pool size.", util)
+	p.Counter("smpsimd_cells_completed_total", "Simulation cells finished by the pool.", float64(pool.Completed()))
+	p.Counter("smpsimd_late_cached_total", "Timed-out cells salvaged into the response cache.", float64(m.lateCached.Load()))
+	m.sweepCells.Write(p, "smpsimd_sweep_cells_total", "Sweep cells streamed, by outcome.", "outcome")
+	m.deadlineShed.Write(p, "smpsimd_deadline_shed_total", "Work dropped on an expired propagated deadline, by stage.", "stage")
 
-	fmt.Fprintln(w, "# HELP smpsimd_late_cached_total Timed-out cells salvaged into the response cache.")
-	fmt.Fprintln(w, "# TYPE smpsimd_late_cached_total counter")
-	fmt.Fprintf(w, "smpsimd_late_cached_total %d\n", lateCached)
-
-	fmt.Fprintln(w, "# HELP smpsimd_sweep_cells_total Sweep cells streamed, by outcome.")
-	fmt.Fprintln(w, "# TYPE smpsimd_sweep_cells_total counter")
-	for i, o := range sweepOutcomes {
-		fmt.Fprintf(w, "smpsimd_sweep_cells_total{outcome=%q} %d\n", o, sweepVals[i])
-	}
-
-	fmt.Fprintln(w, "# HELP smpsimd_deadline_shed_total Work dropped on an expired propagated deadline, by stage.")
-	fmt.Fprintln(w, "# TYPE smpsimd_deadline_shed_total counter")
-	for i, st := range shedStages {
-		fmt.Fprintf(w, "smpsimd_deadline_shed_total{stage=%q} %d\n", st, shedVals[i])
-	}
-
-	tlSum, tlWindows, tlDropped, tlSubs := srv.feed.snapshot()
-	fmt.Fprintln(w, "# HELP smpsimd_timeline_windows_total Telemetry windows sealed and published to the feed.")
-	fmt.Fprintln(w, "# TYPE smpsimd_timeline_windows_total counter")
-	fmt.Fprintf(w, "smpsimd_timeline_windows_total %d\n", tlWindows)
-	fmt.Fprintln(w, "# HELP smpsimd_timeline_dropped_total Feed events dropped on slow subscribers.")
-	fmt.Fprintln(w, "# TYPE smpsimd_timeline_dropped_total counter")
-	fmt.Fprintf(w, "smpsimd_timeline_dropped_total %d\n", tlDropped)
-	fmt.Fprintln(w, "# HELP smpsimd_timeline_subscribers Live /v1/timeline streams.")
-	fmt.Fprintln(w, "# TYPE smpsimd_timeline_subscribers gauge")
-	fmt.Fprintf(w, "smpsimd_timeline_subscribers %d\n", tlSubs)
-	fmt.Fprintln(w, "# HELP smpsimd_timeline_saturated_quanta_total Quanta whose bus utilization crossed the saturation threshold.")
-	fmt.Fprintln(w, "# TYPE smpsimd_timeline_saturated_quanta_total counter")
-	fmt.Fprintf(w, "smpsimd_timeline_saturated_quanta_total %d\n", tlSum.Saturated)
+	tl, windows, dropped, subs := srv.feed.snapshot()
+	p.Counter("smpsimd_timeline_windows_total", "Telemetry windows sealed and published to the feed.", float64(windows))
+	p.Counter("smpsimd_timeline_dropped_total", "Feed events dropped on slow subscribers.", float64(dropped))
+	p.Gauge("smpsimd_timeline_subscribers", "Live /v1/timeline streams.", float64(subs))
+	p.Counter("smpsimd_timeline_saturated_quanta_total", "Quanta whose bus utilization crossed the saturation threshold.", float64(tl.Saturated))
 
 	cs := srv.cache.stats()
-	fmt.Fprintln(w, "# HELP smpsimd_cache_hits_total Response cache hits.")
-	fmt.Fprintln(w, "# TYPE smpsimd_cache_hits_total counter")
-	fmt.Fprintf(w, "smpsimd_cache_hits_total %d\n", cs.Hits)
-	fmt.Fprintln(w, "# HELP smpsimd_cache_misses_total Response cache misses.")
-	fmt.Fprintln(w, "# TYPE smpsimd_cache_misses_total counter")
-	fmt.Fprintf(w, "smpsimd_cache_misses_total %d\n", cs.Misses)
-	fmt.Fprintln(w, "# HELP smpsimd_cache_evictions_total Response cache LRU evictions.")
-	fmt.Fprintln(w, "# TYPE smpsimd_cache_evictions_total counter")
-	fmt.Fprintf(w, "smpsimd_cache_evictions_total %d\n", cs.Evictions)
-	fmt.Fprintln(w, "# HELP smpsimd_cache_entries Response cache resident entries.")
-	fmt.Fprintln(w, "# TYPE smpsimd_cache_entries gauge")
-	fmt.Fprintf(w, "smpsimd_cache_entries %d\n", cs.Entries)
-	fmt.Fprintln(w, "# HELP smpsimd_cache_hit_ratio Hits over lookups since start.")
-	fmt.Fprintln(w, "# TYPE smpsimd_cache_hit_ratio gauge")
-	fmt.Fprintf(w, "smpsimd_cache_hit_ratio %s\n", formatFloat(cs.HitRate()))
+	p.Counter("smpsimd_cache_hits_total", "Response cache hits.", float64(cs.Hits))
+	p.Counter("smpsimd_cache_misses_total", "Response cache misses.", float64(cs.Misses))
+	p.Counter("smpsimd_cache_evictions_total", "Response cache LRU evictions.", float64(cs.Evictions))
+	p.Gauge("smpsimd_cache_entries", "Response cache resident entries.", float64(cs.Entries))
+	p.Gauge("smpsimd_cache_hit_ratio", "Hits over lookups since start.", cs.HitRate())
 
-	// Persistent store tiers. Tier 1 is the in-memory cache above; it
-	// appears here only for the conflict counter, which spans all
-	// tiers because the byte-identity check is one invariant.
+	// Persistent store tiers 2 (local disk) and 3 (shared). Tier 1 is
+	// the in-memory cache above; it appears here only for the conflict
+	// counter, which spans all tiers because the byte-identity check is
+	// one invariant.
 	ss := srv.store.Stats()
-	tiers := []struct {
-		label string
-		ts    storeTierView
-	}{
-		{"2", storeTierView{ss.Disk.Hits, ss.Disk.Misses, ss.Disk.VerifyFails, ss.Disk.Puts}},
-		{"3", storeTierView{ss.Shared.Hits, ss.Shared.Misses, ss.Shared.VerifyFails, ss.Shared.Puts}},
+	perTier := func(name, typ, help string, v func(store.TierStats) float64) {
+		f := p.Family(name, typ, help)
+		f.Sample(v(ss.Disk), "tier", "2")
+		f.Sample(v(ss.Shared), "tier", "3")
 	}
-	fmt.Fprintln(w, "# HELP smpsimd_store_hits_total Persistent store hits, by tier (2=local disk, 3=shared).")
-	fmt.Fprintln(w, "# TYPE smpsimd_store_hits_total counter")
-	for _, t := range tiers {
-		fmt.Fprintf(w, "smpsimd_store_hits_total{tier=%q} %d\n", t.label, t.ts.hits)
-	}
-	fmt.Fprintln(w, "# HELP smpsimd_store_misses_total Persistent store misses, by tier.")
-	fmt.Fprintln(w, "# TYPE smpsimd_store_misses_total counter")
-	for _, t := range tiers {
-		fmt.Fprintf(w, "smpsimd_store_misses_total{tier=%q} %d\n", t.label, t.ts.misses)
-	}
-	fmt.Fprintln(w, "# HELP smpsimd_store_verify_failures_total Store entries rejected on read (corrupt/truncated), by tier.")
-	fmt.Fprintln(w, "# TYPE smpsimd_store_verify_failures_total counter")
-	for _, t := range tiers {
-		fmt.Fprintf(w, "smpsimd_store_verify_failures_total{tier=%q} %d\n", t.label, t.ts.verifyFails)
-	}
-	fmt.Fprintln(w, "# HELP smpsimd_store_puts_total Bodies written to the store, by tier.")
-	fmt.Fprintln(w, "# TYPE smpsimd_store_puts_total counter")
-	for _, t := range tiers {
-		fmt.Fprintf(w, "smpsimd_store_puts_total{tier=%q} %d\n", t.label, t.ts.puts)
-	}
-	fmt.Fprintln(w, "# HELP smpsimd_store_conflict_total Duplicate puts whose body diverged from the incumbent, by tier (zero unless the byte-identity invariant broke).")
-	fmt.Fprintln(w, "# TYPE smpsimd_store_conflict_total counter")
-	fmt.Fprintf(w, "smpsimd_store_conflict_total{tier=\"1\"} %d\n", cs.Conflicts)
-	fmt.Fprintf(w, "smpsimd_store_conflict_total{tier=\"2\"} %d\n", ss.Disk.Conflicts)
-	fmt.Fprintf(w, "smpsimd_store_conflict_total{tier=\"3\"} %d\n", ss.Shared.Conflicts)
-	fmt.Fprintln(w, "# HELP smpsimd_store_evictions_total Tier-2 size-bound LRU evictions.")
-	fmt.Fprintln(w, "# TYPE smpsimd_store_evictions_total counter")
-	fmt.Fprintf(w, "smpsimd_store_evictions_total %d\n", ss.Disk.Evictions)
-	fmt.Fprintln(w, "# HELP smpsimd_store_bytes Tier-2 resident bytes on disk.")
-	fmt.Fprintln(w, "# TYPE smpsimd_store_bytes gauge")
-	fmt.Fprintf(w, "smpsimd_store_bytes %d\n", ss.Disk.Bytes)
-	fmt.Fprintln(w, "# HELP smpsimd_store_entries Tier-2 resident entries.")
-	fmt.Fprintln(w, "# TYPE smpsimd_store_entries gauge")
-	fmt.Fprintf(w, "smpsimd_store_entries %d\n", ss.Disk.Entries)
-	fmt.Fprintln(w, "# HELP smpsimd_store_hit_ratio Store hits over lookups since start, by tier.")
-	fmt.Fprintln(w, "# TYPE smpsimd_store_hit_ratio gauge")
-	for _, t := range tiers {
-		ratio := 0.0
-		if total := t.ts.hits + t.ts.misses; total > 0 {
-			ratio = float64(t.ts.hits) / float64(total)
-		}
-		fmt.Fprintf(w, "smpsimd_store_hit_ratio{tier=%q} %s\n", t.label, formatFloat(ratio))
-	}
-}
-
-// storeTierView is the slice of store.TierStats the exposition loops
-// over per tier.
-type storeTierView struct {
-	hits, misses, verifyFails, puts uint64
-}
-
-// formatFloat renders a float the Prometheus way: shortest exact
-// decimal form.
-func formatFloat(f float64) string {
-	return strconv.FormatFloat(f, 'g', -1, 64)
+	perTier("smpsimd_store_hits_total", "counter", "Persistent store hits, by tier (2=local disk, 3=shared).",
+		func(t store.TierStats) float64 { return float64(t.Hits) })
+	perTier("smpsimd_store_misses_total", "counter", "Persistent store misses, by tier.",
+		func(t store.TierStats) float64 { return float64(t.Misses) })
+	perTier("smpsimd_store_verify_failures_total", "counter", "Store entries rejected on read (corrupt/truncated), by tier.",
+		func(t store.TierStats) float64 { return float64(t.VerifyFails) })
+	perTier("smpsimd_store_puts_total", "counter", "Bodies written to the store, by tier.",
+		func(t store.TierStats) float64 { return float64(t.Puts) })
+	f := p.Family("smpsimd_store_conflict_total", "counter", "Duplicate puts whose body diverged from the incumbent, by tier (zero unless the byte-identity invariant broke).")
+	f.Sample(float64(cs.Conflicts), "tier", "1")
+	f.Sample(float64(ss.Disk.Conflicts), "tier", "2")
+	f.Sample(float64(ss.Shared.Conflicts), "tier", "3")
+	p.Counter("smpsimd_store_evictions_total", "Tier-2 size-bound LRU evictions.", float64(ss.Disk.Evictions))
+	p.Gauge("smpsimd_store_bytes", "Tier-2 resident bytes on disk.", float64(ss.Disk.Bytes))
+	p.Gauge("smpsimd_store_entries", "Tier-2 resident entries.", float64(ss.Disk.Entries))
+	perTier("smpsimd_store_hit_ratio", "gauge", "Store hits over lookups since start, by tier.",
+		func(t store.TierStats) float64 {
+			if total := t.Hits + t.Misses; total > 0 {
+				return float64(t.Hits) / float64(total)
+			}
+			return 0
+		})
 }
