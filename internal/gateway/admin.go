@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
+
+	"busaware/internal/server"
 )
 
 // Elastic membership. The ring is no longer fixed at startup:
@@ -154,10 +156,6 @@ func (g *Gateway) handleAdminBackends(w http.ResponseWriter, r *http.Request) {
 	for _, b := range c.backends {
 		out.Backends = append(out.Backends, member{Addr: b.addr, Healthy: b.healthy.Load()})
 	}
-	body, _ := json.Marshal(out)
-	body = append(body, '\n')
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(body)
+	server.WriteJSON(w, http.StatusOK, out)
 	g.metrics.observe(http.StatusOK)
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"strconv"
 	"sync"
 
 	"busaware/internal/server"
@@ -115,12 +114,7 @@ func (g *Gateway) timelineSummary(w http.ResponseWriter) {
 		g.reject(w, http.StatusBadGateway, "no backend answered /v1/timeline")
 		return
 	}
-	body, _ := json.Marshal(out)
-	body = append(body, '\n')
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(http.StatusOK)
-	w.Write(body)
+	server.WriteJSON(w, http.StatusOK, out)
 	g.metrics.observe(http.StatusOK)
 }
 
@@ -130,14 +124,14 @@ func (g *Gateway) timelineSummary(w http.ResponseWriter) {
 // ends when the client goes away, ?max is reached, or every backend
 // stream has closed.
 func (g *Gateway) timelineStream(w http.ResponseWriter, r *http.Request, q url.Values) {
-	max, err := countParam(q.Get("max"), 0)
+	max, err := server.CountParam(q.Get("max"), 0)
 	if err != nil {
 		g.reject(w, http.StatusBadRequest, fmt.Sprintf("bad max: %v", err))
 		return
 	}
 	path := "/v1/timeline"
 	if bl := q.Get("backlog"); bl != "" {
-		if _, err := countParam(bl, 0); err != nil {
+		if _, err := server.CountParam(bl, 0); err != nil {
 			g.reject(w, http.StatusBadRequest, fmt.Sprintf("bad backlog: %v", err))
 			return
 		}
@@ -251,17 +245,4 @@ func (g *Gateway) relayTimeline(ctx context.Context, b *backend, path string, ev
 			return
 		}
 	}
-}
-
-// countParam parses a non-negative integer query parameter, mirroring
-// the backend's discipline.
-func countParam(s string, def int) (int, error) {
-	if s == "" {
-		return def, nil
-	}
-	v, err := strconv.Atoi(s)
-	if err != nil || v < 0 {
-		return 0, fmt.Errorf("want a non-negative integer, got %q", s)
-	}
-	return v, nil
 }
