@@ -128,35 +128,15 @@ const (
 // NewScheduler builds a scheduler by name for the given machine. The
 // seed only affects the Linux baseline's runqueue shuffling.
 func NewScheduler(policy string, m MachineConfig, seed int64) (Scheduler, error) {
-	switch policy {
-	case PolicyLatestQuantum:
-		return sched.NewLatestQuantum(m.NumCPUs, m.Bus.Capacity), nil
-	case PolicyQuantaWindow:
-		return sched.NewQuantaWindow(m.NumCPUs, m.Bus.Capacity), nil
-	case PolicyEWMA:
-		return sched.NewEWMAPolicy(m.NumCPUs, m.Bus.Capacity, 0.4), nil
-	case PolicyOracle:
-		return sched.NewOracle(m.NumCPUs, m.Bus.Capacity), nil
-	case PolicyLinux:
-		return sched.NewLinux(m.NumCPUs, seed), nil
-	case PolicyGang:
-		return sched.NewGang(m.NumCPUs), nil
-	case PolicyRoundRobin:
-		return sched.NewRoundRobin(m.NumCPUs, 0), nil
-	case PolicyOptimal:
-		return sched.NewOptimal(m.NumCPUs, m.Bus)
-	default:
-		return nil, fmt.Errorf("busaware: unknown policy %q (want latest, window, ewma, oracle, optimal, linux, gang or rr)", policy)
+	s, err := sched.New(policy, m, seed)
+	if err != nil {
+		return nil, fmt.Errorf("busaware: %w", err)
 	}
+	return s, nil
 }
 
 // Policies lists the accepted policy names.
-func Policies() []string {
-	return []string{
-		PolicyLatestQuantum, PolicyQuantaWindow, PolicyEWMA,
-		PolicyOracle, PolicyOptimal, PolicyLinux, PolicyGang, PolicyRoundRobin,
-	}
-}
+func Policies() []string { return sched.Policies() }
 
 // EngineKind selects the simulation core a run executes on.
 type EngineKind = sim.EngineKind

@@ -1,0 +1,41 @@
+package sched
+
+import (
+	"fmt"
+	"strings"
+
+	"busaware/internal/machine"
+)
+
+// Policies lists the policy names New accepts.
+func Policies() []string {
+	return []string{"latest", "window", "ewma", "oracle", "optimal", "linux", "gang", "rr"}
+}
+
+// New builds the named policy for machine m; the seed only affects the
+// Linux baseline's runqueue shuffling. This is the one policy table:
+// the busaware facade and the HTTP API both build their schedulers
+// here, each prefixing errors with its own package name.
+func New(policy string, m machine.Config, seed int64) (Scheduler, error) {
+	switch policy {
+	case "latest":
+		return NewLatestQuantum(m.NumCPUs, m.Bus.Capacity), nil
+	case "window":
+		return NewQuantaWindow(m.NumCPUs, m.Bus.Capacity), nil
+	case "ewma":
+		return NewEWMAPolicy(m.NumCPUs, m.Bus.Capacity, 0.4), nil
+	case "oracle":
+		return NewOracle(m.NumCPUs, m.Bus.Capacity), nil
+	case "linux":
+		return NewLinux(m.NumCPUs, seed), nil
+	case "gang":
+		return NewGang(m.NumCPUs), nil
+	case "rr":
+		return NewRoundRobin(m.NumCPUs, 0), nil
+	case "optimal":
+		return NewOptimal(m.NumCPUs, m.Bus)
+	}
+	names := Policies()
+	return nil, fmt.Errorf("unknown policy %q (want %s or %s)", policy,
+		strings.Join(names[:len(names)-1], ", "), names[len(names)-1])
+}

@@ -134,9 +134,9 @@ func compile(req Request) (*compiled, error) {
 		// collide in the cache and on the gateway ring.
 		scnKey = churn.Spec.Canonical()
 	}
-	s, err := newScheduler(policy, m, seed)
+	s, err := sched.New(policy, m, seed)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("server: %w", err)
 	}
 	return &compiled{
 		Key: fmt.Sprintf("v1|policy=%s|seed=%d|cpus=%d|maxt=%d|trace=%t|tl=%t|faults=%s|scn=%s|apps=%s",
@@ -145,7 +145,7 @@ func compile(req Request) (*compiled, error) {
 		Config:    sim.Config{Machine: m, MaxTime: maxTime, Faults: fcfg, Scenario: churn},
 		Scheduler: s,
 		NewScheduler: func() (sched.Scheduler, error) {
-			return newScheduler(policy, m, seed)
+			return sched.New(policy, m, seed)
 		},
 		Apps:     apps,
 		Trace:    req.Trace,
@@ -163,32 +163,6 @@ func CanonicalKey(req Request) (string, error) {
 		return "", err
 	}
 	return c.Key, nil
-}
-
-// newScheduler mirrors busaware.NewScheduler for the names the HTTP
-// API accepts. It lives here rather than importing the facade so the
-// serving layer depends only on internal packages.
-func newScheduler(policy string, m machine.Config, seed int64) (sched.Scheduler, error) {
-	switch policy {
-	case "latest":
-		return sched.NewLatestQuantum(m.NumCPUs, m.Bus.Capacity), nil
-	case "window":
-		return sched.NewQuantaWindow(m.NumCPUs, m.Bus.Capacity), nil
-	case "ewma":
-		return sched.NewEWMAPolicy(m.NumCPUs, m.Bus.Capacity, 0.4), nil
-	case "oracle":
-		return sched.NewOracle(m.NumCPUs, m.Bus.Capacity), nil
-	case "linux":
-		return sched.NewLinux(m.NumCPUs, seed), nil
-	case "gang":
-		return sched.NewGang(m.NumCPUs), nil
-	case "rr":
-		return sched.NewRoundRobin(m.NumCPUs, 0), nil
-	case "optimal":
-		return sched.NewOptimal(m.NumCPUs, m.Bus)
-	default:
-		return nil, fmt.Errorf("server: unknown policy %q (want latest, window, ewma, oracle, optimal, linux, gang or rr)", policy)
-	}
 }
 
 // faultKey encodes a fault config exactly: the seed plus the raw
