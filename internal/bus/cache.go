@@ -1,6 +1,7 @@
 package bus
 
 import (
+	"container/list"
 	"encoding/binary"
 	"math"
 )
@@ -13,13 +14,11 @@ import (
 const DefaultCacheSize = 512
 
 // allocEntry is one memoized equilibrium: the exact grants and outcome
-// computed for one request vector. Entries form a doubly-linked list
-// in recency order (head = most recently used).
+// computed for one request vector.
 type allocEntry struct {
-	key        string
-	grants     []Grant
-	outcome    Outcome
-	prev, next *allocEntry
+	key     string
+	grants  []Grant
+	outcome Outcome
 }
 
 // allocCache is a bounded LRU over exact request-vector keys. Keys are
@@ -28,13 +27,13 @@ type allocEntry struct {
 // warm-start approximation, no tolerance, no drift. Not safe for
 // concurrent use; the owning Model serializes access.
 type allocCache struct {
-	limit      int
-	entries    map[string]*allocEntry
-	head, tail *allocEntry
+	limit   int
+	entries map[string]*list.Element // key -> element holding an *allocEntry
+	order   list.List                // recency order, front = most recent
 }
 
 func newAllocCache(limit int) *allocCache {
-	return &allocCache{limit: limit, entries: make(map[string]*allocEntry)}
+	return &allocCache{limit: limit, entries: make(map[string]*list.Element)}
 }
 
 // appendKey encodes reqs into dst as the exact float64 bit patterns,
@@ -55,62 +54,21 @@ func (c *allocCache) get(key []byte) *allocEntry {
 	if !ok {
 		return nil
 	}
-	c.moveToFront(e)
-	return e
+	c.order.MoveToFront(e)
+	return e.Value.(*allocEntry)
 }
 
 // put inserts and returns a new entry for key, evicting the least
 // recently used entry once the cache is full. grants must be a private
 // copy.
 func (c *allocCache) put(key []byte, grants []Grant, out Outcome) *allocEntry {
-	if len(c.entries) >= c.limit {
-		c.evictOldest()
+	if c.order.Len() >= c.limit {
+		delete(c.entries, c.order.Remove(c.order.Back()).(*allocEntry).key)
 	}
 	e := &allocEntry{key: string(key), grants: grants, outcome: out}
-	c.entries[e.key] = e
-	c.pushFront(e)
+	c.entries[e.key] = c.order.PushFront(e)
 	return e
 }
 
 // Len returns the number of cached equilibria.
-func (c *allocCache) Len() int { return len(c.entries) }
-
-func (c *allocCache) pushFront(e *allocEntry) {
-	e.prev = nil
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-func (c *allocCache) moveToFront(e *allocEntry) {
-	if c.head == e {
-		return
-	}
-	// Unlink (e is not the head, so e.prev != nil).
-	e.prev.next = e.next
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	c.pushFront(e)
-}
-
-func (c *allocCache) evictOldest() {
-	e := c.tail
-	if e == nil {
-		return
-	}
-	delete(c.entries, e.key)
-	c.tail = e.prev
-	if c.tail != nil {
-		c.tail.next = nil
-	} else {
-		c.head = nil
-	}
-}
+func (c *allocCache) Len() int { return c.order.Len() }

@@ -157,7 +157,8 @@ func TestFastPathMatchesLRUPath(t *testing.T) {
 	if hits, misses, size := m.CacheStats(); hits != 2 || misses != 2 || size != 2 {
 		t.Errorf("hits %d, misses %d, size %d; want 2, 2, 2", hits, misses, size)
 	}
-	if m.cache.head.key != string(appendKey(nil, a)) || m.cache.tail.key != string(appendKey(nil, b)) {
+	front, back := m.cache.order.Front().Value.(*allocEntry), m.cache.order.Back().Value.(*allocEntry)
+	if front.key != string(appendKey(nil, a)) || back.key != string(appendKey(nil, b)) {
 		t.Error("LRU order after A, A, B, A is not A then B")
 	}
 

@@ -91,7 +91,7 @@ func TestSimulateWarmJoinFromSharedTier(t *testing.T) {
 		t.Fatalf("joiner computed %d cells, want 0", done)
 	}
 	// Promotion: replay after clearing the memory tier hits local disk.
-	joiner.cache = newRespCache(0)
+	joiner.cache = store.NewCache(DefaultCacheSize, joiner.cfg.Store)
 	resp, _ = post(t, tsB.URL, reqJSON)
 	if got := resp.Header.Get("X-Cache"); got != "hit-t2" {
 		t.Fatalf("post-promotion X-Cache = %q, want hit-t2", got)

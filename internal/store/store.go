@@ -1,12 +1,16 @@
-// Package store is the persistent half of the result-cache hierarchy:
-// a content-addressed store of rendered response bodies keyed by the
-// server's canonical request key. The in-process LRU (tier 1, owned by
-// internal/server) answers the hot set; this package adds
+// Package store is the result-cache hierarchy: rendered response
+// bodies keyed by the server's canonical request key, in three tiers.
 //
+//	tier 1 — a bounded in-process LRU that answers the hot set
 //	tier 2 — a local directory, two-level sharded over the hashed key,
 //	         size-bounded with LRU eviction by access order
 //	tier 3 — an optional shared directory all backends read and write,
 //	         one global result set for the whole fleet
+//
+// A Store is the persistent tiers 2 and 3, content-addressed on disk.
+// A Cache puts tier 1 in front of a Store and owns the hierarchy: its
+// Get walks the tiers in order and promotes, and its Put writes through
+// every tier.
 //
 // Sharing whole bodies is sound because the simulator is a pure
 // function of the canonical key (byte-identity enforced end to end by
@@ -25,10 +29,10 @@
 //     served body.
 //   - A Put over an existing entry cross-checks digests instead of
 //     assuming byte-identity; a divergent body is a counted conflict
-//     and the incumbent is kept, mirroring the tier-1 discipline.
+//     and the incumbent is kept, as in tier 1.
 //
-// All methods are safe for concurrent use and are no-ops on a nil
-// *Store, so callers thread an optional store without branching.
+// All methods are safe for concurrent use. Store's are no-ops on a nil
+// *Store, so a Cache threads an optional store without branching.
 package store
 
 import (
@@ -54,9 +58,7 @@ type Tier int
 const (
 	// TierNone means no tier had the key.
 	TierNone Tier = iota
-	// TierMemory is the caller-owned in-process LRU (tier 1). The
-	// store never returns it; it exists so callers can label all three
-	// layers with one type.
+	// TierMemory is the in-process LRU (tier 1). Only a Cache has it.
 	TierMemory
 	// TierDisk is the local sharded directory (tier 2).
 	TierDisk
@@ -102,17 +104,26 @@ type TierStats struct {
 	// Puts counts bodies written; Conflicts counts Puts whose key was
 	// already present with different bytes (incumbent kept).
 	Puts, Conflicts uint64
-	// Evictions counts size-bound LRU removals (tier 2 only).
+	// Evictions counts bound-driven LRU removals (tiers 1 and 2).
 	Evictions uint64
-	// Bytes and Entries are the resident footprint (tier 2 only; a
-	// shared directory has no single owner to account it).
+	// Bytes (tier 2 only) and Entries (tiers 1 and 2) are the resident
+	// footprint; a shared directory has no single owner to account it.
 	Bytes   int64
 	Entries int
 }
 
-// Stats is a point-in-time snapshot of both persistent tiers.
+// HitRate returns Hits/(Hits+Misses), or 0 before any lookup.
+func (t TierStats) HitRate() float64 {
+	if total := t.Hits + t.Misses; total > 0 {
+		return float64(t.Hits) / float64(total)
+	}
+	return 0
+}
+
+// Stats is a point-in-time snapshot of the tiers. A Store fills Disk
+// and Shared; a Cache adds Memory.
 type Stats struct {
-	Disk, Shared TierStats
+	Memory, Disk, Shared TierStats
 }
 
 // tierCounters is the lock-free half of a tier's stats.
