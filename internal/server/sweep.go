@@ -24,9 +24,9 @@ import (
 // sweep self-throttles, keeping at most the pool's queue in flight and
 // waiting for its own completions before submitting more, so a big
 // batch cannot starve interactive requests of more than the queue.
-// Each cell is individually cacheable under the same exact-key LRU —
-// cells already resident are answered without touching the pool, and
-// duplicate cells within one sweep are coalesced onto a single
+// Each cell is individually cacheable under the same exact key — cells
+// already resident in any tier are answered without touching the pool,
+// and duplicate cells within one sweep are coalesced onto a single
 // computation (the extras report as hits).
 
 // MaxSweepCells bounds one sweep request. 4096 covers every figure
