@@ -34,8 +34,21 @@ func serve(b *testing.B, s *Server, path, body string) *httptest.ResponseRecorde
 // hit-t1 is answered from the warm memory tier: decode, canonical key,
 // tier-1 lookup, digest and write. hit-t2 and hit-t3 add a verified
 // read of the local or the shared directory: the memory tier holds one
-// cell and the loop alternates two, so every lookup misses it.
+// cell and the loop alternates two, so every lookup misses it. miss
+// computes a fresh cell every iteration: it adds building the cell,
+// the simulation, rendering and the write-through.
 func BenchmarkServerSimulate(b *testing.B) {
+	b.Run("miss", func(b *testing.B) {
+		s := New(Config{Workers: 1})
+		defer s.Close()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			cell := fmt.Sprintf(`{"apps":%q,"policy":"linux","seed":%d}`, smallSpec, i+1)
+			if rec := serve(b, s, "/v1/simulate", cell); rec.Header().Get("X-Cache") != "miss" {
+				b.Fatalf("X-Cache = %q, want miss", rec.Header().Get("X-Cache"))
+			}
+		}
+	})
 	b.Run("hit-t1", func(b *testing.B) {
 		s := New(Config{Workers: 1})
 		defer s.Close()
