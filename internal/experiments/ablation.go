@@ -278,18 +278,11 @@ func SchedulerZoo(opt Options, appName string) ([]ZooRow, error) {
 		func() (sched.Scheduler, error) { return sched.NewOracle(ncpu, cap, opt.PolicyOpts...), nil },
 		func() (sched.Scheduler, error) { return sched.NewOptimal(ncpu, opt.machine().Bus) },
 	}
-	var scheds []sched.Scheduler
 	var cells []runner.Cell
-	for _, mk := range mks {
-		s, err := mk()
-		if err != nil {
-			return nil, err
-		}
-		scheds = append(scheds, s)
+	for i, mk := range mks {
 		cells = append(cells, runner.Cell{
-			Label:        fmt.Sprintf("zoo/%s", s.Name()),
+			Label:        fmt.Sprintf("zoo/%d", i),
 			Config:       opt.simConfig(),
-			Scheduler:    s,
 			NewScheduler: mk,
 			Apps:         buildSet(p, SetMixed),
 		})
@@ -299,13 +292,12 @@ func SchedulerZoo(opt Options, appName string) ([]ZooRow, error) {
 		return nil, err
 	}
 	rows := []ZooRow{{Scheduler: "Linux", MeanTurnaround: linux, ImprovementVsLinux: 0}}
-	for i, s := range scheds {
-		res := results[i]
+	for _, res := range results {
 		if res.TimedOut {
-			return nil, fmt.Errorf("experiments: %s timed out in zoo", s.Name())
+			return nil, fmt.Errorf("experiments: %s timed out in zoo", res.Scheduler)
 		}
 		rows = append(rows, ZooRow{
-			Scheduler:          s.Name(),
+			Scheduler:          res.Scheduler,
 			MeanTurnaround:     res.MeanTurnaround(),
 			ImprovementVsLinux: improvement(linux, res.MeanTurnaround()),
 		})

@@ -36,14 +36,10 @@ type Cell struct {
 	Label string
 	// Config is the cell's simulation configuration.
 	Config sim.Config
-	// Scheduler runs the cell's workload; owned by the cell. May be nil
-	// when NewScheduler is set, in which case the cell builds its
-	// scheduler lazily at run time.
-	Scheduler sched.Scheduler
-	// NewScheduler rebuilds an identical fresh scheduler. It supplies
-	// the Scheduler when that field is nil, and is forwarded to
-	// sim.Config.SchedulerFactory so the shadow engine can run its
-	// second core against an independent but equivalent scheduler.
+	// NewScheduler builds the cell's scheduler when the cell runs, and
+	// is forwarded to sim.Config.SchedulerFactory so the shadow engine
+	// can run its second core against an independent but equivalent
+	// scheduler.
 	NewScheduler func() (sched.Scheduler, error)
 	// Apps is the cell's workload; owned by the cell. The slice is
 	// retained so callers can inspect mutated state (e.g. antagonist
@@ -58,19 +54,17 @@ func (c Cell) run() (sim.Result, error) {
 	if c.Run != nil {
 		return c.Run()
 	}
-	cfg := c.Config
-	s := c.Scheduler
-	if c.NewScheduler != nil {
-		if s == nil {
-			var err error
-			if s, err = c.NewScheduler(); err != nil {
-				return sim.Result{}, err
-			}
-		}
-		if cfg.SchedulerFactory == nil {
-			cfg.SchedulerFactory = c.NewScheduler
-		}
+	return c.Simulate()
+}
+
+// Simulate runs Apps under a fresh scheduler from NewScheduler.
+func (c Cell) Simulate() (sim.Result, error) {
+	s, err := c.NewScheduler()
+	if err != nil {
+		return sim.Result{}, err
 	}
+	cfg := c.Config
+	cfg.SchedulerFactory = c.NewScheduler
 	return sim.Run(cfg, s, c.Apps)
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"busaware/internal/machine"
 	"busaware/internal/sched"
 	"busaware/internal/sim"
 	"busaware/internal/units"
@@ -168,15 +169,12 @@ func simCells() []Cell {
 			workload.NewApp(workload.NBBMA(), "nBBMA#1"),
 		}
 	}
-	cfg := sim.Config{}
-	ncpu := 4
-	cap := units.Rate(29.5)
-	return []Cell{
-		{Label: "linux", Config: cfg, Scheduler: sched.NewLinux(ncpu, 1), Apps: build()},
-		{Label: "lq", Config: cfg, Scheduler: sched.NewLatestQuantum(ncpu, cap), Apps: build()},
-		{Label: "qw", Config: cfg, Scheduler: sched.NewQuantaWindow(ncpu, cap), Apps: build()},
-		{Label: "gang", Config: cfg, Scheduler: sched.NewGang(ncpu), Apps: build()},
+	cell := func(policy string) Cell {
+		return Cell{Label: policy, Apps: build(), NewScheduler: func() (sched.Scheduler, error) {
+			return sched.New(policy, machine.DefaultConfig(), 1)
+		}}
 	}
+	return []Cell{cell("linux"), cell("latest"), cell("window"), cell("gang")}
 }
 
 // TestRunDeterministicAcrossWorkerCounts is the core guarantee: the

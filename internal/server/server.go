@@ -34,7 +34,6 @@ import (
 	"busaware/internal/runner"
 	"busaware/internal/sim"
 	"busaware/internal/store"
-	"busaware/internal/trace"
 )
 
 // Config sizes the server. The zero value is serviceable: GOMAXPROCS
@@ -223,7 +222,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.error(w, started, http.StatusBadRequest, err.Error())
 		return
 	}
-	c, err := compile(req)
+	c, err := canon(req)
 	if err != nil {
 		s.error(w, started, http.StatusBadRequest, err.Error())
 		return
@@ -315,7 +314,7 @@ func (s *Server) lookup(key string) ([]byte, string, bool) {
 // computed is a finished cell: its rendered body, already written
 // through every tier, or why it has none.
 type computed struct {
-	c    *compiled
+	c    *cell
 	body []byte
 	err  error
 }
@@ -330,12 +329,30 @@ func (d computed) status() int {
 }
 
 // compute submits c to the pool; false means the queue is full. The
-// cell's forwarder goroutine renders the result and writes it through
-// every tier before delivering it on done, so the computation is spent
-// once even when its requester has stopped waiting. done must have
-// room for the delivery.
-func (s *Server) compute(c *compiled, deadline time.Time, done chan<- computed) bool {
-	out, ok := s.submit(c, deadline)
+// worker sheds the cell if its non-zero deadline passed while it
+// waited in the queue; otherwise it builds the cell and runs it. Every
+// run records telemetry into its own bounded collector — not just
+// opted-in ones — so the live /v1/timeline feed sees all traffic;
+// recording is allocation-free per quantum, so this costs nothing the
+// bench gate would notice. The cell's forwarder goroutine renders the
+// result and writes it through every tier before delivering it on
+// done, so the computation is spent once even when its requester has
+// stopped waiting. done must have room for the delivery.
+func (s *Server) compute(c *cell, deadline time.Time, done chan<- computed) bool {
+	hook, delay := s.testRunHook, s.cfg.SimDelay
+	out, ok := s.pool.TrySubmit(runner.Cell{Label: c.Key, Run: func() (sim.Result, error) {
+		if !deadline.IsZero() && !time.Now().Before(deadline) {
+			s.metrics.deadlineShed.Inc("dequeue")
+			return sim.Result{}, errDeadlineShed
+		}
+		if hook != nil {
+			hook()
+		}
+		time.Sleep(delay)
+		c.config.Engine = s.cfg.Engine
+		c.config.Timeline = s.newRunCollector(c.Key)
+		return c.build().Simulate()
+	}})
 	if !ok {
 		return false
 	}
@@ -354,61 +371,19 @@ func (s *Server) compute(c *compiled, deadline time.Time, done chan<- computed) 
 // on every run for the live feed, but windows enter the body — and so
 // the cache — only when the request opted in, and the key encodes that
 // choice, so replays stay byte-identical either way.
-func renderBody(c *compiled, res runner.PoolResult) ([]byte, error) {
+func renderBody(c *cell, res runner.PoolResult) ([]byte, error) {
 	if res.Err != nil {
 		return nil, res.Err
 	}
-	col := c.collector
-	if !c.Timeline {
+	col := c.config.Timeline
+	if !c.timeline {
 		col = nil
 	}
-	resp, err := NewResponse(res.Result, c.chromeTrace, col)
+	resp, err := NewResponse(res.Result, c.config.Trace, col)
 	if err != nil {
 		return nil, err
 	}
 	return resp.MarshalBody()
-}
-
-// submit offers the compiled request to the pool as one runner cell.
-// Every run records telemetry into its own bounded collector — not
-// just opted-in ones — so the live /v1/timeline feed sees all traffic;
-// recording is allocation-free per quantum, so this costs nothing the
-// bench gate would notice. A non-zero deadline is re-checked at
-// dequeue: a cell that aged out waiting in the queue is shed instead
-// of computed.
-func (s *Server) submit(c *compiled, deadline time.Time) (<-chan runner.PoolResult, bool) {
-	if c.Trace {
-		c.chromeTrace = &trace.Timeline{NumCPUs: c.Config.Machine.NumCPUs}
-		c.Config.Trace = c.chromeTrace
-	}
-	c.Config.Engine = s.cfg.Engine
-	c.collector = s.newRunCollector(c.Key)
-	c.Config.Timeline = c.collector
-	cell := runner.Cell{
-		Label:        c.Key,
-		Config:       c.Config,
-		Scheduler:    c.Scheduler,
-		NewScheduler: c.NewScheduler,
-		Apps:         c.Apps,
-	}
-	if hook, delay := s.testRunHook, s.cfg.SimDelay; hook != nil || delay > 0 || !deadline.IsZero() {
-		cfg, sched, apps := cell.Config, cell.Scheduler, cell.Apps
-		cfg.SchedulerFactory = c.NewScheduler
-		cell.Run = func() (sim.Result, error) {
-			if !deadline.IsZero() && !time.Now().Before(deadline) {
-				s.metrics.deadlineShed.Inc("dequeue")
-				return sim.Result{}, errDeadlineShed
-			}
-			if hook != nil {
-				hook()
-			}
-			if delay > 0 {
-				time.Sleep(delay)
-			}
-			return sim.Run(cfg, sched, apps)
-		}
-	}
-	return s.pool.TrySubmit(cell)
 }
 
 // write sends a 200 with the exact cached/rendered body bytes, stamped

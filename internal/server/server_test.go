@@ -10,8 +10,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"busaware/internal/sim"
 )
 
 // smallSpec is a fast-but-real workload: one finite application plus
@@ -54,13 +52,13 @@ func TestSimulateMatchesDirectRun(t *testing.T) {
 		t.Errorf("Content-Type = %q", got)
 	}
 
-	// The server body must be byte-identical to compiling and running
+	// The server body must be byte-identical to building and running
 	// the same request locally — the CLI-diffability contract.
-	c, err := compile(Request{Apps: smallSpec, Policy: "window"})
+	c, err := canon(Request{Apps: smallSpec, Policy: "window"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(c.Config, c.Scheduler, c.Apps)
+	res, err := c.build().Simulate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,11 +276,11 @@ func TestLateCompletionPopulatesCache(t *testing.T) {
 
 	// The salvaged body must be byte-identical to a direct run — the
 	// cache-replay contract does not weaken for late entries.
-	c, err := compile(Request{Apps: smallSpec})
+	c, err := canon(Request{Apps: smallSpec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(c.Config, c.Scheduler, c.Apps)
+	res, err := c.build().Simulate()
 	if err != nil {
 		t.Fatal(err)
 	}

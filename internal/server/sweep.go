@@ -143,8 +143,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	ctx := r.Context()
 cells:
-	for idx, cell := range req.Cells {
-		c, err := compile(cell)
+	for idx := range req.Cells {
+		c, err := canon(req.Cells[idx])
 		if err != nil {
 			emit(SweepCellResult{Index: idx, Status: http.StatusBadRequest, Error: err.Error()})
 			continue

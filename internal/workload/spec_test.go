@@ -84,29 +84,29 @@ func TestCanonicalSpec(t *testing.T) {
 		{"Raytrace", "Raytrace"},
 	}
 	for _, tt := range tests {
-		apps, err := ParseSpec(tt.spec)
+		mix, err := ParseMix(tt.spec)
 		if err != nil {
-			t.Fatalf("ParseSpec(%q): %v", tt.spec, err)
+			t.Fatalf("ParseMix(%q): %v", tt.spec, err)
 		}
-		if got := CanonicalSpec(apps); got != tt.want {
-			t.Errorf("CanonicalSpec(ParseSpec(%q)) = %q, want %q", tt.spec, got, tt.want)
+		if got := mix.String(); got != tt.want {
+			t.Errorf("ParseMix(%q).String() = %q, want %q", tt.spec, got, tt.want)
 		}
 	}
 	// Canonicalization is a fixed point: re-parsing the canonical spec
 	// reproduces the same instances and the same canonical form.
-	apps, err := ParseSpec("CG, CG, BBMA x2, BBMA x2")
+	mix, err := ParseMix("CG, CG, BBMA x2, BBMA x2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	canon := CanonicalSpec(apps)
-	re, err := ParseSpec(canon)
+	canon := mix.String()
+	re, err := ParseMix(canon)
 	if err != nil {
-		t.Fatalf("ParseSpec(%q): %v", canon, err)
+		t.Fatalf("ParseMix(%q): %v", canon, err)
 	}
-	if CanonicalSpec(re) != canon {
-		t.Errorf("canonical spec not a fixed point: %q -> %q", canon, CanonicalSpec(re))
+	if re.String() != canon {
+		t.Errorf("canonical spec not a fixed point: %q -> %q", canon, re.String())
 	}
-	if strings.Join(instanceNames(re), ",") != strings.Join(instanceNames(apps), ",") {
-		t.Errorf("re-parsed instances differ: %v vs %v", instanceNames(re), instanceNames(apps))
+	if strings.Join(instanceNames(re.Build()), ",") != strings.Join(instanceNames(mix.Build()), ",") {
+		t.Errorf("re-parsed instances differ: %v vs %v", instanceNames(re.Build()), instanceNames(mix.Build()))
 	}
 }
