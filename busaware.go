@@ -155,23 +155,11 @@ const (
 // "event", or "shadow".
 func ParseEngine(s string) (EngineKind, error) { return sim.ParseEngine(s) }
 
-// Engines lists the accepted engine names.
-func Engines() []string { return []string{"quantum", "event", "shadow"} }
-
 // Run executes apps on machine m under s until every finite
 // application completes, and returns per-application turnarounds and
 // machine-wide statistics.
 func Run(m MachineConfig, s Scheduler, apps []*App) (Result, error) {
 	return sim.Run(sim.Config{Machine: m}, s, apps)
-}
-
-// RunTraced is Run with schedule recording: the returned Timeline
-// renders as text (Timeline.Text) or exports to chrome://tracing
-// (Timeline.WriteChromeTrace).
-func RunTraced(m MachineConfig, s Scheduler, apps []*App) (Result, *Timeline, error) {
-	tl := &trace.Timeline{NumCPUs: m.NumCPUs}
-	res, err := sim.Run(sim.Config{Machine: m, Trace: tl}, s, apps)
-	return res, tl, err
 }
 
 // RunWithTimeline is Run with per-quantum telemetry: the collector
@@ -192,7 +180,12 @@ func NewTimelineCollector(cfg TimelineConfig) (*TimelineCollector, error) {
 // RunPolicy is the one-call convenience wrapper: build the named
 // policy and run the workload on the paper machine.
 func RunPolicy(policy string, apps []*App) (Result, error) {
-	return RunPolicyEngine(EngineQuantum, policy, apps)
+	m := PaperMachine()
+	s, err := NewScheduler(policy, m, 1)
+	if err != nil {
+		return Result{}, err
+	}
+	return Run(m, s, apps)
 }
 
 // RunEngine is Run on an explicit simulation engine. newSched rebuilds
@@ -201,19 +194,6 @@ func RunPolicy(policy string, apps []*App) (Result, error) {
 func RunEngine(engine EngineKind, m MachineConfig, s Scheduler, newSched func() (Scheduler, error), apps []*App) (Result, error) {
 	return sim.Run(sim.Config{Machine: m, Engine: engine, SchedulerFactory: newSched}, s, apps)
 }
-
-// RunEngineTraced is RunEngine with schedule recording. Under the
-// shadow engine the trace belongs to the authoritative stepped run;
-// the verification core replays untraced.
-func RunEngineTraced(engine EngineKind, m MachineConfig, s Scheduler, newSched func() (Scheduler, error), apps []*App) (Result, *Timeline, error) {
-	tl := &trace.Timeline{NumCPUs: m.NumCPUs}
-	res, err := sim.Run(sim.Config{Machine: m, Engine: engine, Trace: tl, SchedulerFactory: newSched}, s, apps)
-	return res, tl, err
-}
-
-// ParseLoadPattern parses the scenario grammar ("step:10s@4;
-// spike:10s@4..60; step:20s@4") or a preset name into a pattern.
-func ParseLoadPattern(s string) (*LoadPattern, error) { return scenario.ParsePattern(s) }
 
 // LoadPatternPresets lists the built-in pattern names (diurnal,
 // flashcrowd, stepstorm).
@@ -236,17 +216,4 @@ func RunScenarioTraced(engine EngineKind, m MachineConfig, s Scheduler, newSched
 	tl := &trace.Timeline{NumCPUs: m.NumCPUs}
 	res, err := sim.Run(sim.Config{Machine: m, Engine: engine, Trace: tl, SchedulerFactory: newSched, Scenario: churn}, s, apps)
 	return res, tl, err
-}
-
-// RunPolicyEngine runs the named policy on the paper machine under the
-// given engine, reconstructing the policy for shadow's second core.
-func RunPolicyEngine(engine EngineKind, policy string, apps []*App) (Result, error) {
-	m := PaperMachine()
-	s, err := NewScheduler(policy, m, 1)
-	if err != nil {
-		return Result{}, err
-	}
-	return RunEngine(engine, m, s, func() (sched.Scheduler, error) {
-		return NewScheduler(policy, m, 1)
-	}, apps)
 }

@@ -1,7 +1,6 @@
 package busaware
 
 import (
-	"strings"
 	"testing"
 )
 
@@ -137,24 +136,5 @@ func TestFacadeFigure2Panels(t *testing.T) {
 	}
 	if rows, err := Figure1(opt); err != nil || len(rows) != 11 {
 		t.Errorf("fig1: %v", err)
-	}
-}
-
-func TestRunTraced(t *testing.T) {
-	vol, _ := AppByName("Volrend")
-	m := PaperMachine()
-	s, err := NewScheduler(PolicyGang, m, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, tl, err := RunTraced(m, s, Instances(vol, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tl.Len() == 0 || res.Quanta == 0 {
-		t.Error("traced run recorded nothing")
-	}
-	if !strings.Contains(tl.Text(), "cpu0") {
-		t.Error("timeline text malformed")
 	}
 }
