@@ -77,7 +77,7 @@ func (d *Director) Tick() Admitted {
 			Threads: s.Threads(),
 			Phases:  []workload.Phase{{Duration: units.Second, Demand: 0}},
 		}
-		j := sched.NewJob(workload.NewApp(p, s.Instance), d.policy.WindowLen(), 0)
+		j := sched.JobFor(d.policy, workload.NewApp(p, s.Instance))
 		d.jobs[s.ID] = j
 		d.policy.Add(j)
 	}

@@ -99,15 +99,6 @@ func WithWindow(w int) Option {
 	}
 }
 
-// WithEWMAAlpha sets the EWMA weight for EstEWMA schedulers.
-func WithEWMAAlpha(a float64) Option {
-	return func(b *BandwidthAware) {
-		if a > 0 && a <= 1 {
-			b.ewmaAlpha = a
-		}
-	}
-}
-
 // DefaultOvercommitSlack is the fraction of bus capacity by which a
 // candidate may overshoot the remaining budget and still count as
 // fitting. Mild overcommitment (a few percent beyond sustainable
@@ -229,8 +220,8 @@ func (b *BandwidthAware) WindowLen() int { return b.windowLen }
 // Estimator returns the policy's estimator kind.
 func (b *BandwidthAware) Estimator() Estimator { return b.estimator }
 
-// Add implements Scheduler. Jobs join with a window sized for this
-// policy.
+// Add implements Scheduler. JobFor builds jobs with a window sized
+// for this policy.
 func (b *BandwidthAware) Add(j *Job) {
 	b.list.add(j)
 	b.lastAllSelected = false

@@ -300,7 +300,7 @@ func TestRemoveJob(t *testing.T) {
 }
 
 func TestOptionValidation(t *testing.T) {
-	b := NewQuantaWindow(4, 29.5, WithQuantum(0), WithWindow(0), WithEWMAAlpha(2))
+	b := NewQuantaWindow(4, 29.5, WithQuantum(0), WithWindow(0))
 	if b.Quantum() != DefaultQuantum {
 		t.Error("zero quantum should be ignored")
 	}

@@ -1,0 +1,49 @@
+package sched
+
+import (
+	"testing"
+
+	"busaware/internal/units"
+	"busaware/internal/workload"
+)
+
+// TestJobFor checks that each policy decides its jobs' sampling state:
+// a bandwidth-aware policy's window and EWMA weight, one sample for
+// everything else.
+func TestJobFor(t *testing.T) {
+	p, ok := workload.ByName("CG")
+	if !ok {
+		t.Fatal("no profile CG")
+	}
+	app := workload.NewApp(p, "CG#1")
+	for _, tc := range []struct {
+		name   string
+		s      Scheduler
+		window int
+		alpha  float64 // 0 = no EWMA
+	}{
+		{"ewma", NewEWMAPolicy(4, units.SustainedBusRate, 0.05), DefaultWindow, 0.05},
+		{"ewma default weight", NewEWMAPolicy(4, units.SustainedBusRate, 2), DefaultWindow, 0.4},
+		{"quanta window", NewQuantaWindow(4, units.SustainedBusRate), DefaultWindow, 0},
+		{"quanta window W=9", NewQuantaWindow(4, units.SustainedBusRate, WithWindow(9)), 9, 0},
+		{"latest quantum", NewLatestQuantum(4, units.SustainedBusRate), 1, 0},
+		{"linux", NewLinux(4, 1), 1, 0},
+		{"gang", NewGang(4), 1, 0},
+	} {
+		j := JobFor(tc.s, app)
+		if j.App != app {
+			t.Errorf("%s: job wraps %v, want the app", tc.name, j.App)
+		}
+		if got := j.window.Cap(); got != tc.window {
+			t.Errorf("%s: window %d samples, want %d", tc.name, got, tc.window)
+		}
+		switch {
+		case tc.alpha == 0 && j.ewma != nil:
+			t.Errorf("%s: job keeps an EWMA (alpha %v), want none", tc.name, j.ewma.Alpha)
+		case tc.alpha != 0 && j.ewma == nil:
+			t.Errorf("%s: job keeps no EWMA, want alpha %v", tc.name, tc.alpha)
+		case tc.alpha != 0 && j.ewma.Alpha != tc.alpha:
+			t.Errorf("%s: EWMA alpha %v, want %v", tc.name, j.ewma.Alpha, tc.alpha)
+		}
+	}
+}

@@ -72,6 +72,23 @@ func NewJob(app *workload.App, windowLen int, ewmaAlpha float64) *Job {
 	return j
 }
 
+// JobFor wraps app in the Job s schedules it through, with the
+// sampling state s's estimator reads: a bandwidth-aware policy's job
+// keeps the policy's window of samples and, under the EWMA estimator,
+// an average with the policy's weight; any other policy's job keeps
+// only the latest sample.
+func JobFor(s Scheduler, app *workload.App) *Job {
+	b, ok := s.(*BandwidthAware)
+	if !ok {
+		return NewJob(app, 1, 0)
+	}
+	alpha := 0.0
+	if b.estimator == EstEWMA {
+		alpha = b.ewmaAlpha
+	}
+	return NewJob(app, b.windowLen, alpha)
+}
+
 // Threads returns the gang size.
 func (j *Job) Threads() int { return len(j.App.Threads) }
 
