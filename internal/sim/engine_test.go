@@ -1,34 +1,34 @@
 package sim
 
 import (
-	"strings"
 	"testing"
 
 	"busaware/internal/faults"
 	"busaware/internal/machine"
 	"busaware/internal/sched"
 	"busaware/internal/timeline"
+	"busaware/internal/trace"
 	"busaware/internal/units"
 	"busaware/internal/workload"
 )
 
 // runBothEngines executes the same workload under the quantum and
-// event engines and fails the test on any bitwise divergence in the
-// Result or the timeline windows. It returns the event-engine result
-// so callers can assert that leaping actually happened.
+// event engines, each with its own timeline collector and Chrome trace,
+// and fails the test on any bitwise divergence in the Result, the
+// timeline windows or the trace bytes. It returns the event-engine
+// result so callers can assert that leaping actually happened.
 func runBothEngines(t *testing.T, cfg Config, mkSched func() sched.Scheduler, mkApps func() []*workload.App) Result {
 	t.Helper()
-	colQ := timeline.MustNew(timeline.Config{QuantaPerWindow: 16})
-	colE := timeline.MustNew(timeline.Config{QuantaPerWindow: 16})
-
 	cfgQ := cfg
 	cfgQ.Engine = EngineQuantum
-	cfgQ.Timeline = colQ
+	cfgQ.Timeline = timeline.MustNew(timeline.Config{QuantaPerWindow: 16})
+	cfgQ.Trace = &trace.Timeline{}
 	resQ, errQ := Run(cfgQ, mkSched(), mkApps())
 
 	cfgE := cfg
 	cfgE.Engine = EngineEvent
-	cfgE.Timeline = colE
+	cfgE.Timeline = timeline.MustNew(timeline.Config{QuantaPerWindow: 16})
+	cfgE.Trace = &trace.Timeline{}
 	resE, errE := Run(cfgE, mkSched(), mkApps())
 
 	if (errQ == nil) != (errE == nil) {
@@ -37,8 +37,10 @@ func runBothEngines(t *testing.T, cfg Config, mkSched func() sched.Scheduler, mk
 	if errQ != nil {
 		return resE
 	}
-	diffs := diffResults(resQ, resE)
-	diffs = append(diffs, diffTimelines(colQ, colE)...)
+	if cfgQ.Trace.Len() == 0 {
+		t.Error("traced run recorded no slices")
+	}
+	diffs := diffRuns(resQ, resE, &cfgQ, &cfgE)
 	for i, d := range diffs {
 		if i >= 10 {
 			t.Errorf("... and %d more diffs", len(diffs)-i)
@@ -217,8 +219,7 @@ func TestEventEngineBitIdentical(t *testing.T) {
 }
 
 // TestShadowEngine pins the shadow contract: divergence-free runs
-// succeed, diffs are collected when a sink is attached, and a missing
-// scheduler factory is an error.
+// succeed and a missing scheduler factory is an error.
 func TestShadowEngine(t *testing.T) {
 	mkApps := func() []*workload.App {
 		p, _ := workload.ByName("Volrend")
@@ -232,19 +233,14 @@ func TestShadowEngine(t *testing.T) {
 		return sched.NewQuantaWindow(4, units.SustainedBusRate), nil
 	}
 
-	var diffs []string
 	cfg := Config{
 		Engine:           EngineShadow,
 		SchedulerFactory: factory,
-		ShadowDiffs:      &diffs,
 	}
 	s, _ := factory()
 	res, err := Run(cfg, s, mkApps())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(diffs) != 0 {
-		t.Fatalf("shadow diffs on identical cores: %s", strings.Join(diffs, "; "))
 	}
 	if res.LeaptQuanta != 0 {
 		t.Error("authoritative shadow result must come from the stepped core")

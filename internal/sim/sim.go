@@ -73,11 +73,6 @@ type Config struct {
 	// scheduler's internal state (sample windows, rotation order, RNG)
 	// is never shared between the two cores.
 	SchedulerFactory func() (sched.Scheduler, error)
-	// ShadowDiffs, when non-nil under EngineShadow, receives one
-	// human-readable line per divergence between the two engines and
-	// Run returns normally; when nil, any divergence is returned as an
-	// error.
-	ShadowDiffs *[]string
 	// Scenario, when non-nil, layers workload churn over the base
 	// apps: the schedule's events submit fresh application instances
 	// mid-run (through the same pending-admission path timed arrivals
@@ -187,10 +182,10 @@ func (r Result) MeanTurnaround() units.Time {
 	return sum / units.Time(len(r.Apps))
 }
 
-// appState wires one application to the scheduler (through a Job) and
-// to the CPU manager's sampling path (one perfctr monitor per thread).
-// The per-quantum fields are scratch reused across quanta so the
-// steady-state loop allocates nothing.
+// appState wires one application to the scheduler (through the Job
+// sched.JobFor builds) and to the CPU manager's sampling path (one
+// perfctr monitor per thread). The per-quantum fields are scratch
+// reused across quanta so the steady-state loop allocates nothing.
 type appState struct {
 	app      *workload.App
 	job      *sched.Job
@@ -211,6 +206,102 @@ type appState struct {
 	// departed is set when a departure event retires it mid-run.
 	scenario bool
 	departed bool
+}
+
+// wire connects app to s through the Job s schedules it by, and each of
+// its threads to a perfctr monitor — the CPU manager's sampling path.
+func wire(s sched.Scheduler, app *workload.App, now units.Time, inj *faults.Injector) *appState {
+	st := &appState{app: app, job: sched.JobFor(s, app)}
+	for _, th := range app.Threads {
+		mon := perfctr.NewMonitor(&th.Counters)
+		// Prime the monitor with its time-zero baseline so the first
+		// quantum's transactions are not swallowed by baseline
+		// establishment. The fault hook is attached only afterwards:
+		// injected counter faults never eat the baseline itself.
+		mon.Poll(now)
+		if inj != nil {
+			mon.SetFaultHook(inj)
+		}
+		st.monitors = append(st.monitors, mon)
+	}
+	return st
+}
+
+// accrue adds one thread's quantum to its application's sample: the
+// contention-corrected requirement, consumption divided by the achieved
+// speed fraction, recovers the rate the thread would sustain
+// uncontended.
+func (st *appState) accrue(speed float64, rate units.Rate) {
+	st.ranThreads++
+	if speed > 0 {
+		st.demandCum += float64(rate) / speed
+	}
+}
+
+// sample closes the application's quantum: ran reports whether any of
+// its threads ran, and perThread is its BBW/thread — the application's
+// bandwidth (accrued demand, or appTrans under SampleConsumption)
+// equipartitioned among the threads that ran. The accrual resets.
+func (st *appState) sample(mode SampleMode, appTrans uint64, quantum units.Time) (perThread float64, ran bool) {
+	n := st.ranThreads
+	if n == 0 {
+		return 0, false
+	}
+	var cum units.Rate
+	switch mode {
+	case SampleConsumption:
+		cum = units.Rate(float64(appTrans) / float64(quantum))
+	default: // SampleRequirements
+		cum = units.Rate(st.demandCum)
+	}
+	st.ranThreads, st.demandCum = 0, 0
+	return float64(cum / units.Rate(n)), true
+}
+
+// recorder is the run's one per-quantum record: every stepped quantum,
+// leapt stretch and idle leap goes through record, which feeds the
+// timeline collector and the Chrome trace, whichever are attached.
+type recorder struct {
+	col   *timeline.Collector
+	tr    *trace.Timeline
+	occ   []trace.Slice        // one quantum's trace slices
+	steps []machine.ThreadStep // a replayed quantum's threads
+}
+
+// record accounts n consecutive identical quanta, the first starting at
+// s.StartUsec, during each of which threads ran (none when idle).
+func (r *recorder) record(s timeline.Sample, n int, threads []machine.ThreadStep) {
+	if r.col != nil {
+		r.col.RecordQuanta(s, n)
+	}
+	if r.tr == nil || len(threads) == 0 {
+		return
+	}
+	r.occ = r.occ[:0]
+	for _, ts := range threads {
+		r.occ = append(r.occ, trace.Slice{
+			CPU:      ts.CPU,
+			Label:    fmt.Sprintf("%s/%d", ts.Thread.App.Instance, ts.Thread.Index),
+			Speed:    ts.Speed,
+			Migrated: ts.Migrated,
+		})
+	}
+	r.tr.RecordQuanta(s, r.occ, n)
+}
+
+// replayed returns the threads a replayed quantum of plan runs — each
+// on the CPU it holds, at the plan's speed, not migrated — or nil when
+// no trace needs them.
+func (r *recorder) replayed(plan *machine.StretchPlan) []machine.ThreadStep {
+	if r.tr == nil {
+		return nil
+	}
+	r.steps = r.steps[:0]
+	for i := range plan.Threads {
+		pt := &plan.Threads[i]
+		r.steps = append(r.steps, machine.ThreadStep{Thread: pt.Thread, CPU: pt.CPU, Speed: pt.Speed, Rate: pt.Rate})
+	}
+	return r.steps
 }
 
 // Run executes apps under s until every finite application completes.
@@ -250,17 +341,8 @@ func run(cfg Config, s sched.Scheduler, apps []*workload.App) (Result, error) {
 		return Result{}, err
 	}
 
-	// Wire each application to the scheduler through a Job, and each
-	// thread to a perfctr monitor — the CPU manager's sampling path.
 	states := make([]*appState, len(apps))
 	byApp := make(map[*workload.App]*appState, len(apps))
-	windowLen, ewmaAlpha := 1, 0.0
-	if ba, ok := s.(*sched.BandwidthAware); ok {
-		windowLen = ba.WindowLen()
-		if ba.Estimator() == sched.EstEWMA {
-			ewmaAlpha = 0.4
-		}
-	}
 	var pending []*appState
 	// connected tracks the scheduler's queue depth (jobs added and not
 	// yet removed) for the timeline's runnable series.
@@ -272,20 +354,7 @@ func run(cfg Config, s sched.Scheduler, apps []*workload.App) (Result, error) {
 		if app.Arrived < 0 {
 			return Result{}, fmt.Errorf("sim: app %s has negative arrival time", app.Instance)
 		}
-		st := &appState{app: app, job: sched.NewJob(app, windowLen, ewmaAlpha)}
-		for _, th := range app.Threads {
-			mon := perfctr.NewMonitor(&th.Counters)
-			// Prime the monitor with its time-zero baseline so the
-			// first quantum's transactions are not swallowed by
-			// baseline establishment. The fault hook is attached only
-			// afterwards: injected counter faults never eat the
-			// baseline itself.
-			mon.Poll(m.Now())
-			if inj != nil {
-				mon.SetFaultHook(inj)
-			}
-			st.monitors = append(st.monitors, mon)
-		}
+		st := wire(s, app, m.Now(), inj)
 		states[i] = st
 		byApp[app] = st
 		if app.Arrived == 0 {
@@ -340,15 +409,8 @@ func run(cfg Config, s sched.Scheduler, apps []*workload.App) (Result, error) {
 				}
 				app := workload.NewApp(p, ev.Instance)
 				app.Arrived = ev.At
-				st := &appState{app: app, job: sched.NewJob(app, windowLen, ewmaAlpha), scenario: true}
-				for _, th := range app.Threads {
-					mon := perfctr.NewMonitor(&th.Counters)
-					mon.Poll(m.Now())
-					if inj != nil {
-						mon.SetFaultHook(inj)
-					}
-					st.monitors = append(st.monitors, mon)
-				}
+				st := wire(s, app, m.Now(), inj)
+				st.scenario = true
 				states = append(states, st)
 				byApp[app] = st
 				byInstance[ev.Instance] = st
@@ -382,6 +444,7 @@ func run(cfg Config, s sched.Scheduler, apps []*workload.App) (Result, error) {
 		}
 	}
 
+	rec := recorder{col: cfg.Timeline, tr: cfg.Trace}
 	var utilSum float64
 	var prevFaults uint64
 	for remaining > 0 {
@@ -489,39 +552,13 @@ func run(cfg Config, s sched.Scheduler, apps []*workload.App) (Result, error) {
 		res.Migrations += step.Migrations
 		res.ContextSwitches += step.ContextSwitches
 		utilSum += step.MeanUtilization
-		if cfg.Trace != nil && len(step.Threads) > 0 {
-			qStart := m.Now() - quantum
-			for _, ts := range step.Threads {
-				cfg.Trace.Record(trace.Slice{
-					CPU:      ts.CPU,
-					Start:    qStart,
-					Duration: quantum,
-					Label:    fmt.Sprintf("%s/%d", ts.Thread.App.Instance, ts.Thread.Index),
-					Speed:    ts.Speed,
-					Migrated: ts.Migrated,
-				})
-			}
-			cfg.Trace.RecordQuantum(trace.QuantumStat{
-				Start:       qStart,
-				Duration:    quantum,
-				Utilization: step.MeanUtilization,
-				Served:      step.MeanServed,
-			})
-		}
 
 		// Sampling: poll every thread of every app (resetting deltas),
 		// but only applications that ran this quantum contribute a
 		// bandwidth sample, per the paper's "updates the bus bandwidth
 		// consumption statistics for all running jobs".
 		for _, ts := range step.Threads {
-			st := byApp[ts.Thread.App]
-			st.ranThreads++
-			if ts.Speed > 0 {
-				// Contention-corrected requirement: consumption divided
-				// by the achieved speed fraction recovers the rate the
-				// thread would sustain uncontended.
-				st.demandCum += float64(ts.Rate) / ts.Speed
-			}
+			byApp[ts.Thread.App].accrue(ts.Speed, ts.Rate)
 		}
 		admitted := 0
 		for _, st := range states {
@@ -533,60 +570,44 @@ func run(cfg Config, s sched.Scheduler, apps []*workload.App) (Result, error) {
 				}
 				appTrans += uint64(rates[perfctr.EventBusTransAny] * float64(quantum))
 			}
-			if n := st.ranThreads; n > 0 {
+			if perThread, ran := st.sample(cfg.Sampling, appTrans, quantum); ran {
 				admitted++
-				// BBW/thread: equipartition the application's bandwidth
-				// among its threads.
-				var cum units.Rate
-				switch cfg.Sampling {
-				case SampleConsumption:
-					cum = units.Rate(float64(appTrans) / float64(quantum))
-				default: // SampleRequirements
-					cum = units.Rate(st.demandCum)
-				}
 				// A lost publish (the run-time library missed its arena
 				// slot) starves the policy of this quantum's sample;
 				// noise perturbs what does get published. Both are
 				// no-ops without an injector.
 				if !inj.DropSample() {
-					perThread := float64(cum / units.Rate(n))
 					st.job.PushSample(units.Rate(inj.PerturbSample(perThread)))
 				}
 				st.runTime += quantum
 				st.trans += appTrans
-				st.ranThreads = 0
-				st.demandCum = 0
 			}
 		}
 
-		// Timeline: one aggregated sample per quantum, recorded after
-		// sampling so admission reflects what actually ran (crash and
-		// signal-loss drops included) and before retirement so the
-		// runnable depth is the queue the scheduler just saw. The
-		// fault delta is read per quantum only when a collector is
-		// attached; the nil path costs exactly this branch.
-		if cfg.Timeline != nil {
-			tot := inj.Stats().Total()
-			cfg.Timeline.RecordQuantum(timeline.Sample{
-				StartUsec:   int64(m.Now() - quantum),
-				DurUsec:     int64(quantum),
-				Utilization: step.MeanUtilization,
-				Served:      float64(step.MeanServed),
-				Stretch:     step.Outcome.Stretch,
-				Placed:      len(step.Threads),
-				Runnable:    connected,
-				Admitted:    admitted,
-				Faults:      int64(tot - prevFaults),
-			})
-			prevFaults = tot
-		}
+		// Record the quantum after sampling, so admission reflects what
+		// actually ran (crash and signal-loss drops included), and
+		// before retirement, so the runnable depth is the queue the
+		// scheduler just saw.
+		tot := inj.Stats().Total()
+		rec.record(timeline.Sample{
+			StartUsec:   int64(m.Now() - quantum),
+			DurUsec:     int64(quantum),
+			Utilization: step.MeanUtilization,
+			Served:      float64(step.MeanServed),
+			Stretch:     step.Outcome.Stretch,
+			Placed:      len(step.Threads),
+			Runnable:    connected,
+			Admitted:    admitted,
+			Faults:      int64(tot - prevFaults),
+		}, 1, step.Threads)
+		prevFaults = tot
 
 		// Event engine: the quantum just stepped is the probe that
 		// anchors a stretch. If the scheduler is provably stable, the
 		// machine state replayable and every bandwidth sample a
 		// fixed point, leap across the quanta that would repeat it
 		// bitwise; otherwise this falls through and the loop keeps
-		// stepping. Placed after the timeline record (the probe is
+		// stepping. Placed after the record (the probe is
 		// already accounted) and before retirement (a leap ends at or
 		// before any completion, which the block below then handles).
 		if leapable {
@@ -595,10 +616,10 @@ func run(cfg Config, s sched.Scheduler, apps []*workload.App) (Result, error) {
 			// the machine past the event. Keep stepping; once the
 			// scenario schedule drains (depIdx catches up and pending
 			// empties) leaps resume for the settled mix.
-			if len(placements) > 0 && len(pending) == 0 && depIdx == len(depEvents) && cfg.ManagerOverhead <= 0 && cfg.Trace == nil {
-				ls.tryLeap(&cfg, s, m, quantum, placements, states, byApp, finite, connected, admitted, &res, &utilSum)
+			if len(placements) > 0 && len(pending) == 0 && depIdx == len(depEvents) && cfg.ManagerOverhead <= 0 {
+				ls.tryLeap(&cfg, &rec, s, m, quantum, placements, states, byApp, finite, connected, admitted, &res, &utilSum)
 			} else if len(placements) == 0 && connected == 0 && len(pending) > 0 {
-				if err := leapIdle(&cfg, m, quantum, states, pending, &res); err != nil {
+				if err := leapIdle(cfg.MaxTime, &rec, m, quantum, states, pending, &res); err != nil {
 					return Result{}, err
 				}
 			}

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 
+	"busaware/internal/timeline"
 	"busaware/internal/units"
 )
 
@@ -28,19 +29,13 @@ type Slice struct {
 	Migrated bool
 }
 
-// QuantumStat carries machine-wide per-quantum annotations.
-type QuantumStat struct {
-	Start       units.Time
-	Duration    units.Time
-	Utilization float64
-	Served      units.Rate
-}
-
 // Timeline accumulates slices. The zero value is ready to use.
 type Timeline struct {
 	NumCPUs int
 	slices  []Slice
-	stats   []QuantumStat
+	// bus holds one machine-wide sample per recorded quantum — the
+	// same sample the simulator's timeline collector folds.
+	bus []timeline.Sample
 }
 
 // Record appends one slice.
@@ -51,9 +46,19 @@ func (t *Timeline) Record(s Slice) {
 	}
 }
 
-// RecordQuantum appends machine-wide stats for one quantum.
-func (t *Timeline) RecordQuantum(q QuantumStat) {
-	t.stats = append(t.stats, q)
+// RecordQuanta appends n consecutive identical quanta, the k-th
+// starting at s.StartUsec + k*s.DurUsec. Each quantum records one slice
+// per occupant, in order, with Start and Duration set to the quantum's,
+// then its bus-lane sample.
+func (t *Timeline) RecordQuanta(s timeline.Sample, occupants []Slice, n int) {
+	for ; n > 0; n-- {
+		for _, o := range occupants {
+			o.Start, o.Duration = units.Time(s.StartUsec), units.Time(s.DurUsec)
+			t.Record(o)
+		}
+		t.bus = append(t.bus, s)
+		s.StartUsec += s.DurUsec
+	}
 }
 
 // Len returns the number of recorded slices.
@@ -170,7 +175,7 @@ type chromeEvent struct {
 // array format (load in chrome://tracing or Perfetto). Each CPU is a
 // thread lane of process 1; quantum stats go to a counter-like lane.
 func (t *Timeline) WriteChromeTrace(w io.Writer) error {
-	events := make([]chromeEvent, 0, len(t.slices)+len(t.stats))
+	events := make([]chromeEvent, 0, len(t.slices)+len(t.bus))
 	for _, s := range t.slices {
 		args := map[string]string{"speed": fmt.Sprintf("%.3f", s.Speed)}
 		if s.Migrated {
@@ -182,14 +187,14 @@ func (t *Timeline) WriteChromeTrace(w io.Writer) error {
 			PID: 1, TID: s.CPU + 1, Args: args,
 		})
 	}
-	for _, q := range t.stats {
+	for _, q := range t.bus {
 		events = append(events, chromeEvent{
 			Name: "bus", Cat: "bus", Ph: "X",
-			TS: int64(q.Start), Dur: int64(q.Duration),
+			TS: q.StartUsec, Dur: q.DurUsec,
 			PID: 1, TID: 100,
 			Args: map[string]string{
 				"utilization": fmt.Sprintf("%.3f", q.Utilization),
-				"served":      fmt.Sprintf("%.2f", float64(q.Served)),
+				"served":      fmt.Sprintf("%.2f", q.Served),
 			},
 		})
 	}

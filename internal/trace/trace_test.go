@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"busaware/internal/timeline"
 	"busaware/internal/units"
 )
 
@@ -16,7 +17,7 @@ func sampleTimeline() *Timeline {
 	t.Record(Slice{CPU: 1, Start: 0, Duration: q, Label: "CG#1/1", Speed: 0.9})
 	t.Record(Slice{CPU: 2, Start: 0, Duration: q, Label: "BBMA#1/0", Speed: 0.4})
 	t.Record(Slice{CPU: 0, Start: q, Duration: q, Label: "BBMA#2/0", Speed: 0.4, Migrated: true})
-	t.RecordQuantum(QuantumStat{Start: 0, Duration: q, Utilization: 0.9, Served: 27})
+	t.RecordQuanta(timeline.Sample{DurUsec: int64(q), Utilization: 0.9, Served: 27}, nil, 1)
 	return t
 }
 
