@@ -16,7 +16,7 @@
 //     whatever order their responses arrive and get the same answer.
 //     Rates and means are derived on demand, never stored.
 //
-//   - Collector is the hot-path recorder: RecordQuantum accumulates
+//   - Collector is the hot-path recorder: RecordQuanta accumulates
 //     into the current window and seals it into a preallocated ring
 //     every QuantaPerWindow quanta. The steady state allocates nothing
 //     (gated by BenchmarkTimelineRecord at 0 allocs/op); when the ring
