@@ -54,7 +54,6 @@ type BandwidthAware struct {
 	windowLen int
 	ewmaAlpha float64
 	guard     bool
-	slack     float64
 	staleK    int
 
 	list jobList
@@ -106,15 +105,6 @@ func WithWindow(w int) Option {
 // deep saturation — while rejecting it would needlessly halve the CPU
 // share of applications that almost fit next to their own twin.
 const DefaultOvercommitSlack = 0.13
-
-// WithOvercommitSlack overrides DefaultOvercommitSlack (0 disables).
-func WithOvercommitSlack(s float64) Option {
-	return func(b *BandwidthAware) {
-		if s >= 0 {
-			b.slack = s
-		}
-	}
-}
 
 // WithSaturationGuard enables an optional refinement over the paper's
 // selection loop: candidates whose whole-gang demand overshoots the
@@ -200,7 +190,6 @@ func newBandwidthAware(name string, est Estimator, window, numCPUs int, capacity
 		estimator: est,
 		windowLen: window,
 		ewmaAlpha: 0.4,
-		slack:     DefaultOvercommitSlack,
 	}
 	for _, o := range opts {
 		o(b)
@@ -361,7 +350,7 @@ func (b *BandwidthAware) Select() []*Job {
 				continue
 			}
 			est := b.est[i]
-			fits := !b.guard || est*units.Rate(n) <= remaining+b.capacity*units.Rate(b.slack)
+			fits := !b.guard || est*units.Rate(n) <= remaining+b.capacity*DefaultOvercommitSlack
 			if fits {
 				if fit := Fitness(abbwPerProc, est); fit > bestFit {
 					bestFit = fit

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"busaware/internal/machine"
 	"busaware/internal/units"
 	"busaware/internal/workload"
 )
@@ -341,6 +342,17 @@ func TestPolicyIdentities(t *testing.T) {
 	}
 	if NewEWMAPolicy(4, 29.5, 0.3).Estimator() != EstEWMA {
 		t.Error("ewma estimator")
+	}
+	// The policy table hands options to the four bandwidth-aware
+	// policies.
+	for _, name := range []string{"latest", "window", "ewma", "oracle"} {
+		s, err := New(name, machine.DefaultConfig(), 1, WithQuantum(100*units.Millisecond))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q := s.Quantum(); q != 100*units.Millisecond {
+			t.Errorf("New(%q, WithQuantum(100ms)) has quantum %v", name, q)
+		}
 	}
 }
 

@@ -13,19 +13,21 @@ func Policies() []string {
 }
 
 // New builds the named policy for machine m; the seed only affects the
-// Linux baseline's runqueue shuffling. This is the one policy table:
-// the busaware facade and the HTTP API both build their schedulers
-// here, each prefixing errors with its own package name.
-func New(policy string, m machine.Config, seed int64) (Scheduler, error) {
+// Linux baseline's runqueue shuffling, and opts apply to the four
+// bandwidth-aware policies (latest, window, ewma, oracle) only. This is
+// the one policy table: the busaware facade, the HTTP API and every
+// experiment cell build their schedulers here, the first two prefixing
+// errors with their own package name.
+func New(policy string, m machine.Config, seed int64, opts ...Option) (Scheduler, error) {
 	switch policy {
 	case "latest":
-		return NewLatestQuantum(m.NumCPUs, m.Bus.Capacity), nil
+		return NewLatestQuantum(m.NumCPUs, m.Bus.Capacity, opts...), nil
 	case "window":
-		return NewQuantaWindow(m.NumCPUs, m.Bus.Capacity), nil
+		return NewQuantaWindow(m.NumCPUs, m.Bus.Capacity, opts...), nil
 	case "ewma":
-		return NewEWMAPolicy(m.NumCPUs, m.Bus.Capacity, 0.4), nil
+		return NewEWMAPolicy(m.NumCPUs, m.Bus.Capacity, 0.4, opts...), nil
 	case "oracle":
-		return NewOracle(m.NumCPUs, m.Bus.Capacity), nil
+		return NewOracle(m.NumCPUs, m.Bus.Capacity, opts...), nil
 	case "linux":
 		return NewLinux(m.NumCPUs, seed), nil
 	case "gang":
