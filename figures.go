@@ -10,8 +10,8 @@ import (
 // Re-exported experiment types; see internal/experiments for the
 // field-level documentation.
 type (
-	// ExperimentOptions configures a figure run (machine, Linux seeds,
-	// sampling mode).
+	// ExperimentOptions configures a figure run (Linux seeds, engine,
+	// worker count, run metrics).
 	ExperimentOptions = experiments.Options
 	// Fig1Row is one application's bars in Figure 1 (rates and
 	// slowdowns across the four Section 3 configurations).

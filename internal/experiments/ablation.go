@@ -74,17 +74,8 @@ func WindowAblation(opt Options, windows []int) ([]WindowAblationRow, error) {
 		if w < 1 {
 			return nil, fmt.Errorf("experiments: window %d", w)
 		}
-		w := w
-		mk := func() (sched.Scheduler, error) {
-			return sched.NewQuantaWindow(opt.machine().NumCPUs, opt.capacity(),
-				append([]sched.Option{sched.WithWindow(w)}, opt.PolicyOpts...)...), nil
-		}
-		cells = append(cells, runner.Cell{
-			Label:        fmt.Sprintf("ablw/W%d", w),
-			Config:       opt.simConfig(),
-			NewScheduler: mk,
-			Apps:         buildSet(rt, SetNBBMA),
-		})
+		cells = append(cells, opt.cell(fmt.Sprintf("ablw/W%d", w), "window", 0,
+			SetNBBMA.mix(rt), sched.WithWindow(w)))
 	}
 	linux, err := meanLinuxTurnaround(opt, rt, SetNBBMA)
 	if err != nil {
@@ -144,17 +135,8 @@ func QuantumAblation(opt Options, quanta []units.Time) ([]QuantumAblationRow, er
 		if q <= 0 {
 			return nil, fmt.Errorf("experiments: quantum %v", q)
 		}
-		q := q
-		mk := func() (sched.Scheduler, error) {
-			return sched.NewQuantaWindow(opt.machine().NumCPUs, opt.capacity(),
-				append([]sched.Option{sched.WithQuantum(q)}, opt.PolicyOpts...)...), nil
-		}
-		cells = append(cells, runner.Cell{
-			Label:        fmt.Sprintf("ablq/%s", q),
-			Config:       opt.simConfig(),
-			NewScheduler: mk,
-			Apps:         buildSet(bt, SetMixed),
-		})
+		cells = append(cells, opt.cell(fmt.Sprintf("ablq/%s", q), "window", 0,
+			SetMixed.mix(bt), sched.WithQuantum(q)))
 	}
 	linux, err := meanLinuxTurnaround(opt, bt, SetMixed)
 	if err != nil {
@@ -204,33 +186,11 @@ func ManagerOverhead(opt Options, perQuantum units.Time) (OverheadResult, error)
 	if !ok {
 		return OverheadResult{}, fmt.Errorf("experiments: Volrend missing from registry")
 	}
-	build := func() []*workload.App {
-		var apps []*workload.App
-		for i := 0; i < 3; i++ {
-			apps = append(apps, workload.NewApp(vol, fmt.Sprintf("%s#%d", vol.Name, i+1)))
-		}
-		return apps
-	}
-	ncpu := opt.machine().NumCPUs
-	cap := opt.capacity()
-	mkQW := func() (sched.Scheduler, error) {
-		return sched.NewQuantaWindow(ncpu, cap, opt.PolicyOpts...), nil
-	}
-	managed := opt.simConfig()
-	managed.ManagerOverhead = perQuantum
+	mix := workload.Mix{{Profile: vol, Count: 3}}
+	managed := opt.cell("overhead/managed", "window", 0, mix)
+	managed.Config.ManagerOverhead = perQuantum
 	results, err := opt.runCells("overhead", []runner.Cell{
-		{
-			Label:        "overhead/unmanaged",
-			Config:       opt.simConfig(),
-			NewScheduler: mkQW,
-			Apps:         build(),
-		},
-		{
-			Label:        "overhead/managed",
-			Config:       managed,
-			NewScheduler: mkQW,
-			Apps:         build(),
-		},
+		opt.cell("overhead/unmanaged", "window", 0, mix), managed,
 	})
 	if err != nil {
 		return OverheadResult{}, err
@@ -267,25 +227,9 @@ func SchedulerZoo(opt Options, appName string) ([]ZooRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	ncpu := opt.machine().NumCPUs
-	cap := opt.capacity()
-	mks := []func() (sched.Scheduler, error){
-		func() (sched.Scheduler, error) { return sched.NewRoundRobin(ncpu, 0), nil },
-		func() (sched.Scheduler, error) { return sched.NewGang(ncpu), nil },
-		func() (sched.Scheduler, error) { return sched.NewLatestQuantum(ncpu, cap, opt.PolicyOpts...), nil },
-		func() (sched.Scheduler, error) { return sched.NewQuantaWindow(ncpu, cap, opt.PolicyOpts...), nil },
-		func() (sched.Scheduler, error) { return sched.NewEWMAPolicy(ncpu, cap, 0.4, opt.PolicyOpts...), nil },
-		func() (sched.Scheduler, error) { return sched.NewOracle(ncpu, cap, opt.PolicyOpts...), nil },
-		func() (sched.Scheduler, error) { return sched.NewOptimal(ncpu, opt.machine().Bus) },
-	}
 	var cells []runner.Cell
-	for i, mk := range mks {
-		cells = append(cells, runner.Cell{
-			Label:        fmt.Sprintf("zoo/%d", i),
-			Config:       opt.simConfig(),
-			NewScheduler: mk,
-			Apps:         buildSet(p, SetMixed),
-		})
+	for _, policy := range []string{"rr", "gang", "latest", "window", "ewma", "oracle", "optimal"} {
+		cells = append(cells, opt.cell("zoo/"+policy, policy, 0, SetMixed.mix(p)))
 	}
 	results, err := opt.runCells("zoo", cells)
 	if err != nil {
@@ -323,8 +267,6 @@ func SamplingAblation(opt Options, appNames []string) ([]SamplingAblationRow, er
 	if len(appNames) == 0 {
 		appNames = []string{"Radiosity", "BT", "CG"}
 	}
-	ncpu := opt.machine().NumCPUs
-	cap := opt.capacity()
 	profiles := make([]workload.Profile, len(appNames))
 	var cells []runner.Cell
 	for i, name := range appNames {
@@ -333,39 +275,14 @@ func SamplingAblation(opt Options, appNames []string) ([]SamplingAblationRow, er
 			return nil, fmt.Errorf("experiments: unknown application %q", name)
 		}
 		profiles[i] = p
-
-		reqCfg := opt.simConfig()
-		reqCfg.Sampling = sim.SampleRequirements
-		consCfg := opt.simConfig()
-		consCfg.Sampling = sim.SampleConsumption
-		mkQW := func() (sched.Scheduler, error) {
-			return sched.NewQuantaWindow(ncpu, cap, opt.PolicyOpts...), nil
-		}
-		mkGuarded := func() (sched.Scheduler, error) {
-			return sched.NewQuantaWindow(ncpu, cap,
-				append([]sched.Option{sched.WithSaturationGuard()}, opt.PolicyOpts...)...), nil
-		}
-
-		cells = append(cells, linuxCells(opt, p, SetBBMA)...)
+		mix := SetBBMA.mix(p)
+		consumption := opt.cell(fmt.Sprintf("sampling/%s/consumption", name), "window", 0, mix)
+		consumption.Config.Sampling = sim.SampleConsumption
+		cells = append(cells, opt.linuxCells(p, SetBBMA)...)
 		cells = append(cells,
-			runner.Cell{
-				Label:        fmt.Sprintf("sampling/%s/requirements", name),
-				Config:       reqCfg,
-				NewScheduler: mkQW,
-				Apps:         buildSet(p, SetBBMA),
-			},
-			runner.Cell{
-				Label:        fmt.Sprintf("sampling/%s/consumption", name),
-				Config:       consCfg,
-				NewScheduler: mkQW,
-				Apps:         buildSet(p, SetBBMA),
-			},
-			runner.Cell{
-				Label:        fmt.Sprintf("sampling/%s/guarded", name),
-				Config:       reqCfg,
-				NewScheduler: mkGuarded,
-				Apps:         buildSet(p, SetBBMA),
-			})
+			opt.cell(fmt.Sprintf("sampling/%s/requirements", name), "window", 0, mix),
+			consumption,
+			opt.cell(fmt.Sprintf("sampling/%s/guarded", name), "window", 0, mix, sched.WithSaturationGuard()))
 	}
 	results, err := opt.runCells("ablation/sampling", cells)
 	if err != nil {

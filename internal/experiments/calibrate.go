@@ -6,7 +6,6 @@ import (
 	"busaware/internal/cache"
 	"busaware/internal/mem"
 	"busaware/internal/runner"
-	"busaware/internal/sched"
 	"busaware/internal/units"
 	"busaware/internal/workload"
 )
@@ -32,14 +31,9 @@ type CalibrationResult struct {
 // goes through the runner too, so metrics collection covers the whole
 // sweep uniformly.
 func Calibrate(opt Options) (CalibrationResult, error) {
-	results, err := opt.runCells("calibration", []runner.Cell{{
-		Label:  "cal/STREAM",
-		Config: opt.simConfig(),
-		NewScheduler: func() (sched.Scheduler, error) {
-			return sched.NewGang(opt.machine().NumCPUs), nil
-		},
-		Apps: []*workload.App{workload.NewApp(workload.STREAM(), "STREAM#1")},
-	}})
+	results, err := opt.runCells("calibration", []runner.Cell{
+		opt.cell("cal/STREAM", "gang", 0, workload.Mix{{Profile: workload.STREAM(), Count: 1}}),
+	})
 	if err != nil {
 		return CalibrationResult{}, err
 	}

@@ -6,7 +6,6 @@ import (
 
 	"busaware/internal/runner"
 	"busaware/internal/scenario"
-	"busaware/internal/sched"
 	"busaware/internal/sim"
 	"busaware/internal/units"
 	"busaware/internal/workload"
@@ -66,37 +65,13 @@ func ChurnStudy(opt Options) ([]ChurnRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	base := func() []*workload.App {
-		return []*workload.App{
-			workload.NewApp(bt, "BT#1"),
-			workload.NewApp(bt, "BT#2"),
-		}
-	}
-	ncpu := opt.machine().NumCPUs
-	cap := opt.capacity()
-	linuxSeed := opt.seeds()[0]
-	policies := []struct {
-		name string
-		mk   func() (sched.Scheduler, error)
-	}{
-		{"Linux", func() (sched.Scheduler, error) { return sched.NewLinux(ncpu, linuxSeed), nil }},
-		{"LatestQuantum", func() (sched.Scheduler, error) {
-			return sched.NewLatestQuantum(ncpu, cap, opt.PolicyOpts...), nil
-		}},
-		{"QuantaWindow", func() (sched.Scheduler, error) {
-			return sched.NewQuantaWindow(ncpu, cap, opt.PolicyOpts...), nil
-		}},
-	}
+	base := workload.Mix{{Profile: bt, Count: 2}}
 	var cells []runner.Cell
-	for _, p := range policies {
-		cfg := opt.simConfig()
-		cfg.Scenario = churn // read-only: safe to share across cells
-		cells = append(cells, runner.Cell{
-			Label:        "churn/" + p.name,
-			Config:       cfg,
-			NewScheduler: p.mk,
-			Apps:         base(),
-		})
+	for _, policy := range []string{"linux", "latest", "window"} {
+		// The seed reaches only the Linux baseline (see sched.New).
+		c := opt.cell("churn/"+policy, policy, opt.seeds()[0], base)
+		c.Config.Scenario = churn // read-only: safe to share across cells
+		cells = append(cells, c)
 	}
 	results, err := opt.runCells("churn", cells)
 	if err != nil {
@@ -104,13 +79,12 @@ func ChurnStudy(opt Options) ([]ChurnRow, error) {
 	}
 	var rows []ChurnRow
 	var linux units.Time
-	for i, p := range policies {
-		res := results[i]
+	for i, res := range results {
 		if res.TimedOut {
-			return nil, fmt.Errorf("experiments: churn run timed out under %s", p.name)
+			return nil, fmt.Errorf("experiments: churn run timed out under %s", res.Scheduler)
 		}
 		row := ChurnRow{
-			Policy:         p.name,
+			Policy:         res.Scheduler,
 			BaseTurnaround: baseMeanTurnaround(res),
 			Arrivals:       res.ScenarioArrivals,
 			Departures:     res.ScenarioDepartures,

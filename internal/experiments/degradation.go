@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"busaware/internal/faults"
-	"busaware/internal/runner"
 	"busaware/internal/sched"
 	"busaware/internal/workload"
 )
@@ -64,8 +63,8 @@ type DegradationPoint struct {
 // clean: the kernel scheduler has no manager, counters or signals to
 // break, so injected faults model the managed stack only. Both policies
 // run with the stale-sample fallback enabled (K = DefaultStaleQuanta).
-// The sweep is deterministic in seed; any Faults set on opt are
-// overridden per cell. Nil rates selects DefaultDegradationRates.
+// The sweep is deterministic in seed. Nil rates selects
+// DefaultDegradationRates.
 func Degradation(opt Options, rates []float64, seed int64) ([]DegradationPoint, error) {
 	if len(rates) == 0 {
 		rates = DefaultDegradationRates
@@ -74,36 +73,20 @@ func Degradation(opt Options, rates []float64, seed int64) ([]DegradationPoint, 
 	if !ok {
 		return nil, fmt.Errorf("experiments: BT profile missing from registry")
 	}
-	ncpu := opt.machine().NumCPUs
-	cap := opt.capacity()
-	popts := append(append([]sched.Option(nil), opt.PolicyOpts...),
-		sched.WithStaleFallback(sched.DefaultStaleQuanta))
+	stale := sched.WithStaleFallback(sched.DefaultStaleQuanta)
 
 	// One batch: the per-seed clean baselines, then LQ+QW per
 	// (class, rate) cell — every cell independent, submission order
 	// fixed, so the whole sweep fans out deterministically.
-	cells := linuxCells(opt, app, SetMixed)
+	cells := opt.linuxCells(app, SetMixed)
 	for ci, class := range DegradationClasses {
 		for ri, rate := range rates {
-			cfg := opt.simConfig()
-			cfg.Faults = class.config(seed+int64(100*ci+ri), rate)
-			cells = append(cells,
-				runner.Cell{
-					Label:  fmt.Sprintf("degr/%s/%.2f/LQ", class, rate),
-					Config: cfg,
-					NewScheduler: func() (sched.Scheduler, error) {
-						return sched.NewLatestQuantum(ncpu, cap, popts...), nil
-					},
-					Apps: buildSet(app, SetMixed),
-				},
-				runner.Cell{
-					Label:  fmt.Sprintf("degr/%s/%.2f/QW", class, rate),
-					Config: cfg,
-					NewScheduler: func() (sched.Scheduler, error) {
-						return sched.NewQuantaWindow(ncpu, cap, popts...), nil
-					},
-					Apps: buildSet(app, SetMixed),
-				})
+			fcfg := class.config(seed+int64(100*ci+ri), rate)
+			for _, policy := range []string{"latest", "window"} {
+				c := opt.cell(fmt.Sprintf("degr/%s/%.2f/%s", class, rate, policy), policy, 0, SetMixed.mix(app), stale)
+				c.Config.Faults = fcfg
+				cells = append(cells, c)
+			}
 		}
 	}
 	results, err := opt.runCells("degradation", cells)

@@ -3,58 +3,7 @@ package experiments
 import (
 	"reflect"
 	"testing"
-
-	"busaware/internal/faults"
-	"busaware/internal/workload"
 )
-
-// The zero-value fault config in Options must be invisible: every
-// experiment produces byte-identical results with and without it.
-func TestZeroFaultOptionsInert(t *testing.T) {
-	clean := Options{LinuxSeeds: []int64{1}}
-	zeroed := Options{LinuxSeeds: []int64{1}, Faults: faults.Config{Seed: 99}}
-
-	t.Run("figure1", func(t *testing.T) {
-		a, err := Figure1(clean)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Figure1(zeroed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Error("zero-rate fault config changed Figure 1")
-		}
-	})
-	t.Run("figure2", func(t *testing.T) {
-		bt, _ := workload.ByName("BT")
-		a, err := Figure2App(SetMixed, clean, bt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Figure2App(SetMixed, zeroed, bt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Error("zero-rate fault config changed Figure 2")
-		}
-	})
-	t.Run("robustness", func(t *testing.T) {
-		a, err := Robustness(clean, 4, 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Robustness(zeroed, 4, 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Error("zero-rate fault config changed Robustness")
-		}
-	})
-}
 
 func TestDegradation(t *testing.T) {
 	opt := Options{LinuxSeeds: []int64{1}}

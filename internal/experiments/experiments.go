@@ -1,15 +1,15 @@
 // Package experiments reproduces every table and figure of the
 // paper's evaluation, plus the ablations called out in DESIGN.md. Each
-// experiment builds its workload from the registry, runs it through
-// internal/sim on the simulated paper machine, and returns structured
-// rows that cmd/figures renders and bench_test.go regenerates.
+// experiment describes its runs as runner.Cell values — a workload mix
+// from the registry, a sched.New policy name, a seed and options —
+// fans them out through the runner on the simulated paper machine, and
+// returns structured rows that cmd/figures renders and bench_test.go
+// regenerates.
 package experiments
 
 import (
 	"fmt"
 
-	"busaware/internal/faults"
-	"busaware/internal/machine"
 	"busaware/internal/runner"
 	"busaware/internal/sched"
 	"busaware/internal/sim"
@@ -19,31 +19,21 @@ import (
 
 // Options configures an experiment run.
 type Options struct {
-	// Machine overrides the simulated hardware (zero = paper machine).
-	Machine machine.Config
 	// LinuxSeeds are the seeds for the Linux baseline runs; the
 	// reported baseline is the mean over seeds. Empty selects
 	// DefaultLinuxSeeds.
 	LinuxSeeds []int64
-	// Sampling selects the CPU manager's estimator input.
-	Sampling sim.SampleMode
-	// Faults configures fault injection for every simulation cell the
-	// experiment builds. The zero value is inert: no injector is
-	// created and results are identical to a fault-free run.
-	Faults faults.Config
 	// Engine selects the simulation core for every cell: the default
 	// quantum-stepped loop, the event-driven leaping engine, or shadow
 	// mode, which runs both and fails on any divergence. Every cell
-	// carries a scheduler factory, so shadow mode works across the whole
-	// figure grid.
+	// names its scheduler through sched.New, so shadow mode works
+	// across the whole figure grid.
 	Engine sim.EngineKind
-	// PolicyOpts are applied to every bandwidth-aware policy built.
-	PolicyOpts []sched.Option
 	// Workers bounds the parallel runner's worker pool. Zero selects
 	// GOMAXPROCS; 1 forces serial execution. Every cell carries its
-	// own seed, scheduler and freshly built workload, and aggregation
-	// happens in submission order, so results are identical at any
-	// setting.
+	// own seed and builds its own scheduler and workload, and
+	// aggregation happens in submission order, so results are
+	// identical at any setting.
 	Workers int
 	// Metrics, when non-nil, accumulates run-level metrics (per-cell
 	// wall time, simulated quanta, bus utilization, worker occupancy)
@@ -55,13 +45,6 @@ type Options struct {
 // since the 2.4 scheduler's mixing is order-dependent.
 var DefaultLinuxSeeds = []int64{1, 2, 3}
 
-func (o Options) machine() machine.Config {
-	if o.Machine.NumCPUs == 0 {
-		return machine.DefaultConfig()
-	}
-	return o.Machine
-}
-
 func (o Options) seeds() []int64 {
 	if len(o.LinuxSeeds) == 0 {
 		return DefaultLinuxSeeds
@@ -69,12 +52,12 @@ func (o Options) seeds() []int64 {
 	return o.LinuxSeeds
 }
 
-func (o Options) simConfig() sim.Config {
-	return sim.Config{Machine: o.machine(), Sampling: o.Sampling, Faults: o.Faults, Engine: o.Engine}
-}
-
-func (o Options) capacity() units.Rate {
-	return o.machine().Bus.Capacity
+// cell describes one run of mix on the paper machine under the named
+// policy (see sched.New): every experiment builds its cells here, and
+// adjusts the returned Config where it departs from the defaults.
+func (o Options) cell(label, policy string, seed int64, mix workload.Mix, opts ...sched.Option) runner.Cell {
+	return runner.Cell{Label: label, Config: sim.Config{Engine: o.Engine},
+		Apps: mix, Policy: policy, Seed: seed, Opts: opts}
 }
 
 // WorkloadSet identifies the paper's three Section 5 workload
@@ -106,29 +89,20 @@ func (s WorkloadSet) String() string {
 	}
 }
 
-// buildSet instantiates the workload for one application profile under
-// the given set (fresh instances every call — sim mutates apps).
-func buildSet(app workload.Profile, set WorkloadSet) []*workload.App {
-	apps := []*workload.App{
-		workload.NewApp(app, app.Name+"#1"),
-		workload.NewApp(app, app.Name+"#2"),
-	}
-	nB, nN := 0, 0
-	switch set {
+// mix is the set's workload for one application profile: two
+// instances of it plus the set's antagonists.
+func (s WorkloadSet) mix(app workload.Profile) workload.Mix {
+	mix := workload.Mix{{Profile: app, Count: 2}}
+	switch s {
 	case SetBBMA:
-		nB = 4
+		mix = append(mix, workload.Group{Profile: workload.BBMA(), Count: 4})
 	case SetNBBMA:
-		nN = 4
+		mix = append(mix, workload.Group{Profile: workload.NBBMA(), Count: 4})
 	case SetMixed:
-		nB, nN = 2, 2
+		mix = append(mix, workload.Group{Profile: workload.BBMA(), Count: 2},
+			workload.Group{Profile: workload.NBBMA(), Count: 2})
 	}
-	for i := 0; i < nB; i++ {
-		apps = append(apps, workload.NewApp(workload.BBMA(), fmt.Sprintf("BBMA#%d", i+1)))
-	}
-	for i := 0; i < nN; i++ {
-		apps = append(apps, workload.NewApp(workload.NBBMA(), fmt.Sprintf("nBBMA#%d", i+1)))
-	}
-	return apps
+	return mix
 }
 
 // runCells fans a batch of independent cells out through the parallel
@@ -146,18 +120,10 @@ func (o Options) runCells(name string, cells []runner.Cell) ([]sim.Result, error
 }
 
 // linuxCells builds one baseline cell per seed for the workload.
-func linuxCells(opt Options, app workload.Profile, set WorkloadSet) []runner.Cell {
+func (o Options) linuxCells(app workload.Profile, set WorkloadSet) []runner.Cell {
 	var cells []runner.Cell
-	for _, seed := range opt.seeds() {
-		seed := seed
-		cells = append(cells, runner.Cell{
-			Label:  fmt.Sprintf("linux/%s/%s/seed%d", app.Name, set, seed),
-			Config: opt.simConfig(),
-			NewScheduler: func() (sched.Scheduler, error) {
-				return sched.NewLinux(opt.machine().NumCPUs, seed), nil
-			},
-			Apps: buildSet(app, set),
-		})
+	for _, seed := range o.seeds() {
+		cells = append(cells, o.cell(fmt.Sprintf("linux/%s/%s/seed%d", app.Name, set, seed), "linux", seed, set.mix(app)))
 	}
 	return cells
 }
@@ -177,7 +143,7 @@ func meanLinuxFromResults(app workload.Profile, set WorkloadSet, results []sim.R
 // meanLinuxTurnaround runs the workload under the Linux baseline for
 // each seed and returns the mean of the per-run mean turnarounds.
 func meanLinuxTurnaround(opt Options, app workload.Profile, set WorkloadSet) (units.Time, error) {
-	results, err := opt.runCells(fmt.Sprintf("linux/%s/%s", app.Name, set), linuxCells(opt, app, set))
+	results, err := opt.runCells(fmt.Sprintf("linux/%s/%s", app.Name, set), opt.linuxCells(app, set))
 	if err != nil {
 		return 0, err
 	}

@@ -4,7 +4,10 @@ import (
 	"reflect"
 	"testing"
 
+	"busaware/internal/machine"
 	"busaware/internal/runner"
+	"busaware/internal/sched"
+	"busaware/internal/sim"
 	"busaware/internal/units"
 	"busaware/internal/workload"
 )
@@ -345,7 +348,7 @@ func TestBuildSetComposition(t *testing.T) {
 	if !ok {
 		t.Fatal("CG missing")
 	}
-	apps := buildSet(p, SetMixed)
+	apps := SetMixed.mix(p).Build()
 	if len(apps) != 6 {
 		t.Fatalf("mixed set size = %d", len(apps))
 	}
@@ -426,5 +429,29 @@ func TestSMTStudy(t *testing.T) {
 		if r.SpeedupPercent > 60 {
 			t.Errorf("%s: implausible SMT speedup %.1f%%", r.Policy, r.SpeedupPercent)
 		}
+	}
+}
+
+// TestSMTStudyLinuxSeed checks that the SMT study's Linux row runs the
+// first of Options.LinuxSeeds: its SMT-off turnaround equals a direct
+// run of the same mix under Linux at that seed.
+func TestSMTStudyLinuxSeed(t *testing.T) {
+	rows, err := SMTStudy(Options{LinuxSeeds: []int64{7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mix, err := workload.ParseMix("BT x2, BBMA x2, nBBMA x2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := sim.Run(sim.Config{}, sched.NewLinux(machine.DefaultConfig().NumCPUs, 7), mix.Build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows[0].Policy != "Linux" {
+		t.Fatalf("first SMT row is %s, want Linux", rows[0].Policy)
+	}
+	if got, want := rows[0].SMTOff, direct.MeanTurnaround(); got != want {
+		t.Errorf("Linux SMT-off turnaround %v, want the seed-7 run's %v", got, want)
 	}
 }

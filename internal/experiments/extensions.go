@@ -3,9 +3,8 @@ package experiments
 import (
 	"fmt"
 
+	"busaware/internal/machine"
 	"busaware/internal/runner"
-	"busaware/internal/sched"
-	"busaware/internal/sim"
 	"busaware/internal/units"
 	"busaware/internal/workload"
 )
@@ -75,66 +74,46 @@ type SMTRow struct {
 // SMTStudy measures how the policies exploit hyperthreading — the
 // paper's "multithreading processors" future-work direction. The
 // workload doubles with the logical processor count so both machines
-// run at multiprogramming degree 2.
+// run at multiprogramming degree 2. The Linux row runs the first Linux
+// seed only, as ChurnStudy's baseline does.
 func SMTStudy(opt Options) ([]SMTRow, error) {
 	bt, ok := workload.ByName("BT")
 	if !ok {
 		return nil, fmt.Errorf("experiments: BT missing from registry")
 	}
-	build := func(scale int) []*workload.App {
-		apps := workload.Instances(bt, 2*scale)
-		for i := 0; i < 2*scale; i++ {
-			apps = append(apps, workload.NewApp(workload.BBMA(), fmt.Sprintf("B#%d", i+1)))
+	mix := func(scale int) workload.Mix {
+		return workload.Mix{
+			{Profile: bt, Count: 2 * scale},
+			{Profile: workload.BBMA(), Count: 2 * scale},
+			{Profile: workload.NBBMA(), Count: 2 * scale},
 		}
-		for i := 0; i < 2*scale; i++ {
-			apps = append(apps, workload.NewApp(workload.NBBMA(), fmt.Sprintf("n#%d", i+1)))
-		}
-		return apps
 	}
-
-	off := opt.machine() // 4 CPUs, SMT off
-	on := opt.machine()
+	off := machine.DefaultConfig() // 4 CPUs, SMT off
+	on := off
 	on.NumCPUs = off.NumCPUs * 2
 	on.SMTSiblings = 2
 
-	mkPolicy := func(name string, m sim.Config, ncpu int) (sched.Scheduler, error) {
-		switch name {
-		case "Linux":
-			return sched.NewLinux(ncpu, 1), nil
-		case "QuantaWindow":
-			return sched.NewQuantaWindow(ncpu, m.Machine.Bus.Capacity, opt.PolicyOpts...), nil
-		default:
-			return nil, fmt.Errorf("experiments: unknown SMT policy %q", name)
-		}
-	}
-
-	policies := []string{"Linux", "QuantaWindow"}
 	var cells []runner.Cell
-	for _, name := range policies {
-		name := name
-		offCfg := sim.Config{Machine: off, Sampling: opt.Sampling, Engine: opt.Engine}
-		onCfg := sim.Config{Machine: on, Sampling: opt.Sampling, Engine: opt.Engine}
-		mkOff := func() (sched.Scheduler, error) { return mkPolicy(name, offCfg, off.NumCPUs) }
-		mkOn := func() (sched.Scheduler, error) { return mkPolicy(name, onCfg, on.NumCPUs) }
-		if _, err := mkOff(); err != nil {
-			return nil, err
-		}
-		cells = append(cells,
-			runner.Cell{Label: "smt/" + name + "/off", Config: offCfg, NewScheduler: mkOff, Apps: build(1)},
-			runner.Cell{Label: "smt/" + name + "/on", Config: onCfg, NewScheduler: mkOn, Apps: build(2)})
+	for _, policy := range []string{"linux", "window"} {
+		// The seed reaches only the Linux baseline (see sched.New).
+		cOff := opt.cell("smt/"+policy+"/off", policy, opt.seeds()[0], mix(1))
+		cOff.Config.Machine = off
+		cOn := opt.cell("smt/"+policy+"/on", policy, opt.seeds()[0], mix(2))
+		cOn.Config.Machine = on
+		cells = append(cells, cOff, cOn)
 	}
 	results, err := opt.runCells("smt", cells)
 	if err != nil {
 		return nil, err
 	}
 	var rows []SMTRow
-	for i, name := range policies {
-		resOff, resOn := results[i*2], results[i*2+1]
+	for i := 0; i < len(results); i += 2 {
+		resOff, resOn := results[i], results[i+1]
 		if resOff.TimedOut || resOn.TimedOut {
-			return nil, fmt.Errorf("experiments: SMT run timed out under %s", name)
+			return nil, fmt.Errorf("experiments: SMT run timed out under %s", resOff.Scheduler)
 		}
 		row := SMTRow{
-			Policy: name,
+			Policy: resOff.Scheduler,
 			SMTOff: resOff.MeanTurnaround(),
 			SMTOn:  resOn.MeanTurnaround(),
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"busaware/internal/runner"
-	"busaware/internal/sched"
 	"busaware/internal/sim"
 	"busaware/internal/units"
 	"busaware/internal/workload"
@@ -52,7 +51,7 @@ func Figure1(opt Options) ([]Fig1Row, error) {
 	var rows []Fig1Row
 	for i, p := range apps {
 		lo, hi := i*fig1CellsPerApp, (i+1)*fig1CellsPerApp
-		row, err := figure1Row(p, cells[lo:hi], results[lo:hi])
+		row, err := figure1Row(p, results[lo:hi])
 		if err != nil {
 			return nil, err
 		}
@@ -66,37 +65,20 @@ func Figure1(opt Options) ([]Fig1Row, error) {
 // quantum in all four configurations: no processor sharing, as in the
 // paper's Section 3 setup.
 func figure1Cells(opt Options, p workload.Profile) []runner.Cell {
-	mk := func(cfg string, apps []*workload.App) runner.Cell {
-		return runner.Cell{
-			Label:  fmt.Sprintf("fig1/%s/%s", p.Name, cfg),
-			Config: opt.simConfig(),
-			NewScheduler: func() (sched.Scheduler, error) {
-				return sched.NewGang(opt.machine().NumCPUs), nil
-			},
-			Apps: apps,
-		}
+	mk := func(cfg string, mix ...workload.Group) runner.Cell {
+		return opt.cell(fmt.Sprintf("fig1/%s/%s", p.Name, cfg), "gang", 0, mix)
 	}
 	return []runner.Cell{
-		mk("solo", []*workload.App{workload.NewApp(p, p.Name+"#1")}),
-		mk("2apps", []*workload.App{
-			workload.NewApp(p, p.Name+"#1"), workload.NewApp(p, p.Name+"#2"),
-		}),
-		mk("2bbma", []*workload.App{
-			workload.NewApp(p, p.Name+"#1"),
-			workload.NewApp(workload.BBMA(), "BBMA#1"),
-			workload.NewApp(workload.BBMA(), "BBMA#2"),
-		}),
-		mk("2nbbma", []*workload.App{
-			workload.NewApp(p, p.Name+"#1"),
-			workload.NewApp(workload.NBBMA(), "nBBMA#1"),
-			workload.NewApp(workload.NBBMA(), "nBBMA#2"),
-		}),
+		mk("solo", workload.Group{Profile: p, Count: 1}),
+		mk("2apps", workload.Group{Profile: p, Count: 2}),
+		mk("2bbma", workload.Group{Profile: p, Count: 1}, workload.Group{Profile: workload.BBMA(), Count: 2}),
+		mk("2nbbma", workload.Group{Profile: p, Count: 1}, workload.Group{Profile: workload.NBBMA(), Count: 2}),
 	}
 }
 
-// figure1Row assembles one application's row from its four cells, in
+// figure1Row assembles one application's row from its four results, in
 // the order figure1Cells submitted them.
-func figure1Row(p workload.Profile, cells []runner.Cell, results []sim.Result) (Fig1Row, error) {
+func figure1Row(p workload.Profile, results []sim.Result) (Fig1Row, error) {
 	row := Fig1Row{App: p.Name}
 	for _, res := range results {
 		if res.TimedOut {
@@ -104,39 +86,31 @@ func figure1Row(p workload.Profile, cells []runner.Cell, results []sim.Result) (
 		}
 	}
 	solo := results[0]
-	row.SoloRate = cumulativeRate(solo, cells[0].Apps)
+	row.SoloRate = cumulativeRate(solo)
 	soloT := solo.Apps[0].Turnaround
 
-	row.TwoAppsRate = cumulativeRate(results[1], cells[1].Apps)
+	row.TwoAppsRate = cumulativeRate(results[1])
 	row.TwoAppsSlowdown = meanSlowdown(results[1], soloT)
 
-	row.WithBBMARate = cumulativeRate(results[2], cells[2].Apps)
+	row.WithBBMARate = cumulativeRate(results[2])
 	row.WithBBMASlowdown = meanSlowdown(results[2], soloT)
 
-	row.WithNBBMARate = cumulativeRate(results[3], cells[3].Apps)
+	row.WithNBBMARate = cumulativeRate(results[3])
 	row.WithNBBMASlowdown = meanSlowdown(results[3], soloT)
 	return row, nil
 }
 
 // cumulativeRate is the workload's cumulative bus transaction rate:
 // the finite apps' mean rates plus the microbenchmarks' transactions
-// over the run. The microbenchmark contributions are summed in app
-// submission order, not map order, so the float accumulation is
-// bit-for-bit reproducible.
-func cumulativeRate(res sim.Result, apps []*workload.App) units.Rate {
+// over the run, both summed in input order so the float accumulation
+// is bit-for-bit reproducible.
+func cumulativeRate(res sim.Result) units.Rate {
 	var cum units.Rate
 	for _, a := range res.Apps {
 		cum += a.MeanBusRate
 	}
-	var micro []*workload.App
-	for _, a := range apps {
-		if a.Profile.Endless() {
-			micro = append(micro, a)
-		}
-	}
-	rates := sim.MicrobenchRates(micro, res.EndTime)
-	for _, a := range micro {
-		cum += rates[a.Instance]
+	for _, r := range res.MicrobenchRates {
+		cum += r
 	}
 	return cum
 }

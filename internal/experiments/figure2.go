@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"busaware/internal/runner"
-	"busaware/internal/sched"
 	"busaware/internal/sim"
 	"busaware/internal/units"
 	"busaware/internal/workload"
@@ -65,26 +64,9 @@ func Figure2App(set WorkloadSet, opt Options, p workload.Profile) (Fig2Row, erro
 // figure2Cells builds one application's panel cells: the per-seed
 // Linux baselines followed by Latest Quantum and Quanta Window.
 func figure2Cells(set WorkloadSet, opt Options, p workload.Profile) []runner.Cell {
-	ncpu := opt.machine().NumCPUs
-	cap := opt.capacity()
-	cells := linuxCells(opt, p, set)
-	return append(cells,
-		runner.Cell{
-			Label:  fmt.Sprintf("LQ/%s/%s", p.Name, set),
-			Config: opt.simConfig(),
-			NewScheduler: func() (sched.Scheduler, error) {
-				return sched.NewLatestQuantum(ncpu, cap, opt.PolicyOpts...), nil
-			},
-			Apps: buildSet(p, set),
-		},
-		runner.Cell{
-			Label:  fmt.Sprintf("QW/%s/%s", p.Name, set),
-			Config: opt.simConfig(),
-			NewScheduler: func() (sched.Scheduler, error) {
-				return sched.NewQuantaWindow(ncpu, cap, opt.PolicyOpts...), nil
-			},
-			Apps: buildSet(p, set),
-		})
+	return append(opt.linuxCells(p, set),
+		opt.cell(fmt.Sprintf("LQ/%s/%s", p.Name, set), "latest", 0, set.mix(p)),
+		opt.cell(fmt.Sprintf("QW/%s/%s", p.Name, set), "window", 0, set.mix(p)))
 }
 
 // figure2Row assembles one application's row from its cell results,

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 
+	"busaware/internal/machine"
 	"busaware/internal/runner"
-	"busaware/internal/sched"
 	"busaware/internal/stats"
 	"busaware/internal/workload"
 )
@@ -36,8 +36,7 @@ func Robustness(opt Options, n int, seed int64) (RobustnessResult, error) {
 	out := RobustnessResult{Workloads: n}
 	var lqImps, qwImps []float64
 
-	ncpu := opt.machine().NumCPUs
-	cap := opt.capacity()
+	ncpu := machine.DefaultConfig().NumCPUs
 	// Each workload draws from its own rng seeded with seed+i, so mix i
 	// is a pure function of (seed, i): inserting, removing or reordering
 	// workloads never reshuffles the others, and generation order is
@@ -48,54 +47,20 @@ func Robustness(opt Options, n int, seed int64) (RobustnessResult, error) {
 		// Two random finite applications...
 		p1 := workload.RandomProfile(wrng, fmt.Sprintf("rnd%da", i))
 		p2 := workload.RandomProfile(wrng, fmt.Sprintf("rnd%db", i))
-		if p1.Threads > ncpu {
-			p1.Threads = ncpu
-		}
-		if p2.Threads > ncpu {
-			p2.Threads = ncpu
-		}
+		p1.Threads = min(p1.Threads, ncpu)
+		p2.Threads = min(p2.Threads, ncpu)
 		// ... plus a random antagonist mix.
-		nB := 1 + wrng.Intn(3)
-		nN := 1 + wrng.Intn(3)
-		build := func() []*workload.App {
-			apps := []*workload.App{
-				workload.NewApp(p1, p1.Name+"#1"),
-				workload.NewApp(p2, p2.Name+"#1"),
-			}
-			for b := 0; b < nB; b++ {
-				apps = append(apps, workload.NewApp(workload.BBMA(), fmt.Sprintf("B#%d", b+1)))
-			}
-			for b := 0; b < nN; b++ {
-				apps = append(apps, workload.NewApp(workload.NBBMA(), fmt.Sprintf("n#%d", b+1)))
-			}
-			return apps
+		mix := workload.Mix{
+			{Profile: p1, Count: 1},
+			{Profile: p2, Count: 1},
+			{Profile: workload.BBMA(), Count: 1 + wrng.Intn(3)},
+			{Profile: workload.NBBMA(), Count: 1 + wrng.Intn(3)},
 		}
 		linuxSeed := wrng.Int63()
 		cells = append(cells,
-			runner.Cell{
-				Label:  fmt.Sprintf("robust/%d/linux", i),
-				Config: opt.simConfig(),
-				NewScheduler: func() (sched.Scheduler, error) {
-					return sched.NewLinux(ncpu, linuxSeed), nil
-				},
-				Apps: build(),
-			},
-			runner.Cell{
-				Label:  fmt.Sprintf("robust/%d/LQ", i),
-				Config: opt.simConfig(),
-				NewScheduler: func() (sched.Scheduler, error) {
-					return sched.NewLatestQuantum(ncpu, cap, opt.PolicyOpts...), nil
-				},
-				Apps: build(),
-			},
-			runner.Cell{
-				Label:  fmt.Sprintf("robust/%d/QW", i),
-				Config: opt.simConfig(),
-				NewScheduler: func() (sched.Scheduler, error) {
-					return sched.NewQuantaWindow(ncpu, cap, opt.PolicyOpts...), nil
-				},
-				Apps: build(),
-			})
+			opt.cell(fmt.Sprintf("robust/%d/linux", i), "linux", linuxSeed, mix),
+			opt.cell(fmt.Sprintf("robust/%d/LQ", i), "latest", 0, mix),
+			opt.cell(fmt.Sprintf("robust/%d/QW", i), "window", 0, mix))
 	}
 	results, err := opt.runCells("robustness", cells)
 	if err != nil {

@@ -2,9 +2,12 @@
 // bounded worker pool while keeping results byte-for-byte
 // deterministic. The paper's evaluation is a large grid of independent
 // cells (every figure bar is its own sim.Run), so the sweep
-// parallelizes trivially: each cell carries its own scheduler, its own
-// freshly built applications and its own config, and aggregation
-// always happens in submission order, never completion order.
+// parallelizes trivially. A cell is a value — a workload mix, a policy
+// name, a seed, policy options and a sim.Config — and builds its
+// applications and its scheduler only when it runs, so nothing mutable
+// is shared between cells or between two runs of one cell, and
+// aggregation always happens in submission order, never completion
+// order.
 //
 // The runner also attaches run-level observability to every batch: a
 // Report records per-cell wall time, simulated quanta, bus-utilization
@@ -17,33 +20,33 @@ import (
 	"runtime"
 	"time"
 
+	"busaware/internal/machine"
 	"busaware/internal/sched"
 	"busaware/internal/sim"
 	"busaware/internal/units"
 	"busaware/internal/workload"
 )
 
-// Cell is one independent simulation run. Cells must not share mutable
-// state: sim.Run mutates both the scheduler and the applications, so
-// every cell carries fresh instances (exactly how the serial
-// experiment code already built its runs).
+// Cell is one independent simulation run, described as plain data:
+// Simulate builds fresh application instances and a fresh scheduler on
+// every call, so one Cell value may run any number of times, on any
+// worker, with identical results.
 type Cell struct {
 	// Label identifies the cell in metrics and error messages, e.g.
 	// "fig2/LQ/CG/2Apps+4BBMA".
 	Label string
-	// Config is the cell's simulation configuration.
+	// Config is the cell's simulation configuration. A zero Machine is
+	// the paper machine, for the scheduler as for sim.Run.
 	Config sim.Config
-	// NewScheduler builds the cell's scheduler when the cell runs, and
-	// is forwarded to sim.Config.SchedulerFactory so the shadow engine
-	// can run its second core against an independent but equivalent
-	// scheduler.
-	NewScheduler func() (sched.Scheduler, error)
-	// Apps is the cell's workload; owned by the cell. The slice is
-	// retained so callers can inspect mutated state (e.g. antagonist
-	// counters via sim.MicrobenchRates) after the batch completes.
-	Apps []*workload.App
-	// Run, when non-nil, replaces the default sim.Run invocation —
-	// used by tests and by callers with non-simulation work to fan out.
+	// Apps is the cell's workload, instantiated afresh by every run.
+	Apps workload.Mix
+	// Policy, Seed and Opts name the cell's scheduler through the one
+	// policy table, sched.New, for Config.Machine.
+	Policy string
+	Seed   int64
+	Opts   []sched.Option
+	// Run, when non-nil, replaces Simulate — used by tests and by
+	// callers with non-simulation work to fan out.
 	Run func() (sim.Result, error)
 }
 
@@ -54,15 +57,24 @@ func (c Cell) run() (sim.Result, error) {
 	return c.Simulate()
 }
 
-// Simulate runs Apps under a fresh scheduler from NewScheduler.
+// Simulate runs a fresh instance of Apps under a fresh scheduler. The
+// same constructor is sim.Config.SchedulerFactory, so the shadow
+// engine's second core runs an independent but identical scheduler.
 func (c Cell) Simulate() (sim.Result, error) {
-	s, err := c.NewScheduler()
+	if c.Config.Machine.NumCPUs == 0 {
+		c.Config.Machine = machine.DefaultConfig()
+	}
+	c.Config.SchedulerFactory = c.scheduler
+	s, err := c.scheduler()
 	if err != nil {
 		return sim.Result{}, err
 	}
-	cfg := c.Config
-	cfg.SchedulerFactory = c.NewScheduler
-	return sim.Run(cfg, s, c.Apps)
+	return sim.Run(c.Config, s, c.Apps.Build())
+}
+
+// scheduler builds the cell's scheduler for Config.Machine.
+func (c Cell) scheduler() (sched.Scheduler, error) {
+	return sched.New(c.Policy, c.Config.Machine, c.Seed, c.Opts...)
 }
 
 // CellStat is the run-level record of one executed cell.

@@ -158,23 +158,82 @@ func TestRunErrorPropagation(t *testing.T) {
 }
 
 // simCells builds a small real workload grid: a Linux baseline, both
-// paper policies and a gang run over CG + antagonists. Fresh state on
-// every call, as the runner requires.
+// paper policies and a gang run over CG + antagonists.
 func simCells() []Cell {
 	cg, _ := workload.ByName("CG")
-	build := func() []*workload.App {
-		return []*workload.App{
-			workload.NewApp(cg, "CG#1"),
-			workload.NewApp(workload.BBMA(), "BBMA#1"),
-			workload.NewApp(workload.NBBMA(), "nBBMA#1"),
-		}
-	}
+	mix := workload.Mix{{Profile: cg, Count: 1}, {Profile: workload.BBMA(), Count: 1}, {Profile: workload.NBBMA(), Count: 1}}
 	cell := func(policy string) Cell {
-		return Cell{Label: policy, Apps: build(), NewScheduler: func() (sched.Scheduler, error) {
-			return sched.New(policy, machine.DefaultConfig(), 1)
-		}}
+		return Cell{Label: policy, Apps: mix, Policy: policy, Seed: 1}
 	}
 	return []Cell{cell("linux"), cell("latest"), cell("window"), cell("gang")}
+}
+
+// TestCellRunsFresh runs one Cell value twice: each run builds its own
+// instances and scheduler, so the second sees no state the first left
+// behind.
+func TestCellRunsFresh(t *testing.T) {
+	for _, c := range simCells() {
+		first, err := c.Simulate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := c.Simulate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(first, second) {
+			t.Errorf("%s: second run of one cell differs from the first", c.Label)
+		}
+		if first.TimedOut || len(first.Apps) != 1 {
+			t.Errorf("%s: run did not complete: %+v", c.Label, first)
+		}
+	}
+}
+
+// TestCellOptionsReachBothCores runs a window cell with a non-default
+// window under the shadow engine. The option changes the result, and
+// the two cores still agree, so it reached the scheduler each core
+// built.
+func TestCellOptionsReachBothCores(t *testing.T) {
+	rt, _ := workload.ByName("Raytrace")
+	mix := workload.Mix{{Profile: rt, Count: 2}, {Profile: workload.NBBMA(), Count: 4}}
+	plain := Cell{Label: "W5", Config: sim.Config{Engine: sim.EngineShadow}, Apps: mix, Policy: "window"}
+	wide := plain
+	wide.Label, wide.Opts = "W8", []sched.Option{sched.WithWindow(8)}
+	a, err := plain.Simulate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := wide.Simulate()
+	if err != nil {
+		t.Fatalf("shadow run with an option: %v", err)
+	}
+	if reflect.DeepEqual(a, b) {
+		t.Error("WithWindow(8) left the result unchanged; the option did not reach the scheduler")
+	}
+}
+
+// TestCellZeroMachineIsPaperMachine checks that a zero Config.Machine
+// builds the scheduler, not only the machine, for the paper machine.
+func TestCellZeroMachineIsPaperMachine(t *testing.T) {
+	for _, c := range simCells() {
+		zero, err := c.Simulate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Config.Machine = machine.DefaultConfig()
+		paper, err := c.Simulate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(zero, paper) {
+			t.Errorf("%s: zero machine and paper machine differ", c.Label)
+		}
+		c.Config.Machine.NumCPUs = 2
+		if two, err := c.Simulate(); err != nil || reflect.DeepEqual(zero, two) {
+			t.Errorf("%s: a 2-CPU machine ran like the paper machine (err %v)", c.Label, err)
+		}
+	}
 }
 
 // TestRunDeterministicAcrossWorkerCounts is the core guarantee: the

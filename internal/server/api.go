@@ -68,20 +68,17 @@ const maxCPUs = 1024
 
 // cell is a validated, normalized request: every default applied and
 // Key its exact-match cache identity. canon makes it without
-// instantiating anything but a churn schedule; build instantiates it,
-// only on a miss, in the pool worker.
+// instantiating anything but a churn schedule; the run instantiates
+// its apps and scheduler only on a miss, in the pool worker.
 type cell struct {
 	// Key canonicalizes the request: specs that parse to the same
 	// workload ("CG x2" vs "CG, CG") and requests that spell out a
 	// default vs omit it collide on purpose.
-	Key    string
-	apps   workload.Mix
-	policy string
-	seed   int64
-	// config holds the machine, time cap, faults and churn schedule;
-	// the worker adds the engine, the telemetry collector and any
-	// Chrome trace.
-	config   sim.Config
+	Key string
+	// run is the simulation: mix, policy, seed, and a config holding
+	// the machine, time cap, faults and churn schedule. The worker adds
+	// the engine, the telemetry collector and any Chrome trace.
+	run      runner.Cell
 	trace    bool
 	timeline bool
 }
@@ -142,28 +139,16 @@ func canon(req Request) (*cell, error) {
 		_, err := sched.New(policy, m, seed) // words the refusal; builds nothing
 		return nil, fmt.Errorf("server: %w", err)
 	}
+	key := fmt.Sprintf("v1|policy=%s|seed=%d|cpus=%d|maxt=%d|trace=%t|tl=%t|faults=%s|scn=%s|apps=%s",
+		policy, seed, m.NumCPUs, int64(maxTime), req.Trace, req.Timeline,
+		faultKey(fcfg), scnKey, apps)
 	return &cell{
-		Key: fmt.Sprintf("v1|policy=%s|seed=%d|cpus=%d|maxt=%d|trace=%t|tl=%t|faults=%s|scn=%s|apps=%s",
-			policy, seed, m.NumCPUs, int64(maxTime), req.Trace, req.Timeline,
-			faultKey(fcfg), scnKey, apps),
-		apps:     apps,
-		policy:   policy,
-		seed:     seed,
-		config:   sim.Config{Machine: m, MaxTime: maxTime, Faults: fcfg, Scenario: churn},
+		Key: key,
+		run: runner.Cell{Label: key, Apps: apps, Policy: policy, Seed: seed,
+			Config: sim.Config{Machine: m, MaxTime: maxTime, Faults: fcfg, Scenario: churn}},
 		trace:    req.Trace,
 		timeline: req.Timeline,
 	}, nil
-}
-
-// build instantiates c: fresh application instances (sim.Run mutates
-// them, so a built cell is single-use), its scheduler factory, and the
-// Chrome trace when the request asked for one.
-func (c *cell) build() runner.Cell {
-	if c.trace {
-		c.config.Trace = &trace.Timeline{NumCPUs: c.config.Machine.NumCPUs}
-	}
-	return runner.Cell{Label: c.Key, Config: c.config, Apps: c.apps.Build(),
-		NewScheduler: func() (sched.Scheduler, error) { return sched.New(c.policy, c.config.Machine, c.seed) }}
 }
 
 // CanonicalKey validates req and returns its canonical cache key —

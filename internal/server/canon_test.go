@@ -220,13 +220,14 @@ type normalized struct {
 }
 
 func normalize(c *cell) normalized {
-	n := normalized{apps: c.apps, policy: c.policy, seed: c.seed, cpus: c.config.Machine.NumCPUs,
-		maxTime: int64(c.config.MaxTime), trace: c.trace, timeline: c.timeline}
-	if c.config.Faults.Enabled() {
-		n.faults = c.config.Faults
+	cfg := c.run.Config
+	n := normalized{apps: c.run.Apps, policy: c.run.Policy, seed: c.run.Seed, cpus: cfg.Machine.NumCPUs,
+		maxTime: int64(cfg.MaxTime), trace: c.trace, timeline: c.timeline}
+	if cfg.Faults.Enabled() {
+		n.faults = cfg.Faults
 	}
-	if c.config.Scenario != nil {
-		n.scenario = c.config.Scenario.Spec
+	if cfg.Scenario != nil {
+		n.scenario = cfg.Scenario.Spec
 	}
 	return n
 }
@@ -308,16 +309,16 @@ func checkCell(t *testing.T, req Request, c *cell) {
 	if err != nil {
 		t.Fatalf("canon accepted %q, ParseSpec refuses it: %v", req.Apps, err)
 	}
-	run := c.build()
-	if len(run.Apps) != len(want) {
-		t.Fatalf("%q: built %d instances, ParseSpec %d", req.Apps, len(run.Apps), len(want))
+	built := c.run.Apps.Build()
+	if len(built) != len(want) {
+		t.Fatalf("%q: built %d instances, ParseSpec %d", req.Apps, len(built), len(want))
 	}
-	for i, a := range run.Apps {
+	for i, a := range built {
 		if a.Instance != want[i].Instance || !reflect.DeepEqual(a.Profile, want[i].Profile) {
 			t.Fatalf("%q: instance %d is %s, ParseSpec's %s", req.Apps, i, a.Instance, want[i].Instance)
 		}
 	}
-	if _, err := run.NewScheduler(); err != nil {
+	if _, err := sched.New(c.run.Policy, c.run.Config.Machine, c.run.Seed, c.run.Opts...); err != nil {
 		t.Fatalf("key %s: scheduler does not build: %v", c.Key, err)
 	}
 }

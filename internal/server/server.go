@@ -34,6 +34,7 @@ import (
 	"busaware/internal/runner"
 	"busaware/internal/sim"
 	"busaware/internal/store"
+	"busaware/internal/trace"
 )
 
 // Config sizes the server. The zero value is serviceable: GOMAXPROCS
@@ -330,14 +331,15 @@ func (d computed) status() int {
 
 // compute submits c to the pool; false means the queue is full. The
 // worker sheds the cell if its non-zero deadline passed while it
-// waited in the queue; otherwise it builds the cell and runs it. Every
-// run records telemetry into its own bounded collector — not just
-// opted-in ones — so the live /v1/timeline feed sees all traffic;
-// recording is allocation-free per quantum, so this costs nothing the
-// bench gate would notice. The cell's forwarder goroutine renders the
-// result and writes it through every tier before delivering it on
-// done, so the computation is spent once even when its requester has
-// stopped waiting. done must have room for the delivery.
+// waited in the queue; otherwise it runs the cell, which builds its
+// apps and scheduler there. Every run records telemetry into its own
+// bounded collector — not just opted-in ones — so the live
+// /v1/timeline feed sees all traffic; recording is allocation-free per
+// quantum, so this costs nothing the bench gate would notice. The
+// cell's forwarder goroutine renders the result and writes it through
+// every tier before delivering it on done, so the computation is spent
+// once even when its requester has stopped waiting. done must have
+// room for the delivery.
 func (s *Server) compute(c *cell, deadline time.Time, done chan<- computed) bool {
 	hook, delay := s.testRunHook, s.cfg.SimDelay
 	out, ok := s.pool.TrySubmit(runner.Cell{Label: c.Key, Run: func() (sim.Result, error) {
@@ -349,9 +351,12 @@ func (s *Server) compute(c *cell, deadline time.Time, done chan<- computed) bool
 			hook()
 		}
 		time.Sleep(delay)
-		c.config.Engine = s.cfg.Engine
-		c.config.Timeline = s.newRunCollector(c.Key)
-		return c.build().Simulate()
+		c.run.Config.Engine = s.cfg.Engine
+		c.run.Config.Timeline = s.newRunCollector(c.Key)
+		if c.trace {
+			c.run.Config.Trace = &trace.Timeline{NumCPUs: c.run.Config.Machine.NumCPUs}
+		}
+		return c.run.Simulate()
 	}})
 	if !ok {
 		return false
@@ -375,11 +380,11 @@ func renderBody(c *cell, res runner.PoolResult) ([]byte, error) {
 	if res.Err != nil {
 		return nil, res.Err
 	}
-	col := c.config.Timeline
+	col := c.run.Config.Timeline
 	if !c.timeline {
 		col = nil
 	}
-	resp, err := NewResponse(res.Result, c.config.Trace, col)
+	resp, err := NewResponse(res.Result, c.run.Config.Trace, col)
 	if err != nil {
 		return nil, err
 	}

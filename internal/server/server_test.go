@@ -58,7 +58,7 @@ func TestSimulateMatchesDirectRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.build().Simulate()
+	res, err := c.run.Simulate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestLateCompletionPopulatesCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.build().Simulate()
+	res, err := c.run.Simulate()
 	if err != nil {
 		t.Fatal(err)
 	}

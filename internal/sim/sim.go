@@ -165,6 +165,11 @@ type Result struct {
 	ScenarioArrivals   int
 	ScenarioDepartures int
 	ScenarioCompleted  int
+	// MicrobenchRates holds each endless base application's mean
+	// cumulative bus rate over the run (its counted transactions over
+	// EndTime), in input order — the microbenchmarks' share of the
+	// Figure 1A workload rate. Scenario instances are left out.
+	MicrobenchRates []units.Rate
 }
 
 // MeanTurnaround returns the arithmetic mean turnaround of the finite
@@ -651,6 +656,13 @@ func run(cfg Config, s sched.Scheduler, apps []*workload.App) (Result, error) {
 
 	for _, st := range states {
 		if st.app.Profile.Endless() {
+			if !st.scenario && res.EndTime > 0 {
+				var trans uint64
+				for _, th := range st.app.Threads {
+					trans += th.Counters.Read(perfctr.EventBusTransAny)
+				}
+				res.MicrobenchRates = append(res.MicrobenchRates, units.Rate(float64(trans)/float64(res.EndTime)))
+			}
 			continue
 		}
 		// Scenario instances are reported only if they completed
@@ -677,22 +689,4 @@ func run(cfg Config, s sched.Scheduler, apps []*workload.App) (Result, error) {
 		res.Apps = append(res.Apps, ar)
 	}
 	return res, nil
-}
-
-// MicrobenchRates returns the mean cumulative bus rate achieved by the
-// given endless applications during a run window. It reruns nothing:
-// callers pass the apps after Run and it reads their counters.
-func MicrobenchRates(apps []*workload.App, elapsed units.Time) map[string]units.Rate {
-	out := make(map[string]units.Rate)
-	if elapsed <= 0 {
-		return out
-	}
-	for _, app := range apps {
-		var trans uint64
-		for _, th := range app.Threads {
-			trans += th.Counters.Read(perfctr.EventBusTransAny)
-		}
-		out[app.Instance] = units.Rate(float64(trans) / float64(elapsed))
-	}
-	return out
 }

@@ -6,6 +6,7 @@ import (
 
 	"busaware/internal/faults"
 	"busaware/internal/machine"
+	"busaware/internal/perfctr"
 	"busaware/internal/sched"
 	"busaware/internal/timeline"
 	"busaware/internal/trace"
@@ -167,19 +168,34 @@ func TestTimeoutGuard(t *testing.T) {
 
 func TestMicrobenchRates(t *testing.T) {
 	apps := []*workload.App{
-		workload.NewApp(profile(t, "Volrend"), "V#1"),
 		workload.NewApp(workload.BBMA(), "B#1"),
+		workload.NewApp(profile(t, "Volrend"), "V#1"),
+		workload.NewApp(workload.NBBMA(), "n#1"),
 	}
 	res, err := Run(Config{}, sched.NewGang(4), apps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rates := MicrobenchRates(apps[1:], res.EndTime)
-	if r := float64(rates["B#1"]); r < 10 {
+	// One rate per endless app, in input order, each its counted
+	// transactions over the run.
+	endless := []*workload.App{apps[0], apps[2]}
+	if len(res.MicrobenchRates) != len(endless) {
+		t.Fatalf("%d microbenchmark rates, want %d", len(res.MicrobenchRates), len(endless))
+	}
+	for i, a := range endless {
+		var trans uint64
+		for _, th := range a.Threads {
+			trans += th.Counters.Read(perfctr.EventBusTransAny)
+		}
+		if want := units.Rate(float64(trans) / float64(res.EndTime)); res.MicrobenchRates[i] != want {
+			t.Errorf("%s: rate %v, want %v", a.Instance, res.MicrobenchRates[i], want)
+		}
+	}
+	if r := float64(res.MicrobenchRates[0]); r < 10 {
 		t.Errorf("BBMA achieved %.2f trans/us, want substantial", r)
 	}
-	if len(MicrobenchRates(apps[1:], 0)) != 0 {
-		t.Error("zero elapsed should yield empty map")
+	if res.MicrobenchRates[1] >= res.MicrobenchRates[0] {
+		t.Errorf("nBBMA rate %v not below BBMA's %v", res.MicrobenchRates[1], res.MicrobenchRates[0])
 	}
 }
 
