@@ -1,7 +1,12 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 
 	"busaware/internal/sim"
@@ -12,7 +17,8 @@ import (
 // explicit shape claims and numeric bands. The bands sit around the
 // reproduction's own values, not the paper's (EXPERIMENTS.md compares
 // the two). A change that deliberately moves output bits must leave
-// them where they are.
+// them where they are. The numbers README.md and EXPERIMENTS.md quote
+// must be the ones computed here, so neither doc can drift.
 func TestPaperFacingNumbers(t *testing.T) {
 	opt := Options{Engine: sim.EngineEvent}
 
@@ -31,17 +37,17 @@ func TestPaperFacingNumbers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cgFound := false
+	cgSlowdown := math.NaN()
 	for _, r := range fig1 {
 		if r.App == "CG" {
-			cgFound = true
-			if r.WithBBMASlowdown < 2 || r.WithBBMASlowdown > 3 {
-				t.Errorf("Figure 1B: CG + 2 BBMA slowdown %.2fx, want 2x-3x", r.WithBBMASlowdown)
-			}
+			cgSlowdown = r.WithBBMASlowdown
 		}
 	}
-	if !cgFound {
+	if math.IsNaN(cgSlowdown) {
 		t.Fatal("Figure 1 has no CG row")
+	}
+	if cgSlowdown < 2 || cgSlowdown > 3 {
+		t.Errorf("Figure 1B: CG + 2 BBMA slowdown %.2fx, want 2x-3x", cgSlowdown)
 	}
 
 	type band struct{ lo, hi float64 }
@@ -53,6 +59,7 @@ func TestPaperFacingNumbers(t *testing.T) {
 		SetMixed: {{14, 16}, {14.7, 16.7}},
 	}
 	panels := map[WorkloadSet][]Fig2Row{}
+	sums := map[WorkloadSet]Fig2Summary{}
 	for _, set := range []WorkloadSet{SetBBMA, SetNBBMA, SetMixed} {
 		rows, err := Figure2(set, opt)
 		if err != nil {
@@ -60,6 +67,7 @@ func TestPaperFacingNumbers(t *testing.T) {
 		}
 		panels[set] = rows
 		s := Summarize(set, rows)
+		sums[set] = s
 		want := means[set]
 		if !in(s.LQMean, want[0]) || !in(s.QWMean, want[1]) {
 			t.Errorf("Figure 2 %s: averages LQ %.2f%% / QW %.2f%%, want LQ in [%v, %v] and QW in [%v, %v]",
@@ -110,4 +118,71 @@ func TestPaperFacingNumbers(t *testing.T) {
 	if ovh.OverheadPercent > 4.5 {
 		t.Errorf("manager overhead %.2f%%, want <= 4.5%%", ovh.OverheadPercent)
 	}
+
+	// README's "Reproduced results at a glance" rows, in its own
+	// format: one decimal for percentages, two for slowdowns.
+	pct := func(v float64) string { return fmt.Sprintf("%.1f%%", v) }
+	pair := func(s Fig2Summary) string { return pct(s.LQMean) + " / " + pct(s.QWMean) }
+	readme := readDoc(t, "README.md")
+	for _, row := range [][2]string{
+		{"Saturated-bus slowdown (CG + 2 BBMA)", fmt.Sprintf("%.2fx", cgSlowdown)},
+		{"Fig 2A mean improvement (LQ / QW)", pair(sums[SetBBMA])},
+		{"Fig 2B mean improvement (LQ / QW)", pair(sums[SetNBBMA])},
+		{"Fig 2C mean improvement (LQ / QW)", pair(sums[SetMixed])},
+		{"Manager overhead worst case", pct(ovh.OverheadPercent)},
+	} {
+		if got := glanceRow(readme, row[0]); got != row[1] {
+			t.Errorf("README.md %q reads %q, computed %q", row[0], got, row[1])
+		}
+	}
+	// EXPERIMENTS.md's bold "avg **x%**" under each Figure 2 heading:
+	// LQ's first, then QW's.
+	experiments := readDoc(t, "EXPERIMENTS.md")
+	avg := regexp.MustCompile(`avg\s+\*\*([^*]+)\*\*`)
+	for heading, set := range map[string]WorkloadSet{"F2A": SetBBMA, "F2B": SetNBBMA, "F2C": SetMixed} {
+		var got []string
+		for _, m := range avg.FindAllStringSubmatch(docSection(experiments, "## "+heading+" "), -1) {
+			got = append(got, m[1])
+		}
+		want := []string{pct(sums[set].LQMean), pct(sums[set].QWMean)}
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("EXPERIMENTS.md %s averages read %q, computed %q", heading, got, want)
+		}
+	}
+}
+
+// readDoc returns a document at the repository root.
+func readDoc(t *testing.T, name string) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("..", "..", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// glanceRow returns the last cell of the markdown table row whose first
+// cell is label, or "" when there is none.
+func glanceRow(doc, label string) string {
+	for _, line := range strings.Split(doc, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) > 3 && strings.TrimSpace(cells[1]) == label {
+			return strings.TrimSpace(cells[len(cells)-2])
+		}
+	}
+	return ""
+}
+
+// docSection returns doc from the line starting with heading up to the
+// next "## " heading, or "" when there is no such line.
+func docSection(doc, heading string) string {
+	i := strings.Index(doc, "\n"+heading)
+	if i < 0 {
+		return ""
+	}
+	rest := doc[i+1:]
+	if j := strings.Index(rest[len(heading):], "\n## "); j >= 0 {
+		return rest[:len(heading)+j]
+	}
+	return rest
 }
