@@ -128,7 +128,7 @@ const (
 // NewScheduler builds a scheduler by name for the given machine. The
 // seed only affects the Linux baseline's runqueue shuffling.
 func NewScheduler(policy string, m MachineConfig, seed int64) (Scheduler, error) {
-	s, err := sched.New(policy, m, seed)
+	s, err := sched.New(policy, m, seed, sched.Params{})
 	if err != nil {
 		return nil, fmt.Errorf("busaware: %w", err)
 	}
@@ -160,14 +160,6 @@ func ParseEngine(s string) (EngineKind, error) { return sim.ParseEngine(s) }
 // machine-wide statistics.
 func Run(m MachineConfig, s Scheduler, apps []*App) (Result, error) {
 	return sim.Run(sim.Config{Machine: m}, s, apps)
-}
-
-// RunWithTimeline is Run with per-quantum telemetry: the collector
-// receives one aggregated sample per quantum (bus utilization and
-// stretch, admission decisions, queue depth, fault events), windowed
-// into bounded memory. See internal/timeline for the window schema.
-func RunWithTimeline(m MachineConfig, s Scheduler, apps []*App, tl *TimelineCollector) (Result, error) {
-	return sim.Run(sim.Config{Machine: m, Timeline: tl}, s, apps)
 }
 
 // NewTimelineCollector builds a timeline collector; the zero config
@@ -203,17 +195,3 @@ func LoadPatternPresets() []string { return scenario.Presets() }
 // arrival/departure schedule: the same spec always yields the same
 // events, bit for bit.
 func MaterializeChurn(spec ChurnSpec) (*ChurnSchedule, error) { return scenario.Materialize(spec) }
-
-// RunScenario is RunEngine with a churn schedule overlaid: scenario
-// instances arrive and depart mid-run while the base apps run to
-// completion. A nil churn makes it identical to RunEngine.
-func RunScenario(engine EngineKind, m MachineConfig, s Scheduler, newSched func() (Scheduler, error), apps []*App, churn *ChurnSchedule) (Result, error) {
-	return sim.Run(sim.Config{Machine: m, Engine: engine, SchedulerFactory: newSched, Scenario: churn}, s, apps)
-}
-
-// RunScenarioTraced is RunScenario with schedule recording.
-func RunScenarioTraced(engine EngineKind, m MachineConfig, s Scheduler, newSched func() (Scheduler, error), apps []*App, churn *ChurnSchedule) (Result, *Timeline, error) {
-	tl := &trace.Timeline{NumCPUs: m.NumCPUs}
-	res, err := sim.Run(sim.Config{Machine: m, Engine: engine, Trace: tl, SchedulerFactory: newSched, Scenario: churn}, s, apps)
-	return res, tl, err
-}

@@ -9,6 +9,9 @@ import (
 
 	"busaware"
 	"busaware/internal/report"
+	"busaware/internal/runner"
+	"busaware/internal/sim"
+	"busaware/internal/workload"
 )
 
 // timelineSpec is the workload the telemetry figure runs: the paper's
@@ -33,22 +36,18 @@ type policyWindows struct {
 // per-quantum collector attached, renders the windows as a table, and
 // optionally writes them to outPath (CSV or NDJSON by extension).
 func timelineFigure(emit func(*report.Table), outPath string) error {
+	mix, err := workload.ParseMix(timelineSpec)
+	if err != nil {
+		return err
+	}
 	var recs []policyWindows
 	for _, policy := range timelinePolicies {
-		apps, err := busaware.ParseApps(timelineSpec)
-		if err != nil {
-			return err
-		}
-		m := busaware.PaperMachine()
-		s, err := busaware.NewScheduler(policy, m, 1)
-		if err != nil {
-			return err
-		}
 		col, err := busaware.NewTimelineCollector(busaware.TimelineConfig{QuantaPerWindow: 32})
 		if err != nil {
 			return err
 		}
-		if _, err := busaware.RunWithTimeline(m, s, apps, col); err != nil {
+		cell := runner.Cell{Apps: mix, Policy: policy, Seed: 1, Config: sim.Config{Timeline: col}}
+		if _, err := cell.Simulate(); err != nil {
 			return err
 		}
 		recs = append(recs, policyWindows{Policy: policy, Windows: col.Windows(), Summary: col.Summary()})

@@ -26,7 +26,10 @@ import (
 
 	"busaware"
 	"busaware/internal/report"
+	"busaware/internal/runner"
 	"busaware/internal/server"
+	"busaware/internal/sim"
+	"busaware/internal/workload"
 )
 
 func main() {
@@ -45,30 +48,21 @@ func main() {
 	scenarioSeed := flag.Int64("scenario-seed", 0, "seed for the scenario's pool draws")
 	flag.Parse()
 
-	apps, err := busaware.ParseApps(*appsSpec)
+	mix, err := workload.ParseMix(*appsSpec)
 	if err != nil {
 		fatal(err)
-	}
-	m := busaware.PaperMachine()
-	if *cpus > 0 {
-		m.NumCPUs = *cpus
 	}
 	engine, err := busaware.ParseEngine(*engineName)
 	if err != nil {
 		fatal(err)
 	}
-	s, err := busaware.NewScheduler(*policy, m, *seed)
-	if err != nil {
-		fatal(err)
+	cell := runner.Cell{Apps: mix, Policy: *policy, Seed: *seed,
+		Config: sim.Config{Machine: busaware.PaperMachine(), Engine: engine}}
+	if *cpus > 0 {
+		cell.Config.Machine.NumCPUs = *cpus
 	}
-	// Shadow's verification core replays with its own independent but
-	// identically-configured scheduler.
-	newSched := func() (busaware.Scheduler, error) {
-		return busaware.NewScheduler(*policy, m, *seed)
-	}
-	var churn *busaware.ChurnSchedule
 	if *scenarioPat != "" {
-		churn, err = busaware.MaterializeChurn(busaware.ChurnSpec{
+		cell.Config.Scenario, err = busaware.MaterializeChurn(busaware.ChurnSpec{
 			Pattern: *scenarioPat, Pool: *scenarioPool, Seed: *scenarioSeed,
 		})
 		if err != nil {
@@ -77,13 +71,12 @@ func main() {
 	} else if *scenarioPool != "" || *scenarioSeed != 0 {
 		fatal(fmt.Errorf("-scenario-pool and -scenario-seed require -scenario"))
 	}
-	var res busaware.Result
 	var tl *busaware.Timeline
 	if *timeline || *traceOut != "" {
-		res, tl, err = busaware.RunScenarioTraced(engine, m, s, newSched, apps, churn)
-	} else {
-		res, err = busaware.RunScenario(engine, m, s, newSched, apps, churn)
+		tl = &busaware.Timeline{NumCPUs: cell.Config.Machine.NumCPUs}
+		cell.Config.Trace = tl
 	}
+	res, err := cell.Simulate()
 	if err != nil {
 		fatal(err)
 	}
@@ -144,7 +137,7 @@ func main() {
 		v.AddRowf("Context switches", fmt.Sprint(res.ContextSwitches))
 		v.AddRowf("Mean bus utilization", res.MeanBusUtilization)
 		v.AddRowf("Mean turnaround", res.MeanTurnaround().String())
-		if churn != nil {
+		if cell.Config.Scenario != nil {
 			v.AddRowf("Scenario arrivals", fmt.Sprint(res.ScenarioArrivals))
 			v.AddRowf("Scenario departures", fmt.Sprint(res.ScenarioDepartures))
 			v.AddRowf("Scenario completed", fmt.Sprint(res.ScenarioCompleted))

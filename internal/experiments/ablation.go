@@ -74,8 +74,9 @@ func WindowAblation(opt Options, windows []int) ([]WindowAblationRow, error) {
 		if w < 1 {
 			return nil, fmt.Errorf("experiments: window %d", w)
 		}
-		cells = append(cells, opt.cell(fmt.Sprintf("ablw/W%d", w), "window", 0,
-			SetNBBMA.mix(rt), sched.WithWindow(w)))
+		c := opt.cell(fmt.Sprintf("ablw/W%d", w), "window", 0, SetNBBMA.mix(rt))
+		c.Params.Window = w
+		cells = append(cells, c)
 	}
 	linux, err := meanLinuxTurnaround(opt, rt, SetNBBMA)
 	if err != nil {
@@ -135,8 +136,9 @@ func QuantumAblation(opt Options, quanta []units.Time) ([]QuantumAblationRow, er
 		if q <= 0 {
 			return nil, fmt.Errorf("experiments: quantum %v", q)
 		}
-		cells = append(cells, opt.cell(fmt.Sprintf("ablq/%s", q), "window", 0,
-			SetMixed.mix(bt), sched.WithQuantum(q)))
+		c := opt.cell(fmt.Sprintf("ablq/%s", q), "window", 0, SetMixed.mix(bt))
+		c.Params.Quantum = q
+		cells = append(cells, c)
 	}
 	linux, err := meanLinuxTurnaround(opt, bt, SetMixed)
 	if err != nil {
@@ -278,11 +280,12 @@ func SamplingAblation(opt Options, appNames []string) ([]SamplingAblationRow, er
 		mix := SetBBMA.mix(p)
 		consumption := opt.cell(fmt.Sprintf("sampling/%s/consumption", name), "window", 0, mix)
 		consumption.Config.Sampling = sim.SampleConsumption
+		guarded := opt.cell(fmt.Sprintf("sampling/%s/guarded", name), "window", 0, mix)
+		guarded.Params.Guard = true
 		cells = append(cells, opt.linuxCells(p, SetBBMA)...)
 		cells = append(cells,
 			opt.cell(fmt.Sprintf("sampling/%s/requirements", name), "window", 0, mix),
-			consumption,
-			opt.cell(fmt.Sprintf("sampling/%s/guarded", name), "window", 0, mix, sched.WithSaturationGuard()))
+			consumption, guarded)
 	}
 	results, err := opt.runCells("ablation/sampling", cells)
 	if err != nil {

@@ -73,8 +73,6 @@ func Degradation(opt Options, rates []float64, seed int64) ([]DegradationPoint, 
 	if !ok {
 		return nil, fmt.Errorf("experiments: BT profile missing from registry")
 	}
-	stale := sched.WithStaleFallback(sched.DefaultStaleQuanta)
-
 	// One batch: the per-seed clean baselines, then LQ+QW per
 	// (class, rate) cell — every cell independent, submission order
 	// fixed, so the whole sweep fans out deterministically.
@@ -83,8 +81,9 @@ func Degradation(opt Options, rates []float64, seed int64) ([]DegradationPoint, 
 		for ri, rate := range rates {
 			fcfg := class.config(seed+int64(100*ci+ri), rate)
 			for _, policy := range []string{"latest", "window"} {
-				c := opt.cell(fmt.Sprintf("degr/%s/%.2f/%s", class, rate, policy), policy, 0, SetMixed.mix(app), stale)
+				c := opt.cell(fmt.Sprintf("degr/%s/%.2f/%s", class, rate, policy), policy, 0, SetMixed.mix(app))
 				c.Config.Faults = fcfg
+				c.Params.StaleQuanta = sched.DefaultStaleQuanta
 				cells = append(cells, c)
 			}
 		}

@@ -1,7 +1,7 @@
 // Package experiments reproduces every table and figure of the
 // paper's evaluation, plus the ablations called out in DESIGN.md. Each
 // experiment describes its runs as runner.Cell values — a workload mix
-// from the registry, a sched.New policy name, a seed and options —
+// from the registry, a sched.New policy name, a seed and parameters —
 // fans them out through the runner on the simulated paper machine, and
 // returns structured rows that cmd/figures renders and bench_test.go
 // regenerates.
@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"busaware/internal/runner"
-	"busaware/internal/sched"
 	"busaware/internal/sim"
 	"busaware/internal/units"
 	"busaware/internal/workload"
@@ -54,10 +53,11 @@ func (o Options) seeds() []int64 {
 
 // cell describes one run of mix on the paper machine under the named
 // policy (see sched.New): every experiment builds its cells here, and
-// adjusts the returned Config where it departs from the defaults.
-func (o Options) cell(label, policy string, seed int64, mix workload.Mix, opts ...sched.Option) runner.Cell {
+// adjusts the returned Config and Params where it departs from the
+// defaults.
+func (o Options) cell(label, policy string, seed int64, mix workload.Mix) runner.Cell {
 	return runner.Cell{Label: label, Config: sim.Config{Engine: o.Engine},
-		Apps: mix, Policy: policy, Seed: seed, Opts: opts}
+		Apps: mix, Policy: policy, Seed: seed}
 }
 
 // WorkloadSet identifies the paper's three Section 5 workload

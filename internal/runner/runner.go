@@ -3,7 +3,7 @@
 // deterministic. The paper's evaluation is a large grid of independent
 // cells (every figure bar is its own sim.Run), so the sweep
 // parallelizes trivially. A cell is a value — a workload mix, a policy
-// name, a seed, policy options and a sim.Config — and builds its
+// name, a seed, policy parameters and a sim.Config — and builds its
 // applications and its scheduler only when it runs, so nothing mutable
 // is shared between cells or between two runs of one cell, and
 // aggregation always happens in submission order, never completion
@@ -40,11 +40,12 @@ type Cell struct {
 	Config sim.Config
 	// Apps is the cell's workload, instantiated afresh by every run.
 	Apps workload.Mix
-	// Policy, Seed and Opts name the cell's scheduler through the one
-	// policy table, sched.New, for Config.Machine.
+	// Policy, Seed and Params name the cell's scheduler through the one
+	// policy table, sched.New, for Config.Machine. All three are plain
+	// values, so Run is the only code a cell carries.
 	Policy string
 	Seed   int64
-	Opts   []sched.Option
+	Params sched.Params
 	// Run, when non-nil, replaces Simulate — used by tests and by
 	// callers with non-simulation work to fan out.
 	Run func() (sim.Result, error)
@@ -74,7 +75,7 @@ func (c Cell) Simulate() (sim.Result, error) {
 
 // scheduler builds the cell's scheduler for Config.Machine.
 func (c Cell) scheduler() (sched.Scheduler, error) {
-	return sched.New(c.Policy, c.Config.Machine, c.Seed, c.Opts...)
+	return sched.New(c.Policy, c.Config.Machine, c.Seed, c.Params)
 }
 
 // CellStat is the run-level record of one executed cell.

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"busaware/internal/machine"
-	"busaware/internal/sched"
 	"busaware/internal/sim"
 	"busaware/internal/units"
 	"busaware/internal/workload"
@@ -191,15 +190,15 @@ func TestCellRunsFresh(t *testing.T) {
 }
 
 // TestCellOptionsReachBothCores runs a window cell with a non-default
-// window under the shadow engine. The option changes the result, and
-// the two cores still agree, so it reached the scheduler each core
+// window under the shadow engine. The parameter changes the result,
+// and the two cores still agree, so it reached the scheduler each core
 // built.
 func TestCellOptionsReachBothCores(t *testing.T) {
 	rt, _ := workload.ByName("Raytrace")
 	mix := workload.Mix{{Profile: rt, Count: 2}, {Profile: workload.NBBMA(), Count: 4}}
 	plain := Cell{Label: "W5", Config: sim.Config{Engine: sim.EngineShadow}, Apps: mix, Policy: "window"}
 	wide := plain
-	wide.Label, wide.Opts = "W8", []sched.Option{sched.WithWindow(8)}
+	wide.Label, wide.Params.Window = "W8", 8
 	a, err := plain.Simulate()
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +208,7 @@ func TestCellOptionsReachBothCores(t *testing.T) {
 		t.Fatalf("shadow run with an option: %v", err)
 	}
 	if reflect.DeepEqual(a, b) {
-		t.Error("WithWindow(8) left the result unchanged; the option did not reach the scheduler")
+		t.Error("Params.Window 8 left the result unchanged; the parameter did not reach the scheduler")
 	}
 }
 

@@ -22,8 +22,15 @@ const (
 	// the paper suggests for longer windows.
 	EstEWMA
 	// EstOracle reads the true instantaneous demand from the workload
-	// model — a clairvoyance upper bound for ablation only.
+	// model — clairvoyant estimates for ablation only. It is no upper
+	// bound: the loop stays a greedy per-quantum pairing, and the zoo
+	// measures it below Quanta Window (EXPERIMENTS.md, "Scheduler
+	// comparison").
 	EstOracle
+	// EstNone estimates nothing: every job reads zero, every fitness
+	// value ties and the loop selects first-fit in list order — gang
+	// round-robin, the ablation without the bandwidth-driven pairing.
+	EstNone
 )
 
 func (e Estimator) String() string {
@@ -36,6 +43,8 @@ func (e Estimator) String() string {
 		return "ewma"
 	case EstOracle:
 		return "oracle"
+	case EstNone:
+		return "none"
 	default:
 		return "unknown"
 	}
@@ -44,7 +53,8 @@ func (e Estimator) String() string {
 // BandwidthAware implements the paper's Section 4 algorithm: gang-like
 // allocation driven by the proximity between each application's bus
 // bandwidth per thread and the available bus bandwidth per unallocated
-// processor.
+// processor. The policies of the family differ only in the Estimator;
+// with EstNone the same loop is gang round-robin.
 type BandwidthAware struct {
 	name      string
 	quantum   units.Time
@@ -77,73 +87,58 @@ type BandwidthAware struct {
 	assign   assignScratch
 }
 
-// Option tweaks a BandwidthAware scheduler.
-type Option func(*BandwidthAware)
-
-// WithQuantum overrides the 200ms default quantum.
-func WithQuantum(q units.Time) Option {
-	return func(b *BandwidthAware) {
-		if q > 0 {
-			b.quantum = q
-		}
-	}
-}
-
-// WithWindow overrides the sample-window length (Quanta Window uses 5).
-func WithWindow(w int) Option {
-	return func(b *BandwidthAware) {
-		if w >= 1 {
-			b.windowLen = w
-		}
-	}
+// Params tunes a policy of the bandwidth-aware family (latest, window,
+// ewma, oracle and gang) as one plain, comparable value: each zero
+// field keeps the paper's setting, so Params{} is the configuration
+// the paper evaluates, and two equal Params build the same scheduler.
+// It reaches a scheduler only through New; the other policies ignore
+// it.
+type Params struct {
+	// Quantum overrides the 200 ms DefaultQuantum when positive.
+	Quantum units.Time
+	// Window overrides the sample-window length when at least 1
+	// (Quanta Window uses DefaultWindow, the other policies 1).
+	Window int
+	// Guard enables an optional refinement over the paper's selection
+	// loop: candidates whose whole-gang demand overshoots the remaining
+	// bus budget (plus DefaultOvercommitSlack) are excluded from the
+	// fitness pass, and when nothing fits the policy pairs like with
+	// like — concentrating unavoidable saturation on jobs that are
+	// bus-bound anyway. The experiments ship with the literal paper
+	// algorithm; the guard is an ablation (see EXPERIMENTS.md), useful
+	// when antagonists should be segregated strictly.
+	Guard bool
+	// StaleQuanta, when positive, enables graceful degradation under
+	// telemetry loss with horizon K = StaleQuanta: a job that runs for
+	// K consecutive quanta without delivering a fresh bandwidth sample
+	// is treated as *degraded* — its held estimate is considered
+	// garbage rather than scheduled on. Degraded jobs compete in plain
+	// applications-list order (Linux-like round-robin fairness) after
+	// the fresh jobs have been placed by fitness, and when every job is
+	// degraded the selection loop degenerates to bandwidth-oblivious
+	// gang round-robin. Admission never stalls: a degraded job is
+	// always an eligible candidate, so the loop fails soft toward the
+	// baseline instead of deadlocking or pairing jobs on stale numbers.
+	//
+	// Zero or negative disables it: the stock policies hold the last
+	// estimate forever, exactly as the paper specifies.
+	StaleQuanta int
 }
 
 // DefaultOvercommitSlack is the fraction of bus capacity by which a
 // candidate may overshoot the remaining budget and still count as
-// fitting. Mild overcommitment (a few percent beyond sustainable
-// bandwidth) costs almost nothing — the contention curve is flat until
-// deep saturation — while rejecting it would needlessly halve the CPU
-// share of applications that almost fit next to their own twin.
+// fitting under Params.Guard. Mild overcommitment (a few percent
+// beyond sustainable bandwidth) costs almost nothing — the contention
+// curve is flat until deep saturation — while rejecting it would
+// needlessly halve the CPU share of applications that almost fit next
+// to their own twin.
 const DefaultOvercommitSlack = 0.13
 
-// WithSaturationGuard enables an optional refinement over the paper's
-// selection loop: candidates whose whole-gang demand overshoots the
-// remaining bus budget (plus the overcommit slack) are excluded from
-// the fitness pass, and when nothing fits the policy pairs like with
-// like — concentrating unavoidable saturation on jobs that are
-// bus-bound anyway. The experiments ship with the literal paper
-// algorithm; the guard is an ablation (see EXPERIMENTS.md), useful
-// when antagonists should be segregated strictly.
-func WithSaturationGuard() Option {
-	return func(b *BandwidthAware) { b.guard = true }
-}
-
-// DefaultStaleQuanta is the stale-fallback horizon K enabled by
-// WithStaleFallback: a job's last-known BBW estimate is held for up to
-// K consecutive scheduled-but-unsampled quanta before the policy stops
-// trusting it.
+// DefaultStaleQuanta is the stale-fallback horizon K the degradation
+// experiment sets in Params.StaleQuanta: a job's last-known BBW
+// estimate is held for up to K consecutive scheduled-but-unsampled
+// quanta before the policy stops trusting it.
 const DefaultStaleQuanta = 4
-
-// WithStaleFallback enables graceful degradation under telemetry loss:
-// a job that runs for k consecutive quanta without delivering a fresh
-// bandwidth sample is treated as *degraded* — its held estimate is
-// considered garbage rather than scheduled on. Degraded jobs compete
-// in plain applications-list order (Linux-like round-robin fairness)
-// after the fresh jobs have been placed by fitness, and when every job
-// is degraded the selection loop degenerates to bandwidth-oblivious
-// gang round-robin. Admission never stalls: a degraded job is always
-// an eligible candidate, so the loop fails soft toward the baseline
-// instead of deadlocking or pairing jobs on stale numbers.
-//
-// Disabled by default (k <= 0): the stock policies hold the last
-// estimate forever, exactly as the paper specifies.
-func WithStaleFallback(k int) Option {
-	return func(b *BandwidthAware) {
-		if k > 0 {
-			b.staleK = k
-		}
-	}
-}
 
 // DefaultQuantum is the CPU manager's quantum: 200 ms, twice the Linux
 // quantum (the paper found 100 ms caused scheduling conflicts with the
@@ -158,18 +153,18 @@ const DefaultWindow = 5
 
 // NewLatestQuantum builds the "Latest Quantum" policy for a machine
 // with numCPUs processors and the given sustained bus capacity.
-func NewLatestQuantum(numCPUs int, capacity units.Rate, opts ...Option) *BandwidthAware {
-	return newBandwidthAware("LatestQuantum", EstLatest, 1, numCPUs, capacity, opts...)
+func NewLatestQuantum(numCPUs int, capacity units.Rate) *BandwidthAware {
+	return newBandwidthAware("LatestQuantum", EstLatest, 1, numCPUs, capacity)
 }
 
 // NewQuantaWindow builds the "Quanta Window" policy (window of 5).
-func NewQuantaWindow(numCPUs int, capacity units.Rate, opts ...Option) *BandwidthAware {
-	return newBandwidthAware("QuantaWindow", EstWindow, DefaultWindow, numCPUs, capacity, opts...)
+func NewQuantaWindow(numCPUs int, capacity units.Rate) *BandwidthAware {
+	return newBandwidthAware("QuantaWindow", EstWindow, DefaultWindow, numCPUs, capacity)
 }
 
 // NewEWMAPolicy builds the exponentially-weighted variant.
-func NewEWMAPolicy(numCPUs int, capacity units.Rate, alpha float64, opts ...Option) *BandwidthAware {
-	b := newBandwidthAware("EWMA", EstEWMA, DefaultWindow, numCPUs, capacity, opts...)
+func NewEWMAPolicy(numCPUs int, capacity units.Rate, alpha float64) *BandwidthAware {
+	b := newBandwidthAware("EWMA", EstEWMA, DefaultWindow, numCPUs, capacity)
 	if alpha > 0 && alpha <= 1 {
 		b.ewmaAlpha = alpha
 	}
@@ -177,12 +172,22 @@ func NewEWMAPolicy(numCPUs int, capacity units.Rate, alpha float64, opts ...Opti
 }
 
 // NewOracle builds the clairvoyant ablation policy.
-func NewOracle(numCPUs int, capacity units.Rate, opts ...Option) *BandwidthAware {
-	return newBandwidthAware("Oracle", EstOracle, 1, numCPUs, capacity, opts...)
+func NewOracle(numCPUs int, capacity units.Rate) *BandwidthAware {
+	return newBandwidthAware("Oracle", EstOracle, 1, numCPUs, capacity)
 }
 
-func newBandwidthAware(name string, est Estimator, window, numCPUs int, capacity units.Rate, opts ...Option) *BandwidthAware {
-	b := &BandwidthAware{
+// NewGang builds the bandwidth-oblivious gang round-robin ablation:
+// the paper's selection loop with no estimate (EstNone). It isolates
+// how much of the improvement comes from gang scheduling itself versus
+// from the bandwidth-driven pairing. Every fitness value ties, so the
+// loop allocates applications first-fit in list order, and the bus
+// capacity never matters.
+func NewGang(numCPUs int) *BandwidthAware {
+	return newBandwidthAware("GangRR", EstNone, 1, numCPUs, 0)
+}
+
+func newBandwidthAware(name string, est Estimator, window, numCPUs int, capacity units.Rate) *BandwidthAware {
+	return &BandwidthAware{
 		name:      name,
 		quantum:   DefaultQuantum,
 		numCPUs:   numCPUs,
@@ -191,8 +196,19 @@ func newBandwidthAware(name string, est Estimator, window, numCPUs int, capacity
 		windowLen: window,
 		ewmaAlpha: 0.4,
 	}
-	for _, o := range opts {
-		o(b)
+}
+
+// tune applies p's non-zero fields.
+func (b *BandwidthAware) tune(p Params) *BandwidthAware {
+	if p.Quantum > 0 {
+		b.quantum = p.Quantum
+	}
+	if p.Window >= 1 {
+		b.windowLen = p.Window
+	}
+	b.guard = p.Guard
+	if p.StaleQuanta > 0 {
+		b.staleK = p.StaleQuanta
 	}
 	return b
 }
@@ -246,6 +262,8 @@ func (b *BandwidthAware) estimate(j *Job) units.Rate {
 		return j.EWMARate()
 	case EstOracle:
 		return j.TrueRate()
+	case EstNone:
+		return 0
 	default:
 		return j.LatestRate()
 	}
@@ -273,10 +291,10 @@ func Fitness(abbwPerProc, bbwPerThread units.Rate) float64 {
 // *requirements*: raw consumption samples deflate under contention
 // until every job measures alike and the policies lose to Linux (the
 // sampling ablation in EXPERIMENTS.md quantifies this). An optional
-// saturation guard (WithSaturationGuard) additionally excludes
-// candidates that would overshoot the remaining bus budget, and an
-// optional stale fallback (WithStaleFallback) demotes jobs whose
-// estimates went stale to round-robin admission.
+// saturation guard (Params.Guard) additionally excludes candidates
+// that would overshoot the remaining bus budget, and an optional stale
+// fallback (Params.StaleQuanta) demotes jobs whose estimates went
+// stale to round-robin admission.
 // The returned slice aliases internal scratch and is valid until the
 // next Select or Schedule call.
 func (b *BandwidthAware) Select() []*Job {

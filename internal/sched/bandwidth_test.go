@@ -20,6 +20,17 @@ func job(t *testing.T, name string, windowLen int) *Job {
 	return NewJob(workload.NewApp(p, name+"#t"), windowLen, 0)
 }
 
+// tuned builds the named bandwidth-aware policy for the paper machine
+// through New, the one door Params enter by.
+func tuned(t *testing.T, policy string, p Params) *BandwidthAware {
+	t.Helper()
+	s, err := New(policy, machine.DefaultConfig(), 1, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.(*BandwidthAware)
+}
+
 func TestFitnessEquation(t *testing.T) {
 	// Perfect match: fitness = 1000.
 	if got := Fitness(10, 10); got != 1000 {
@@ -301,22 +312,27 @@ func TestRemoveJob(t *testing.T) {
 }
 
 func TestOptionValidation(t *testing.T) {
-	b := NewQuantaWindow(4, 29.5, WithQuantum(0), WithWindow(0))
-	if b.Quantum() != DefaultQuantum {
-		t.Error("zero quantum should be ignored")
+	for _, p := range []Params{{}, {Quantum: -1, Window: -1, StaleQuanta: -1}} {
+		b := tuned(t, "window", p)
+		if b.Quantum() != DefaultQuantum {
+			t.Errorf("%+v: quantum %v, want the default", p, b.Quantum())
+		}
+		if b.WindowLen() != DefaultWindow {
+			t.Errorf("%+v: window %d, want the default", p, b.WindowLen())
+		}
+		if b.StaleFallback() != 0 || b.guard {
+			t.Errorf("%+v: stale fallback %d, guard %v; want both off", p, b.StaleFallback(), b.guard)
+		}
 	}
-	if b.WindowLen() != DefaultWindow {
-		t.Error("zero window should be ignored")
-	}
-	b2 := NewQuantaWindow(4, 29.5, WithQuantum(100*units.Millisecond), WithWindow(9))
-	if b2.Quantum() != 100*units.Millisecond || b2.WindowLen() != 9 {
-		t.Error("options not applied")
+	b := tuned(t, "window", Params{Quantum: 100 * units.Millisecond, Window: 9})
+	if b.Quantum() != 100*units.Millisecond || b.WindowLen() != 9 {
+		t.Error("params not applied")
 	}
 }
 
 func TestEstimatorNames(t *testing.T) {
 	for e, want := range map[Estimator]string{
-		EstLatest: "latest", EstWindow: "window", EstEWMA: "ewma", EstOracle: "oracle", Estimator(9): "unknown",
+		EstLatest: "latest", EstWindow: "window", EstEWMA: "ewma", EstOracle: "oracle", EstNone: "none", Estimator(9): "unknown",
 	} {
 		if e.String() != want {
 			t.Errorf("estimator %d = %q, want %q", e, e.String(), want)
@@ -343,15 +359,17 @@ func TestPolicyIdentities(t *testing.T) {
 	if NewEWMAPolicy(4, 29.5, 0.3).Estimator() != EstEWMA {
 		t.Error("ewma estimator")
 	}
-	// The policy table hands options to the four bandwidth-aware
-	// policies.
-	for _, name := range []string{"latest", "window", "ewma", "oracle"} {
-		s, err := New(name, machine.DefaultConfig(), 1, WithQuantum(100*units.Millisecond))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if q := s.Quantum(); q != 100*units.Millisecond {
-			t.Errorf("New(%q, WithQuantum(100ms)) has quantum %v", name, q)
+	if g := NewGang(4); g.Name() != "GangRR" || g.Estimator() != EstNone || g.WindowLen() != 1 {
+		t.Errorf("gang is %s with estimator %v and window %d", g.Name(), g.Estimator(), g.WindowLen())
+	}
+	// The policy table hands every Params field to the five policies
+	// of the bandwidth-aware family.
+	p := Params{Quantum: 100 * units.Millisecond, Window: 7, Guard: true, StaleQuanta: 3}
+	for _, name := range []string{"latest", "window", "ewma", "oracle", "gang"} {
+		b := tuned(t, name, p)
+		got := Params{Quantum: b.Quantum(), Window: b.WindowLen(), Guard: b.guard, StaleQuanta: b.StaleFallback()}
+		if got != p {
+			t.Errorf("New(%q, %+v) is tuned %+v", name, p, got)
 		}
 	}
 }

@@ -25,7 +25,7 @@ func TestJobFor(t *testing.T) {
 		{"ewma", NewEWMAPolicy(4, units.SustainedBusRate, 0.05), DefaultWindow, 0.05},
 		{"ewma default weight", NewEWMAPolicy(4, units.SustainedBusRate, 2), DefaultWindow, 0.4},
 		{"quanta window", NewQuantaWindow(4, units.SustainedBusRate), DefaultWindow, 0},
-		{"quanta window W=9", NewQuantaWindow(4, units.SustainedBusRate, WithWindow(9)), 9, 0},
+		{"quanta window W=9", tuned(t, "window", Params{Window: 9}), 9, 0},
 		{"latest quantum", NewLatestQuantum(4, units.SustainedBusRate), 1, 0},
 		{"linux", NewLinux(4, 1), 1, 0},
 		{"gang", NewGang(4), 1, 0},

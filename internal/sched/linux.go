@@ -38,6 +38,8 @@ type Linux struct {
 	// it last ran.
 	skip    []bool
 	lastCPU []int
+	// placements is Schedule's result buffer, reused every call.
+	placements []machine.Placement
 }
 
 // LinuxQuantum is the baseline's time slice: the paper states the CPU
@@ -139,7 +141,7 @@ func (l *Linux) Schedule(now units.Time, aff Affinity) []machine.Placement {
 		l.skip = append(l.skip, done)
 		l.lastCPU = append(l.lastCPU, last)
 	}
-	placements := make([]machine.Placement, 0, l.numCPUs)
+	placements := l.placements[:0]
 	for cpu := 0; cpu < l.numCPUs; cpu++ {
 		best := -1
 		bestGoodness := -1
@@ -163,5 +165,6 @@ func (l *Linux) Schedule(now units.Time, aff Affinity) []machine.Placement {
 		l.counters[best]--
 		placements = append(placements, machine.Placement{Thread: l.queue[best], CPU: cpu})
 	}
+	l.placements = placements
 	return placements
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"busaware/internal/machine"
@@ -174,48 +175,73 @@ func TestLinuxEmpty(t *testing.T) {
 	}
 }
 
+// gangJob is a job of the given gang size holding one bandwidth
+// sample; a done job's threads have all finished their solo work.
+func gangJob(name string, threads int, bbw units.Rate, done bool) *Job {
+	p := workload.Profile{Name: name, Threads: threads, SoloTime: units.Second,
+		Phases: []workload.Phase{{Duration: units.Second, Demand: 1}}}
+	j := NewJob(workload.NewApp(p, name), 1, 0)
+	j.PushSample(bbw)
+	if done {
+		for _, th := range j.App.Threads {
+			th.AdvanceWork(float64(p.SoloTime))
+		}
+	}
+	return j
+}
+
+// TestGangFirstFit checks gang round-robin over three quanta on four
+// processors: first fit in list order, the ran jobs rotated to the
+// tail after each quantum. The samples are chosen so that a fitness
+// pass would pick differently: gang round-robin must ignore them.
 func TestGangFirstFit(t *testing.T) {
-	g := NewGang(4)
-	cg := NewJob(workload.NewApp(mustProfile(t, "CG"), "CG#1"), 1, 0) // 2 threads
-	sp := NewJob(workload.NewApp(mustProfile(t, "SP"), "SP#1"), 1, 0) // 2 threads
-	mg := NewJob(workload.NewApp(mustProfile(t, "MG"), "MG#1"), 1, 0) // 2 threads
-	g.Add(cg)
-	g.Add(sp)
-	g.Add(mg)
-	pl := g.Schedule(0, nil)
-	// First-fit: CG + SP fill all four CPUs; MG waits.
-	if len(pl) != 4 {
-		t.Fatalf("placed %d threads", len(pl))
+	type gang struct {
+		name    string
+		threads int
+		bbw     units.Rate
+		done    bool
 	}
-	for _, p := range pl {
-		if p.Thread.App == mg.App {
-			t.Error("third gang should not fit")
+	for _, tc := range []struct {
+		name  string
+		gangs []gang
+		want  [3]string // the apps each quantum runs, in allocation order
+	}{
+		{"three pairs rotate", []gang{{"a", 2, 5, false}, {"b", 2, 1, false}, {"c", 2, 9, false}},
+			[3]string{"a b", "c a", "b c"}},
+		{"too big for what is left, ahead of one that fits",
+			[]gang{{"a", 3, 5, false}, {"b", 2, 1, false}, {"c", 1, 9, false}},
+			[3]string{"a c", "b c", "a c"}},
+		{"finished gang skipped",
+			[]gang{{"a", 2, 5, false}, {"d", 1, 9, true}, {"b", 2, 1, false}, {"c", 2, 9, false}},
+			[3]string{"a b", "c a", "b c"}},
+	} {
+		g := NewGang(4)
+		for _, x := range tc.gangs {
+			g.Add(gangJob(x.name, x.threads, x.bbw, x.done))
+		}
+		for q, want := range tc.want {
+			var ran []string
+			for _, p := range g.Schedule(0, nil) {
+				if n := p.Thread.App.Instance; len(ran) == 0 || ran[len(ran)-1] != n {
+					ran = append(ran, n)
+				}
+			}
+			if got := strings.Join(ran, " "); got != want {
+				t.Errorf("%s: quantum %d ran %q, want %q", tc.name, q+1, got, want)
+			}
 		}
 	}
-	// Next quantum the list has rotated: MG now runs.
-	pl2 := g.Schedule(0, nil)
-	foundMG := false
-	for _, p := range pl2 {
-		if p.Thread.App == mg.App {
-			foundMG = true
-		}
-	}
-	if !foundMG {
-		t.Error("gang rotation failed to run MG next")
-	}
-	if g.Name() != "GangRR" || g.Quantum() != DefaultQuantum {
+	if g := NewGang(4); g.Name() != "GangRR" || g.Quantum() != DefaultQuantum {
 		t.Error("gang identity")
 	}
 }
 
 func TestGangQuantumOption(t *testing.T) {
-	g := NewGang(4, WithGangQuantum(50*units.Millisecond))
-	if g.Quantum() != 50*units.Millisecond {
-		t.Error("gang quantum option ignored")
+	if q := tuned(t, "gang", Params{Quantum: 50 * units.Millisecond}).Quantum(); q != 50*units.Millisecond {
+		t.Errorf("gang quantum %v, want the 50ms Params.Quantum", q)
 	}
-	g2 := NewGang(4, WithGangQuantum(0))
-	if g2.Quantum() != DefaultQuantum {
-		t.Error("zero gang quantum should be ignored")
+	if q := tuned(t, "gang", Params{}).Quantum(); q != DefaultQuantum {
+		t.Errorf("zero gang quantum should keep the default, got %v", q)
 	}
 }
 
@@ -265,7 +291,9 @@ func TestRoundRobinEmpty(t *testing.T) {
 	}
 }
 
-// All schedulers must produce placements a real Machine accepts.
+// All schedulers must produce placements a real Machine accepts, and
+// in steady state every policy but Optimal, whose subset search builds
+// its candidates afresh, schedules without allocating.
 func TestSchedulersProduceValidPlacements(t *testing.T) {
 	mkJobs := func() []*Job {
 		return []*Job{
@@ -277,16 +305,11 @@ func TestSchedulersProduceValidPlacements(t *testing.T) {
 			NewJob(workload.NewApp(workload.NBBMA(), "n#2"), DefaultWindow, 0.4),
 		}
 	}
-	scheds := []Scheduler{
-		NewLatestQuantum(4, units.SustainedBusRate),
-		NewQuantaWindow(4, units.SustainedBusRate),
-		NewEWMAPolicy(4, units.SustainedBusRate, 0.4),
-		NewOracle(4, units.SustainedBusRate),
-		NewLinux(4, 3),
-		NewGang(4),
-		NewRoundRobin(4, 0),
-	}
-	for _, s := range scheds {
+	for _, name := range Policies() {
+		s, err := New(name, machine.DefaultConfig(), 3, Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		t.Run(s.Name(), func(t *testing.T) {
 			m, err := machine.New(machine.DefaultConfig())
 			if err != nil {
@@ -301,6 +324,54 @@ func TestSchedulersProduceValidPlacements(t *testing.T) {
 				if _, err := m.Step(pl, s.Quantum()); err != nil {
 					t.Fatalf("quantum %d: %v (placements %v)", q, err, pl)
 				}
+			}
+			if name == "optimal" {
+				return
+			}
+			if n := testing.AllocsPerRun(10, func() { s.Schedule(m.Now(), m) }); n != 0 {
+				t.Errorf("Schedule allocates %v objects per call in steady state, want 0", n)
+			}
+		})
+	}
+}
+
+// BenchmarkSchedule prices one Schedule call of each policy — the
+// scheduler-select hop of a stepped quantum — on the paper's mixed
+// set (two BT instances, two BBMA, two nBBMA), after warm-up quanta
+// have filled the sample windows and the machine's affinity state.
+func BenchmarkSchedule(b *testing.B) {
+	mix, err := workload.ParseMix("BT x2, BBMA x2, nBBMA x2")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, name := range Policies() {
+		b.Run(name, func(b *testing.B) {
+			s, err := New(name, machine.DefaultConfig(), 1, Params{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			m, err := machine.New(machine.DefaultConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			var jobs []*Job
+			for _, app := range mix.Build() {
+				j := JobFor(s, app)
+				jobs = append(jobs, j)
+				s.Add(j)
+			}
+			for q := 0; q < 2*DefaultWindow; q++ {
+				for _, j := range jobs {
+					j.PushSample(j.TrueRate())
+				}
+				if _, err := m.Step(s.Schedule(m.Now(), m), s.Quantum()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Schedule(m.Now(), m)
 			}
 		})
 	}

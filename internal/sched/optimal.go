@@ -20,9 +20,12 @@ import (
 // so long-parked jobs pull their gang in.
 //
 // The search is exponential in the number of jobs, which is fine at
-// the paper's scale (half a dozen jobs on four processors) and makes
-// Optimal a reference upper bound for the practical policies rather
-// than a deployable scheduler.
+// the paper's scale (half a dozen jobs on four processors) but makes
+// Optimal a reference point rather than a deployable scheduler. It is
+// no upper bound: each quantum's subset is the best for that quantum
+// alone, and the zoo measures it below Quanta Window (EXPERIMENTS.md,
+// "Scheduler comparison"). A true offline bound needs the
+// bandwidth-constrained ILP of Eremeev et al. (PAPERS.md).
 type Optimal struct {
 	quantum units.Time
 	numCPUs int
@@ -34,6 +37,8 @@ type Optimal struct {
 	// lastAllSelected records whether the most recent Schedule call ran
 	// every job — the aging- and rotation-free case Stable keys on.
 	lastAllSelected bool
+
+	assign assignScratch
 }
 
 // NewOptimal builds the model-driven reference policy. The bus
@@ -161,5 +166,5 @@ func (o *Optimal) Schedule(now units.Time, aff Affinity) []machine.Placement {
 	}
 	o.lastAllSelected = len(best) > 0 && len(best) == o.list.len()
 	o.list.rotateToTail(ran)
-	return assignCPUs(best, aff, o.numCPUs)
+	return assignCPUsInto(&o.assign, best, aff, o.numCPUs)
 }

@@ -13,25 +13,25 @@ func Policies() []string {
 }
 
 // New builds the named policy for machine m; the seed only affects the
-// Linux baseline's runqueue shuffling, and opts apply to the four
-// bandwidth-aware policies (latest, window, ewma, oracle) only. This is
-// the one policy table: the busaware facade, the HTTP API and every
-// experiment cell build their schedulers here, the first two prefixing
-// errors with their own package name.
-func New(policy string, m machine.Config, seed int64, opts ...Option) (Scheduler, error) {
+// Linux baseline's runqueue shuffling, and p tunes the bandwidth-aware
+// family (latest, window, ewma, oracle, gang) only. This is the one
+// policy table: the busaware facade, the HTTP API and every experiment
+// cell build their schedulers here, the first two prefixing errors
+// with their own package name.
+func New(policy string, m machine.Config, seed int64, p Params) (Scheduler, error) {
 	switch policy {
 	case "latest":
-		return NewLatestQuantum(m.NumCPUs, m.Bus.Capacity, opts...), nil
+		return NewLatestQuantum(m.NumCPUs, m.Bus.Capacity).tune(p), nil
 	case "window":
-		return NewQuantaWindow(m.NumCPUs, m.Bus.Capacity, opts...), nil
+		return NewQuantaWindow(m.NumCPUs, m.Bus.Capacity).tune(p), nil
 	case "ewma":
-		return NewEWMAPolicy(m.NumCPUs, m.Bus.Capacity, 0.4, opts...), nil
+		return NewEWMAPolicy(m.NumCPUs, m.Bus.Capacity, 0.4).tune(p), nil
 	case "oracle":
-		return NewOracle(m.NumCPUs, m.Bus.Capacity, opts...), nil
+		return NewOracle(m.NumCPUs, m.Bus.Capacity).tune(p), nil
+	case "gang":
+		return NewGang(m.NumCPUs).tune(p), nil
 	case "linux":
 		return NewLinux(m.NumCPUs, seed), nil
-	case "gang":
-		return NewGang(m.NumCPUs), nil
 	case "rr":
 		return NewRoundRobin(m.NumCPUs, 0), nil
 	case "optimal":

@@ -16,6 +16,8 @@ type RoundRobin struct {
 	list    jobList
 	queue   []*workload.Thread
 	next    int
+	// placements is Schedule's result buffer, reused every call.
+	placements []machine.Placement
 }
 
 // NewRoundRobin builds the per-thread round-robin baseline.
@@ -60,7 +62,7 @@ func (r *RoundRobin) Schedule(now units.Time, aff Affinity) []machine.Placement 
 	if len(r.queue) == 0 {
 		return nil
 	}
-	var placements []machine.Placement
+	placements := r.placements[:0]
 	cpu := 0
 	scanned := 0
 	for cpu < r.numCPUs && scanned < len(r.queue) {
@@ -73,5 +75,6 @@ func (r *RoundRobin) Schedule(now units.Time, aff Affinity) []machine.Placement 
 		placements = append(placements, machine.Placement{Thread: t, CPU: cpu})
 		cpu++
 	}
+	r.placements = placements
 	return placements
 }

@@ -36,7 +36,10 @@ type Scheduler interface {
 	Add(*Job)
 	// Remove unregisters a finished application.
 	Remove(*Job)
-	// Schedule picks the placements for the next quantum.
+	// Schedule picks the placements for the next quantum. The
+	// returned slice aliases the scheduler's scratch: it stays valid,
+	// and the caller may rewrite it in place, until the next Schedule
+	// call, so no caller may keep it longer.
 	Schedule(now units.Time, aff Affinity) []machine.Placement
 }
 
@@ -229,13 +232,6 @@ type assignScratch struct {
 	free       []bool
 	placements []machine.Placement
 	homeless   []*workload.Thread
-}
-
-// assignCPUs lays the threads of the selected jobs onto processors
-// with fresh buffers; hot paths keep an assignScratch and call
-// assignCPUsInto instead.
-func assignCPUs(selected []*Job, aff Affinity, numCPUs int) []machine.Placement {
-	return assignCPUsInto(new(assignScratch), selected, aff, numCPUs)
 }
 
 // assignCPUsInto lays the threads of the selected jobs onto processors,

@@ -48,20 +48,21 @@ func (j *Job) steadyUnderRepush(est Estimator) bool {
 // estimate is a fixed point under re-pushing its latest sample, so the
 // fitness ordering inside Select cannot change. Staleness bookkeeping
 // must also be quiescent: a pending staleness transition could demote
-// a job to round-robin admission mid-stretch. The oracle estimator
-// reads live thread demands instead of samples; demand constancy is
-// part of the engine's own leap preconditions, so condition (b) is
-// vacuous for it but checked anyway (its 1-slot window is steady after
-// the first sample).
+// a job to round-robin admission mid-stretch. Condition (b) is skipped
+// for the two estimators that read no samples: the oracle reads live
+// thread demands, whose constancy is part of the engine's own leap
+// preconditions, and gang round-robin (EstNone) reads nothing, so list
+// order is its only mutable input.
 func (b *BandwidthAware) Stable() bool {
 	if !b.lastAllSelected {
 		return false
 	}
+	sampled := b.estimator != EstOracle && b.estimator != EstNone
 	for _, j := range b.list.all() {
 		if j.StaleQuanta() != 0 || j.awaitingSample {
 			return false
 		}
-		if b.estimator != EstOracle && !j.steadyUnderRepush(b.estimator) {
+		if sampled && !j.steadyUnderRepush(b.estimator) {
 			return false
 		}
 	}
@@ -92,12 +93,6 @@ func (r *RoundRobin) Stable() bool {
 	}
 	return true
 }
-
-// Stable implements StretchStable. Gang round-robin selects first-fit
-// in list order with no estimates, so the only mutable input is the
-// list order itself: when the previous quantum selected every job the
-// rotation preserved it.
-func (g *Gang) Stable() bool { return g.lastAllSelected }
 
 // Stable implements StretchStable. The subset search is deterministic
 // given the thread demands (part of the engine's own preconditions),

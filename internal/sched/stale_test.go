@@ -53,7 +53,7 @@ func TestStaleQuantaBookkeeping(t *testing.T) {
 	}
 }
 
-// Without WithStaleFallback nothing changes: estimates are held
+// Without Params.StaleQuanta nothing changes: estimates are held
 // forever and noteScheduled is never invoked by the policy.
 func TestStaleFallbackDisabledByDefault(t *testing.T) {
 	b := NewQuantaWindow(4, 30)
@@ -78,7 +78,7 @@ func TestStaleFallbackDisabledByDefault(t *testing.T) {
 // order, and admission never stalls.
 func TestStaleFallbackDegradesToRoundRobin(t *testing.T) {
 	const k = 3
-	b := NewLatestQuantum(4, 30, WithStaleFallback(k))
+	b := tuned(t, "latest", Params{StaleQuanta: k})
 	// Two 2-thread jobs: both fit together on 4 CPUs.
 	a := staleTestJob("a", 2, 14)
 	c := staleTestJob("c", 2, 1)
@@ -114,7 +114,7 @@ func TestStaleFallbackDegradesToRoundRobin(t *testing.T) {
 // high-estimate job is placed after fresh jobs, in list order.
 func TestStaleFallbackPrefersFreshJobs(t *testing.T) {
 	const k = 2
-	b := NewLatestQuantum(4, 30, WithStaleFallback(k))
+	b := tuned(t, "latest", Params{StaleQuanta: k})
 	head := staleTestJob("head", 2, 10)
 	stale := staleTestJob("stale", 1, 1000) // absurd stale estimate
 	fresh := staleTestJob("fresh", 1, 5)

@@ -136,7 +136,7 @@ func canon(req Request) (*cell, error) {
 		scnKey = churn.Spec.Canonical()
 	}
 	if !slices.Contains(sched.Policies(), policy) {
-		_, err := sched.New(policy, m, seed) // words the refusal; builds nothing
+		_, err := sched.New(policy, m, seed, sched.Params{}) // words the refusal; builds nothing
 		return nil, fmt.Errorf("server: %w", err)
 	}
 	key := fmt.Sprintf("v1|policy=%s|seed=%d|cpus=%d|maxt=%d|trace=%t|tl=%t|faults=%s|scn=%s|apps=%s",

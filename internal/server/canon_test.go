@@ -318,7 +318,7 @@ func checkCell(t *testing.T, req Request, c *cell) {
 			t.Fatalf("%q: instance %d is %s, ParseSpec's %s", req.Apps, i, a.Instance, want[i].Instance)
 		}
 	}
-	if _, err := sched.New(c.run.Policy, c.run.Config.Machine, c.run.Seed, c.run.Opts...); err != nil {
+	if _, err := sched.New(c.run.Policy, c.run.Config.Machine, c.run.Seed, c.run.Params); err != nil {
 		t.Fatalf("key %s: scheduler does not build: %v", c.Key, err)
 	}
 }

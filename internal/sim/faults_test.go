@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"busaware/internal/faults"
+	"busaware/internal/machine"
 	"busaware/internal/sched"
 	"busaware/internal/workload"
 )
@@ -20,8 +21,13 @@ func mixedApps(t *testing.T) []*workload.App {
 	}
 }
 
-func qwPolicy() *sched.BandwidthAware {
-	return sched.NewQuantaWindow(4, 29.5, sched.WithStaleFallback(sched.DefaultStaleQuanta))
+func qwPolicy(t *testing.T) sched.Scheduler {
+	t.Helper()
+	s, err := sched.New("window", machine.DefaultConfig(), 0, sched.Params{StaleQuanta: sched.DefaultStaleQuanta})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // The zero fault config must be inert: results are identical to a run
@@ -64,11 +70,11 @@ func TestFaultRunDeterministicPerSeed(t *testing.T) {
 	cfg := Config{Faults: faults.Config{
 		Seed: 7, SampleLoss: 0.3, SignalLoss: 0.1, CrashProb: 0.02, SampleNoise: 0.2,
 	}}
-	a, err := Run(cfg, qwPolicy(), mixedApps(t))
+	a, err := Run(cfg, qwPolicy(t), mixedApps(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg, qwPolicy(), mixedApps(t))
+	b, err := Run(cfg, qwPolicy(t), mixedApps(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +91,7 @@ func TestFaultRunDeterministicPerSeed(t *testing.T) {
 
 	other, err := Run(Config{Faults: faults.Config{
 		Seed: 8, SampleLoss: 0.3, SignalLoss: 0.1, CrashProb: 0.02, SampleNoise: 0.2,
-	}}, qwPolicy(), mixedApps(t))
+	}}, qwPolicy(t), mixedApps(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +104,11 @@ func TestFaultRunDeterministicPerSeed(t *testing.T) {
 // workload still completes, and with the stale fallback enabled the
 // run stays in the same ballpark as the clean one.
 func TestSampleLossFailsSoft(t *testing.T) {
-	clean, err := Run(Config{}, qwPolicy(), mixedApps(t))
+	clean, err := Run(Config{}, qwPolicy(t), mixedApps(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulty, err := Run(Config{Faults: faults.Config{Seed: 1, SampleLoss: 0.5}}, qwPolicy(), mixedApps(t))
+	faulty, err := Run(Config{Faults: faults.Config{Seed: 1, SampleLoss: 0.5}}, qwPolicy(t), mixedApps(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +128,7 @@ func TestSampleLossFailsSoft(t *testing.T) {
 
 // An invalid fault rate is rejected before the run starts.
 func TestInvalidFaultConfigRejected(t *testing.T) {
-	_, err := Run(Config{Faults: faults.Config{SampleLoss: 2}}, qwPolicy(), mixedApps(t))
+	_, err := Run(Config{Faults: faults.Config{SampleLoss: 2}}, qwPolicy(t), mixedApps(t))
 	if err == nil {
 		t.Error("out-of-range fault rate accepted")
 	}

@@ -486,7 +486,6 @@ func run(cfg Config, s sched.Scheduler, apps []*workload.App) (Result, error) {
 			s.Remove(st.job)
 			connected--
 			st.departed = true
-			st.app.MarkDeparted(m.Now())
 			res.ScenarioDepartures++
 		}
 		placements := s.Schedule(m.Now(), m)

@@ -21,6 +21,6 @@ func BenchmarkTimelineRecord(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.StartUsec = int64(i) * s.DurUsec
-		c.RecordQuantum(s)
+		c.RecordQuanta(s, 1)
 	}
 }

@@ -90,11 +90,6 @@ func MustNew(cfg Config) *Collector {
 	return c
 }
 
-// RecordQuantum folds one quantum into the current window, sealing it
-// into the ring when it reaches QuantaPerWindow quanta. It is
-// RecordQuanta(s, 1).
-func (c *Collector) RecordQuantum(s Sample) { c.RecordQuanta(s, 1) }
-
 // RecordQuanta folds n consecutive identical quanta: quantum k covers
 // [s.StartUsec + k*s.DurUsec, s.StartUsec + (k+1)*s.DurUsec) and every
 // other field repeats. It is the collector's one fold path — a stepped

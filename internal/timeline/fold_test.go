@@ -16,7 +16,7 @@ func TestRecordQuantaStreamsEachSeal(t *testing.T) {
 	for k := 0; k < 11; k++ {
 		q := s
 		q.StartUsec += int64(k) * s.DurUsec
-		one.RecordQuantum(q)
+		one.RecordQuanta(q, 1)
 	}
 	one.Seal()
 

@@ -72,9 +72,6 @@ func (w Window) UtilMean() float64 { return ratio(w.UtilSum, w.Quanta) }
 // ServedMean returns the mean served transaction rate (trans/usec).
 func (w Window) ServedMean() float64 { return ratio(w.ServedSum, w.Quanta) }
 
-// StretchMean returns the mean bus latency stretch.
-func (w Window) StretchMean() float64 { return ratio(w.StretchSum, w.Quanta) }
-
 // RunnableMean returns the mean scheduler queue depth.
 func (w Window) RunnableMean() float64 { return ratio(float64(w.Runnable), w.Quanta) }
 

@@ -27,7 +27,7 @@ func sample(i int) Sample {
 func TestCollectorWindowing(t *testing.T) {
 	c := MustNew(Config{QuantaPerWindow: 4, Capacity: 8})
 	for i := 0; i < 10; i++ {
-		c.RecordQuantum(sample(i))
+		c.RecordQuanta(sample(i), 1)
 	}
 	if got := c.Sealed(); got != 2 {
 		t.Fatalf("sealed = %d, want 2 (10 quanta, window of 4)", got)
@@ -63,10 +63,10 @@ func TestCollectorWindowing(t *testing.T) {
 func TestCollectorFieldAccumulation(t *testing.T) {
 	c := MustNew(Config{QuantaPerWindow: 4, Capacity: 4, SaturationThreshold: 0.5})
 	// Quantum roster: two saturated, one idle, deferred jobs on two.
-	c.RecordQuantum(Sample{DurUsec: 10, Utilization: 0.75, Served: 2, Stretch: 4, Placed: 4, Runnable: 3, Admitted: 2})
-	c.RecordQuantum(Sample{StartUsec: 10, DurUsec: 10, Utilization: 0.5, Served: 1, Stretch: 2, Placed: 2, Runnable: 2, Admitted: 1, Faults: 3})
-	c.RecordQuantum(Sample{StartUsec: 20, DurUsec: 10, Utilization: 0.25, Served: 0.5, Stretch: 1, Placed: 1, Runnable: 1, Admitted: 1})
-	c.RecordQuantum(Sample{StartUsec: 30, DurUsec: 10})
+	c.RecordQuanta(Sample{DurUsec: 10, Utilization: 0.75, Served: 2, Stretch: 4, Placed: 4, Runnable: 3, Admitted: 2}, 1)
+	c.RecordQuanta(Sample{StartUsec: 10, DurUsec: 10, Utilization: 0.5, Served: 1, Stretch: 2, Placed: 2, Runnable: 2, Admitted: 1, Faults: 3}, 1)
+	c.RecordQuanta(Sample{StartUsec: 20, DurUsec: 10, Utilization: 0.25, Served: 0.5, Stretch: 1, Placed: 1, Runnable: 1, Admitted: 1}, 1)
+	c.RecordQuanta(Sample{StartUsec: 30, DurUsec: 10}, 1)
 	w := c.Windows()[0]
 	if w.Saturated != 2 {
 		t.Errorf("saturated = %d, want 2 (threshold 0.5 inclusive)", w.Saturated)
@@ -102,7 +102,7 @@ func TestRingWraparound(t *testing.T) {
 	)
 	c := MustNew(Config{QuantaPerWindow: perWindow, Capacity: capacity})
 	for i := 0; i < quanta; i++ {
-		c.RecordQuantum(sample(i))
+		c.RecordQuanta(sample(i), 1)
 	}
 	wantSealed := int64(quanta / perWindow)
 	if got := c.Sealed(); got != wantSealed {
@@ -167,7 +167,7 @@ func TestMergeAssociative(t *testing.T) {
 	mk := func(seed int) Window {
 		c := MustNew(Config{QuantaPerWindow: 32, Capacity: 1})
 		for i := 0; i < 32; i++ {
-			c.RecordQuantum(sample(seed*32 + i))
+			c.RecordQuanta(sample(seed*32+i), 1)
 		}
 		return c.Windows()[0]
 	}
@@ -211,7 +211,7 @@ func TestOnSealFiresMidRunAndOnFlush(t *testing.T) {
 	var sealed []Window
 	c := MustNew(Config{QuantaPerWindow: 4, Capacity: 4, OnSeal: func(w Window) { sealed = append(sealed, w) }})
 	for i := 0; i < 6; i++ {
-		c.RecordQuantum(sample(i))
+		c.RecordQuanta(sample(i), 1)
 	}
 	if len(sealed) != 1 {
 		t.Fatalf("OnSeal fired %d times mid-run, want 1", len(sealed))

@@ -411,11 +411,6 @@ type App struct {
 	Arrived   units.Time
 	Completed units.Time
 	completed bool
-
-	// DepartedAt is stamped when a scenario departure retires the app
-	// before it completes; departed apps report no turnaround.
-	DepartedAt units.Time
-	departed   bool
 }
 
 // NewApp instantiates profile p. It panics on an invalid profile;
@@ -486,20 +481,6 @@ func (a *App) MarkCompleted(now units.Time) {
 
 // IsMarkedCompleted reports whether MarkCompleted has run.
 func (a *App) IsMarkedCompleted() bool { return a.completed }
-
-// MarkDeparted stamps the departure time once: the scenario engine
-// retired the app at now, before completion. Departure does not mark
-// the app completed, so Turnaround stays zero.
-func (a *App) MarkDeparted(now units.Time) {
-	if !a.departed {
-		a.departed = true
-		a.DepartedAt = now
-	}
-}
-
-// IsDeparted reports whether MarkDeparted has run. CloneFresh resets
-// it along with the rest of the run-time state.
-func (a *App) IsDeparted() bool { return a.departed }
 
 // Turnaround returns completion minus arrival; zero if not completed.
 func (a *App) Turnaround() units.Time {
