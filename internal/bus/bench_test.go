@@ -16,9 +16,11 @@ var benchReqs = []Request{
 	{Demand: 0.0037, StallFrac: 0.01},
 }
 
-// BenchmarkBusAllocate measures the steady-state equilibrium cost:
-// after the first solve the vector repeats, so this is the memoized
-// replay path the simulator's micro-step loop lives on.
+// BenchmarkBusAllocate measures the memoized replay path: after the
+// first solve the vector repeats, so every call is a keyed LRU hit.
+// The machine asks only when its vector changes, so in a simulation
+// this is the cost of a return to an earlier vector, not of each
+// micro-step.
 func BenchmarkBusAllocate(b *testing.B) {
 	m, err := New(DefaultConfig())
 	if err != nil {

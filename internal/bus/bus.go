@@ -171,26 +171,21 @@ type Outcome struct {
 // Model evaluates bus contention for co-scheduled thread sets.
 //
 // Equilibria are memoized: demands are piecewise-constant across
-// workload phases, so consecutive micro-steps present the same request
-// vector over and over, and each distinct vector's fixed point is
-// solved once and replayed bit-for-bit from a bounded LRU keyed on the
-// exact float64 bits of the requests. A vector bitwise equal to the
-// previous call's is answered from that call's entry without building
-// a key. Safe for concurrent use.
+// workload phases, so a run presents few distinct request vectors, and
+// each one's fixed point is solved once and replayed bit-for-bit from
+// a bounded LRU keyed on the exact float64 bits of the requests. Safe
+// for concurrent use.
 type Model struct {
 	cfg Config
+	// bracketable reports whether cfg admits solveStretch's certified
+	// bracket (see bracketable).
+	bracketable bool
 
 	mu     sync.Mutex
 	cache  *allocCache
 	keyBuf []byte
 	hits   uint64
 	misses uint64
-
-	// last is the entry the previous non-empty call answered from, and
-	// lastReqs that call's request vector. last is always the LRU's
-	// most recent entry, so a repeat hit on it leaves the order as is.
-	last     *allocEntry
-	lastReqs []Request
 }
 
 // New builds a Model, validating cfg.
@@ -198,7 +193,7 @@ func New(cfg Config) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Model{cfg: cfg, cache: newAllocCache(DefaultCacheSize)}, nil
+	return &Model{cfg: cfg, bracketable: bracketable(cfg), cache: newAllocCache(DefaultCacheSize)}, nil
 }
 
 // Config returns the model's configuration.
@@ -236,14 +231,9 @@ func (m *Model) AllocateInto(dst []Grant, reqs []Request) ([]Grant, Outcome) {
 	}
 
 	m.mu.Lock()
-	e := m.last
-	if e == nil || !sameRequests(m.lastReqs, reqs) {
-		m.keyBuf = appendKey(m.keyBuf[:0], reqs)
-		e = m.cache.get(m.keyBuf)
-	}
-	if e != nil {
+	m.keyBuf = appendKey(m.keyBuf[:0], reqs)
+	if e := m.cache.get(m.keyBuf); e != nil {
 		m.hits++
-		m.remember(e, reqs)
 		grants := append(dst[:0], e.grants...)
 		out = e.outcome
 		m.mu.Unlock()
@@ -283,33 +273,9 @@ func (m *Model) AllocateInto(dst []Grant, reqs []Request) ([]Grant, Outcome) {
 		out.Utilization = float64(served / ceff)
 	}
 	out.Saturated = out.Utilization > SaturationKnee
-	m.remember(m.cache.put(m.keyBuf, append([]Grant(nil), grants...), out), reqs)
+	m.cache.put(m.keyBuf, append([]Grant(nil), grants...), out)
 	m.mu.Unlock()
 	return grants, out
-}
-
-// remember records e as the answer to reqs for the next call's fast
-// path. The caller holds m.mu.
-func (m *Model) remember(e *allocEntry, reqs []Request) {
-	if m.last != e {
-		m.last = e
-		m.lastReqs = append(m.lastReqs[:0], reqs...)
-	}
-}
-
-// sameRequests reports whether a and b are bitwise equal, element by
-// element — exactly when appendKey would encode them identically.
-func sameRequests(a, b []Request) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(float64(a[i].Demand)) != math.Float64bits(float64(b[i].Demand)) ||
-			math.Float64bits(a[i].StallFrac) != math.Float64bits(b[i].StallFrac) {
-			return false
-		}
-	}
-	return true
 }
 
 // effectiveCapacity applies the arbitration penalty for n masters.
@@ -339,22 +305,29 @@ func maxDemand(reqs []Request) units.Rate {
 // amplifying the stretch for threads lighter than the heaviest
 // co-runner (arbitration unfairness).
 func (m *Model) speedAt(r Request, x float64, dmax units.Rate) float64 {
-	f := r.StallFrac
+	if r.Demand <= 0 {
+		return 1
+	}
+	f, w := m.stallWeight(r, dmax)
+	xt := 1 + (x-1)*w
+	return 1 / ((1 - f) + f*xt)
+}
+
+// stallWeight returns r's stall fraction clamped to [0, 1] and the
+// weight 1 + Unfairness*(1 - d/dmax) that amplifies its stretch.
+func (m *Model) stallWeight(r Request, dmax units.Rate) (f, w float64) {
+	f = r.StallFrac
 	if f < 0 {
 		f = 0
 	}
 	if f > 1 {
 		f = 1
 	}
-	if r.Demand <= 0 {
-		return 1
-	}
-	w := 1.0
+	w = 1
 	if dmax > 0 && m.cfg.Unfairness > 0 {
 		w = 1 + m.cfg.Unfairness*(1-float64(r.Demand/dmax))
 	}
-	xt := 1 + (x-1)*w
-	return 1 / ((1 - f) + f*xt)
+	return f, w
 }
 
 // servedAt sums the achieved transaction rates at stretch x.
@@ -384,44 +357,4 @@ func (m *Model) delayCurve(rho float64) float64 {
 		return math.Inf(1)
 	}
 	return 1 + m.cfg.QueueFactor*math.Pow(rho, m.cfg.CurveExponent)/(1-rho)
-}
-
-// solveStretch finds the unique fixed point of
-// X = delayCurve(served(X)/ceff) by bisection. F(X) = X - delay(...)
-// is strictly increasing: served falls with X, delay rises with
-// served, so -delay rises with X.
-func (m *Model) solveStretch(reqs []Request, ceff, dmax, offered units.Rate) float64 {
-	if ceff <= 0 {
-		return m.cfg.MaxStretch
-	}
-	// Early-out hoisted before the bracket: with no offered load (or a
-	// flat delay curve) the delay at X=1 is exactly 1, so f(1) = 0 and
-	// the bisection below would return 1 anyway — prove it without
-	// scanning reqs or evaluating the curve.
-	if offered <= 0 || m.cfg.QueueFactor == 0 {
-		return 1
-	}
-	f := func(x float64) float64 {
-		rho := float64(m.servedAt(reqs, x, dmax) / ceff)
-		return x - m.delayCurve(rho)
-	}
-	lo, hi := 1.0, m.cfg.MaxStretch
-	if f(lo) >= 0 {
-		return lo // no contention at all
-	}
-	if f(hi) <= 0 {
-		return hi // pinned at the cap
-	}
-	for i := 0; i < 100; i++ {
-		mid := (lo + hi) / 2
-		if f(mid) < 0 {
-			lo = mid
-		} else {
-			hi = mid
-		}
-		if hi-lo < 1e-9*hi {
-			break
-		}
-	}
-	return (lo + hi) / 2
 }

@@ -9,7 +9,7 @@ import (
 	"busaware/internal/units"
 )
 
-func mustModel(t *testing.T, cfg Config) *Model {
+func mustModel(t testing.TB, cfg Config) *Model {
 	t.Helper()
 	m, err := New(cfg)
 	if err != nil {

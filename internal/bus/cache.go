@@ -58,16 +58,14 @@ func (c *allocCache) get(key []byte) *allocEntry {
 	return e.Value.(*allocEntry)
 }
 
-// put inserts and returns a new entry for key, evicting the least
-// recently used entry once the cache is full. grants must be a private
-// copy.
-func (c *allocCache) put(key []byte, grants []Grant, out Outcome) *allocEntry {
+// put inserts a new entry for key, evicting the least recently used
+// entry once the cache is full. grants must be a private copy.
+func (c *allocCache) put(key []byte, grants []Grant, out Outcome) {
 	if c.order.Len() >= c.limit {
 		delete(c.entries, c.order.Remove(c.order.Back()).(*allocEntry).key)
 	}
 	e := &allocEntry{key: string(key), grants: grants, outcome: out}
 	c.entries[e.key] = c.order.PushFront(e)
-	return e
 }
 
 // Len returns the number of cached equilibria.

@@ -92,10 +92,10 @@ func (d *Director) Tick() Admitted {
 	// application publishes nothing, so its last estimate persists —
 	// the paper's "statistics for all running jobs" rule). A fresh
 	// publish is also proof of life for the reaper.
-	byJob := make(map[*sched.Job]*Session, len(sessions))
+	byApp := make(map[*workload.App]*Session, len(sessions))
 	for _, s := range sessions {
 		j := d.jobs[s.ID]
-		byJob[j] = s
+		byApp[j.App] = s
 		if rate, epoch, _ := s.Arena.Read(); epoch > 0 && s.Arena.FreshAt(d.now) {
 			s.Touch(d.now)
 			if n := s.Threads(); n > 0 {
@@ -104,10 +104,12 @@ func (d *Director) Tick() Admitted {
 		}
 	}
 
-	selected := d.policy.Select()
-	admitted := make(map[*Session]bool, len(selected))
-	for _, j := range selected {
-		if s := byJob[j]; s != nil {
+	// One Schedule call selects the sessions to admit and rotates them
+	// to the list tail. Without affinity it lays each selected gang's
+	// threads out together, in selection order.
+	admitted := make(map[*Session]bool, len(sessions))
+	for _, p := range d.policy.Schedule(d.now, nil) {
+		if s := byApp[p.Thread.App]; s != nil && !admitted[s] {
 			admitted[s] = true
 			out.Sessions = append(out.Sessions, s)
 		}
@@ -120,8 +122,6 @@ func (d *Director) Tick() Admitted {
 			out.Blocked++
 		}
 	}
-	// Rotate the applications list as Schedule would.
-	d.policy.Schedule(d.now, nil)
 	return out
 }
 

@@ -1,8 +1,10 @@
 package cpumanager
 
 import (
+	"maps"
 	"testing"
 
+	"busaware/internal/machine"
 	"busaware/internal/sched"
 	"busaware/internal/units"
 )
@@ -137,6 +139,66 @@ func TestDirectorIgnoresStaleArenas(t *testing.T) {
 		out := d.Tick()
 		if len(out.Sessions) != 1 {
 			t.Fatalf("sole session not admitted at quantum %d", q)
+		}
+	}
+}
+
+// Under the stale fallback, Schedule settles each job's staleness
+// before it selects, so admission must come from that same selection:
+// the admitted sessions are exactly the jobs rotated to the list tail.
+// BBMA#2 publishes only in the first quantum. Once it has run without
+// a fresh sample, the settle demotes it to round-robin admission, and
+// the other BBMAs, tied with it on fitness, take the free processors.
+func TestDirectorAdmitsWhatItRotates(t *testing.T) {
+	mgr, err := NewManager(200 * units.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sched.New("window", machine.DefaultConfig(), 1, sched.Params{StaleQuanta: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	policy := s.(*sched.BandwidthAware)
+	d, err := NewDirector(mgr, policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type app struct {
+		name    string
+		threads int
+		rate    units.Rate
+	}
+	apps := []app{{"nBBMA#1", 1, 0.0037}, {"BBMA#1", 1, 23.6}, {"BBMA#2", 1, 23.6}, {"BBMA#3", 1, 23.6}, {"BBMA#4", 1, 23.6}}
+	var sessions []*Session
+	for _, a := range apps {
+		s, err := mgr.connect(a.name, a.threads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sessions = append(sessions, s)
+	}
+	for q := 0; q < 12; q++ {
+		now := units.Time(q+1) * 200 * units.Millisecond
+		for i, s := range sessions {
+			if apps[i].name != "BBMA#2" || q == 0 {
+				s.Arena.Publish(apps[i].rate, now)
+			}
+		}
+		out := d.Tick()
+		jobs := policy.Jobs()
+		if len(out.Sessions) > len(jobs) {
+			t.Fatalf("quantum %d: %d admitted, %d jobs", q, len(out.Sessions), len(jobs))
+		}
+		admitted := map[string]bool{}
+		for _, s := range out.Sessions {
+			admitted[s.Instance] = true
+		}
+		rotated := map[string]bool{}
+		for _, j := range jobs[len(jobs)-len(out.Sessions):] {
+			rotated[j.App.Instance] = true
+		}
+		if !maps.Equal(admitted, rotated) {
+			t.Errorf("quantum %d: admitted %v, rotated to the tail %v", q, admitted, rotated)
 		}
 	}
 }

@@ -59,7 +59,7 @@ func (r *refMachine) step(placements []Placement, dt units.Time) {
 		remaining -= sub
 		reqs := make([]bus.Request, len(placements))
 		for i, p := range placements {
-			reqs[i] = bus.Request{Demand: p.Thread.Demand(), StallFrac: p.Thread.StallFrac()}
+			reqs[i].Demand, reqs[i].StallFrac = p.Thread.Request()
 		}
 		grants, _ := r.bus.Allocate(reqs)
 		for i, p := range placements {

@@ -14,6 +14,7 @@ package machine
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"busaware/internal/bus"
 	"busaware/internal/cache"
@@ -152,9 +153,14 @@ type Machine struct {
 	cpuUsed  []bool
 	busyCore []int
 	reqs     []bus.Request
-	grants   []bus.Grant
 	ctrs     [][perfctr.NumEvents]uint64 // per-placement counter sums
 	steps    []ThreadStep
+
+	// The bus model's last answer: asked is the request vector it was
+	// given, grants and out what it returned (see allocate).
+	asked  []bus.Request
+	grants []bus.Grant
+	out    bus.Outcome
 
 	// PlanStretch scratch: the plan and its SoloPerSub backing array.
 	plan       StretchPlan
@@ -173,7 +179,7 @@ func New(cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Machine{
+	m := &Machine{
 		cfg:        cfg,
 		busModel:   bm,
 		lastCPU:    make(map[*workload.Thread]int),
@@ -182,10 +188,43 @@ func New(cfg Config) (*Machine, error) {
 		cpuUsed:    make([]bool, cfg.NumCPUs),
 		busyCore:   make([]int, (cfg.NumCPUs+1)/2),
 		reqs:       make([]bus.Request, 0, cfg.NumCPUs),
-		grants:     make([]bus.Grant, 0, cfg.NumCPUs),
 		ctrs:       make([][perfctr.NumEvents]uint64, cfg.NumCPUs),
 		steps:      make([]ThreadStep, 0, cfg.NumCPUs),
-	}, nil
+		asked:      make([]bus.Request, 0, cfg.NumCPUs),
+		grants:     make([]bus.Grant, 0, cfg.NumCPUs),
+	}
+	_, m.out = bm.Allocate(nil) // the answer to the empty vector asked
+	return m, nil
+}
+
+// allocate returns the bus grants and outcome for reqs. Demands change
+// only at phase, debt and barrier edges, so a micro-step usually
+// repeats the previous one's vector, within a Step, across Steps and
+// into PlanStretch; the model is asked only when reqs differs from the
+// vector it was last asked about. The comparison is bitwise, per
+// field, as the model's memo keys, so a -0 demand is a new vector. The
+// grants alias machine scratch, valid until the next call.
+func (m *Machine) allocate(reqs []bus.Request) ([]bus.Grant, bus.Outcome) {
+	if !sameRequests(m.asked, reqs) {
+		m.grants, m.out = m.busModel.AllocateInto(m.grants, reqs)
+		m.asked = append(m.asked[:0], reqs...)
+	}
+	return m.grants, m.out
+}
+
+// sameRequests reports whether a and b are bitwise equal, element by
+// element.
+func sameRequests(a, b []bus.Request) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(float64(a[i].Demand)) != math.Float64bits(float64(b[i].Demand)) ||
+			math.Float64bits(a[i].StallFrac) != math.Float64bits(b[i].StallFrac) {
+			return false
+		}
+	}
+	return true
 }
 
 // Config returns the machine configuration.
@@ -317,10 +356,9 @@ func (m *Machine) Step(placements []Placement, dt units.Time) (StepResult, error
 		}
 		remaining -= sub
 		for i, p := range placements {
-			reqs[i] = bus.Request{Demand: p.Thread.Demand(), StallFrac: p.Thread.StallFrac()}
+			reqs[i].Demand, reqs[i].StallFrac = p.Thread.Request()
 		}
-		grants, out := m.busModel.AllocateInto(m.grants, reqs)
-		m.grants = grants[:0]
+		grants, out := m.allocate(reqs)
 		for i, p := range placements {
 			g := grants[i]
 			speed := g.Speed

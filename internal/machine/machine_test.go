@@ -303,3 +303,75 @@ func TestSMTOffMeansNoSharing(t *testing.T) {
 		t.Errorf("speed without SMT = %.3f, want ~1", res.Threads[0].Speed)
 	}
 }
+
+// asks returns how many non-empty request vectors the machine has put
+// to its bus model.
+func asks(m *Machine) uint64 {
+	hits, misses, _ := m.busModel.CacheStats()
+	return hits + misses
+}
+
+// The machine asks the bus model once per distinct consecutive request
+// vector, within a Step and across Steps. A migrated thread's vector
+// changes once in its quantum, when it finishes repaying the refill
+// debt inside the first micro-step.
+func TestStepAsksOncePerVector(t *testing.T) {
+	m := newMachine(t)
+	bt := appThreads("BT", "BT#1", t)
+	a, b := bt.Threads[0], bt.Threads[1]
+	for _, c := range []struct {
+		name string
+		pl   []Placement
+		want uint64
+	}{
+		{"first quantum", []Placement{{a, 0}, {b, 1}}, 1},
+		{"same placement", []Placement{{a, 0}, {b, 1}}, 0},
+		{"both migrate", []Placement{{a, 1}, {b, 0}}, 2},
+		{"settled again", []Placement{{a, 1}, {b, 0}}, 0},
+	} {
+		before := asks(m)
+		if _, err := m.Step(c.pl, 100*units.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if got := asks(m) - before; got != c.want {
+			t.Errorf("%s: asked the bus model %d times over ten micro-steps, want %d", c.name, got, c.want)
+		}
+	}
+	if _, ok := m.PlanStretch([]Placement{{a, 1}, {b, 0}}, 100*units.Millisecond); !ok {
+		t.Fatal("settled placement refused a stretch plan")
+	}
+	if asks(m) != 3 {
+		t.Errorf("PlanStretch asked again for an unchanged vector: %d asks, want 3", asks(m))
+	}
+}
+
+// "Changes" is bitwise, as the bus model's memo keys: a thread moving
+// from a phase of demand 0 into one of demand -0 presents a new vector
+// mid-quantum, while +0 to +0 does not.
+func TestNegativeZeroDemandIsANewVector(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		second units.Rate
+		want   uint64
+	}{
+		{"+0 then +0", 0, 1},
+		{"+0 then -0", units.Rate(math.Copysign(0, -1)), 2},
+	} {
+		m := newMachine(t)
+		p := workload.BBMA()
+		p.Phases = []workload.Phase{
+			{Duration: 50 * units.Millisecond, Demand: 0, StallFrac: 0.5},
+			{Duration: 50 * units.Millisecond, Demand: c.second, StallFrac: 0.5},
+		}
+		app := workload.NewApp(p, "Z#1")
+		if _, err := m.Step([]Placement{{app.Threads[0], 0}}, 100*units.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if idx, _ := app.Threads[0].PhasePos(); idx != 0 {
+			t.Fatalf("%s: quantum ended in phase %d, want a full cycle back to 0", c.name, idx)
+		}
+		if got := asks(m); got != c.want {
+			t.Errorf("%s: %d asks, want %d", c.name, got, c.want)
+		}
+	}
+}

@@ -121,16 +121,15 @@ func (m *Machine) PlanStretch(placements []Placement, dt units.Time) (*StretchPl
 	}
 
 	// One bus allocation covers every micro-step: the demand vector is
-	// constant by precondition, and AllocateInto is deterministic for
+	// constant by precondition, and the model is deterministic for
 	// identical inputs (memoized or not), so each micro-step of a real
 	// Step would receive bitwise these grants.
 	reqs := m.reqs[:len(placements)]
 	for i, p := range placements {
-		reqs[i] = bus.Request{Demand: p.Thread.Demand(), StallFrac: p.Thread.StallFrac()}
+		reqs[i].Demand, reqs[i].StallFrac = p.Thread.Request()
 		plan.Threads[i].Req = reqs[i]
 	}
-	grants, out := m.busModel.AllocateInto(m.grants, reqs)
-	m.grants = grants[:0]
+	grants, out := m.allocate(reqs)
 
 	// Replicate Step's micro-step accumulation exactly: same formulas,
 	// same order, so Speed/Rate/MeanUtilization come out bitwise equal

@@ -325,9 +325,6 @@ func TestSchedulersProduceValidPlacements(t *testing.T) {
 					t.Fatalf("quantum %d: %v (placements %v)", q, err, pl)
 				}
 			}
-			if name == "optimal" {
-				return
-			}
 			if n := testing.AllocsPerRun(10, func() { s.Schedule(m.Now(), m) }); n != 0 {
 				t.Errorf("Schedule allocates %v objects per call in steady state, want 0", n)
 			}

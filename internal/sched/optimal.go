@@ -39,6 +39,19 @@ type Optimal struct {
 	lastAllSelected bool
 
 	assign assignScratch
+
+	// Per-call scratch, reused so a steady-state Schedule allocates
+	// nothing: the candidates and their gang sizes, the subset being
+	// priced and the best one so far, score's request vector, weights
+	// and grants, and the set of jobs that ran.
+	cands   []*Job
+	sizes   []int
+	subset  []*Job
+	best    []*Job
+	reqs    []bus.Request
+	weights []float64
+	grants  []bus.Grant
+	ran     map[*Job]bool
 }
 
 // NewOptimal builds the model-driven reference policy. The bus
@@ -53,6 +66,7 @@ func NewOptimal(numCPUs int, busCfg bus.Config) (*Optimal, error) {
 		numCPUs: numCPUs,
 		model:   m,
 		waiting: make(map[*Job]int),
+		ran:     make(map[*Job]bool),
 	}, nil
 }
 
@@ -81,24 +95,25 @@ func (o *Optimal) Remove(j *Job) {
 // how long its job has been waiting (aging prevents starvation of
 // low-value gangs).
 func (o *Optimal) score(subset []*Job) float64 {
-	var reqs []bus.Request
-	var weights []float64
+	reqs, weights := o.reqs[:0], o.weights[:0]
 	for _, j := range subset {
 		w := 1 + float64(o.waiting[j])*0.25
 		for _, t := range j.App.Threads {
 			if t.Done() {
 				continue
 			}
-			reqs = append(reqs, bus.Request{Demand: t.Demand(), StallFrac: t.StallFrac()})
+			d, f := t.Request()
+			reqs = append(reqs, bus.Request{Demand: d, StallFrac: f})
 			weights = append(weights, w)
 		}
 	}
+	o.reqs, o.weights = reqs, weights
 	if len(reqs) == 0 {
 		return 0
 	}
-	grants, _ := o.model.Allocate(reqs)
+	o.grants, _ = o.model.AllocateInto(o.grants, reqs)
 	var s float64
-	for i, g := range grants {
+	for i, g := range o.grants {
 		s += g.Speed * weights[i]
 	}
 	return s
@@ -108,19 +123,19 @@ func (o *Optimal) score(subset []*Job) float64 {
 func (o *Optimal) Schedule(now units.Time, aff Affinity) []machine.Placement {
 	jobs := o.list.all()
 	// Runnable jobs with their gang sizes.
-	var cands []*Job
-	var sizes []int
+	cands, sizes := o.cands[:0], o.sizes[:0]
 	for _, j := range jobs {
 		if n := runnableThreads(j); n > 0 && n <= o.numCPUs {
 			cands = append(cands, j)
 			sizes = append(sizes, n)
 		}
 	}
+	o.cands, o.sizes = cands, sizes
 	if len(cands) == 0 {
 		return nil
 	}
 
-	var best []*Job
+	best := o.best[:0]
 	bestScore := -1.0
 	n := len(cands)
 	// Enumerate subsets; cap the width to keep the search bounded even
@@ -132,39 +147,36 @@ func (o *Optimal) Schedule(now units.Time, aff Affinity) []machine.Placement {
 		if mask&1 == 0 {
 			continue // head of list must run: starvation freedom
 		}
-		threads := 0
-		var subset []*Job
-		for i := 0; i < n; i++ {
+		threads, subset := 0, o.subset[:0]
+		for i := 0; i < n && threads <= o.numCPUs; i++ {
 			if mask&(1<<i) != 0 {
 				threads += sizes[i]
-				if threads > o.numCPUs {
-					subset = nil
-					break
-				}
 				subset = append(subset, cands[i])
 			}
 		}
-		if subset == nil {
+		o.subset = subset
+		if threads > o.numCPUs {
 			continue
 		}
 		if s := o.score(subset); s > bestScore {
 			bestScore = s
-			best = subset
+			best = append(best[:0], subset...)
 		}
 	}
+	o.best = best
 
-	ran := make(map[*Job]bool, len(best))
+	clear(o.ran)
 	for _, j := range best {
-		ran[j] = true
+		o.ran[j] = true
 	}
 	for _, j := range cands {
-		if ran[j] {
+		if o.ran[j] {
 			o.waiting[j] = 0
 		} else {
 			o.waiting[j]++
 		}
 	}
 	o.lastAllSelected = len(best) > 0 && len(best) == o.list.len()
-	o.list.rotateToTail(ran)
+	o.list.rotateToTail(o.ran)
 	return assignCPUsInto(&o.assign, best, aff, o.numCPUs)
 }

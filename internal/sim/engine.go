@@ -257,8 +257,7 @@ func (ls *leapScratch) leapStop(plan *machine.StretchPlan, finite []*appState) b
 		}
 	}
 	for _, i := range ls.multiPhase {
-		t := plan.Threads[i].Thread
-		if (bus.Request{Demand: t.Demand(), StallFrac: t.StallFrac()}) != plan.Threads[i].Req {
+		if d, f := plan.Threads[i].Thread.Request(); (bus.Request{Demand: d, StallFrac: f}) != plan.Threads[i].Req {
 			return true
 		}
 	}

@@ -101,12 +101,26 @@ func paperProfiles() []Profile {
 	return ps
 }
 
+// paperTable holds paperProfiles, built once: PaperApps and ByName
+// hand out copies.
+var paperTable = paperProfiles()
+
 // PaperApps returns the eleven applications of Figure 1 in increasing
 // order of solo transaction rate, freshly copied so callers may mutate.
 func PaperApps() []Profile {
-	ps := paperProfiles()
+	ps := make([]Profile, len(paperTable))
+	for i, p := range paperTable {
+		ps[i] = p.ownPhases()
+	}
 	sort.SliceStable(ps, func(i, j int) bool { return ps[i].SoloRate() < ps[j].SoloRate() })
 	return ps
+}
+
+// ownPhases returns p with a private copy of its Phases, so a caller
+// may mutate the copy without touching paperTable.
+func (p Profile) ownPhases() Profile {
+	p.Phases = append([]Phase(nil), p.Phases...)
+	return p
 }
 
 // ByName looks an application profile up by name; it also resolves the
@@ -124,9 +138,9 @@ func ByName(name string) (Profile, bool) {
 	case "Database":
 		return Database(), true
 	}
-	for _, p := range paperProfiles() {
+	for _, p := range paperTable {
 		if p.Name == name {
-			return p, true
+			return p.ownPhases(), true
 		}
 	}
 	return Profile{}, false

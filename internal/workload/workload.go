@@ -199,30 +199,26 @@ func (t *Thread) PhasePos() (idx int, used float64) {
 	return t.phaseIdx, t.phaseUsed
 }
 
-// Demand returns the thread's instantaneous solo bus demand. While a
-// thread is repaying migration debt it runs at memory speed: demand is
-// dominated by the refill stream. A thread spin-waiting at a barrier
-// hits in cache and issues almost nothing.
-func (t *Thread) Demand() units.Rate {
-	if t.debt > 0 {
-		// Refilling the working set streams lines from memory.
-		return maxRate(t.CurrentPhase().Demand, RefillDemand)
+// Request returns the thread's instantaneous solo bus demand and
+// stall fraction. While a thread is repaying migration debt it runs at
+// memory speed: the refill stream dominates both. A thread
+// spin-waiting at a barrier hits in cache and issues almost nothing.
+func (t *Thread) Request() (demand units.Rate, stallFrac float64) {
+	ph := t.CurrentPhase()
+	switch {
+	case t.debt > 0:
+		return maxRate(ph.Demand, RefillDemand), maxf(ph.StallFrac, RefillStallFrac)
+	case t.AtBarrier():
+		return SpinDemand, 0
 	}
-	if t.AtBarrier() {
-		return SpinDemand
-	}
-	return t.CurrentPhase().Demand
+	return ph.Demand, ph.StallFrac
 }
 
-// StallFrac returns the thread's instantaneous stall fraction.
-func (t *Thread) StallFrac() float64 {
-	if t.debt > 0 {
-		return maxf(t.CurrentPhase().StallFrac, RefillStallFrac)
-	}
-	if t.AtBarrier() {
-		return 0
-	}
-	return t.CurrentPhase().StallFrac
+// Demand returns the thread's instantaneous solo bus demand, as
+// Request does.
+func (t *Thread) Demand() units.Rate {
+	d, _ := t.Request()
+	return d
 }
 
 // SpinDemand is the bus demand of a thread spinning on a cached

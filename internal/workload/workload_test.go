@@ -207,8 +207,8 @@ func TestMigrationDebt(t *testing.T) {
 	if th.Demand() < RefillDemand {
 		t.Errorf("migrated thread demand = %v, want >= refill %v", th.Demand(), RefillDemand)
 	}
-	if th.StallFrac() < RefillStallFrac {
-		t.Errorf("migrated thread stall = %v", th.StallFrac())
+	if _, f := th.Request(); f < RefillStallFrac {
+		t.Errorf("migrated thread stall = %v", f)
 	}
 	before := th.Progress()
 	th.Advance(1000, 1000, 20)
@@ -377,8 +377,8 @@ func TestBarrierSpinAccounting(t *testing.T) {
 	if runner.Demand() != SpinDemand {
 		t.Errorf("spinning demand = %v, want %v", runner.Demand(), SpinDemand)
 	}
-	if runner.StallFrac() != 0 {
-		t.Errorf("spinning stall = %v, want 0", runner.StallFrac())
+	if _, f := runner.Request(); f != 0 {
+		t.Errorf("spinning stall = %v, want 0", f)
 	}
 	// Remaining work includes what is left.
 	if rem := runner.Remaining(); rem <= 0 {
