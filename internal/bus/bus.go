@@ -102,8 +102,28 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. Every field must be finite:
+// a NaN or infinite parameter slips past the range checks below and
+// yields equilibria no bus could reach (an infinite MaxStretch, for
+// one, grants speed 0).
 func (c Config) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"capacity", float64(c.Capacity)},
+		{"arbitration penalty", c.ArbPenalty},
+		{"min capacity fraction", c.MinCapacityFrac},
+		{"queue factor", c.QueueFactor},
+		{"curve exponent", c.CurveExponent},
+		{"max stretch", c.MaxStretch},
+		{"master threshold", float64(c.MasterThreshold)},
+		{"unfairness", c.Unfairness},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("bus: %s %v is not finite", f.name, f.v)
+		}
+	}
 	if c.Capacity <= 0 {
 		return errors.New("bus: capacity must be positive")
 	}

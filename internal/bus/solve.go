@@ -167,8 +167,10 @@ func (m *Model) servedSlope(reqs []Request, x float64, dmax units.Rate) (s, ds u
 // bracketable reports whether cfg makes the f of solveStretch
 // non-decreasing in X as a float64 function, not just as a real one,
 // so that f(a) < 0 proves f(x) < 0 for every x <= a and f(b) >= 0
-// proves f(x) >= 0 for every x >= b. Follow one evaluation of
-// f(x) = x - delayCurve(servedAt(x)/ceff) with a finite configuration:
+// proves f(x) >= 0 for every x >= b. The proof needs a finite
+// configuration, which is not checked here: New validates cfg first,
+// and Validate refuses NaN and ±Inf in every field. Follow one
+// evaluation of f(x) = x - delayCurve(servedAt(x)/ceff):
 //
 //   - speedAt: stallWeight's clamped stall fraction s in [0, 1] and
 //     weight w = 1 + U*(1 - d/dmax) >= 1 do not depend on x. Each of x-1,
@@ -202,9 +204,5 @@ func (m *Model) servedSlope(reqs []Request, x float64, dmax units.Rate) (s, ds u
 // takes the hi branch, as f >= 0 would, and lies above any certified
 // a.
 func bracketable(cfg Config) bool {
-	finite := func(v float64) bool { return !math.IsInf(v, 0) && !math.IsNaN(v) }
-	return runtime.GOARCH != "s390x" &&
-		finite(cfg.CurveExponent) && cfg.CurveExponent == math.Trunc(cfg.CurveExponent) &&
-		finite(float64(cfg.Capacity)) && finite(cfg.QueueFactor) &&
-		finite(cfg.Unfairness) && finite(cfg.MaxStretch)
+	return runtime.GOARCH != "s390x" && cfg.CurveExponent == math.Trunc(cfg.CurveExponent)
 }

@@ -85,13 +85,37 @@ func cellBody(seed int) string {
 // two-backend gateway: every repetition must land on the same backend
 // (X-Backend stable per cell) and hit its cache, and the two backends'
 // caches must partition the working set rather than both holding all
-// of it.
+// of it. Where the backends sit on the ring depends on the ports they
+// drew, so the cells are chosen with the gateway's own ring until each
+// backend owns at least three; hedging is off, so a cell slow under
+// -race is never computed on two shards.
 func TestShardAffinity(t *testing.T) {
-	c := newCluster(t, 2, Config{})
-	const cells = 12
+	c := newCluster(t, 2, Config{HedgeDelayMin: -1})
+	ring := c.gw.cluster.Load().ring
+	var seeds []int
+	owned := make([]int, len(c.servers))
+	for seed := 1; owned[0] < 3 || owned[1] < 3; seed++ {
+		if seed > 1000 {
+			t.Fatalf("a thousand cells left a backend owning fewer than three: %v", owned)
+		}
+		req, err := server.DecodeRequest(strings.NewReader(cellBody(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, err := server.CanonicalKey(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, ok := ring.owner(key)
+		if !ok {
+			t.Fatal("empty ring")
+		}
+		owned[b]++
+		seeds = append(seeds, seed)
+	}
 	owner := make(map[int]string)
 	for pass := 0; pass < 2; pass++ {
-		for seed := 1; seed <= cells; seed++ {
+		for _, seed := range seeds {
 			resp, body := post(t, c.gwts.URL, "/v1/simulate", cellBody(seed))
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("pass %d seed %d: %d %s", pass, seed, resp.StatusCode, body)
@@ -124,8 +148,8 @@ func TestShardAffinity(t *testing.T) {
 		}
 		total += cs.Entries
 	}
-	if total != cells {
-		t.Errorf("caches hold %d entries for %d distinct cells — shards overlap", total, cells)
+	if total != len(seeds) {
+		t.Errorf("caches hold %d entries for %d distinct cells — shards overlap", total, len(seeds))
 	}
 }
 

@@ -83,8 +83,11 @@ func (c Config) Validate() error {
 	if c.MicroStep < 0 {
 		return errors.New("machine: negative micro step")
 	}
-	if c.PollutionFrac < 0 || c.PollutionFrac > 1 {
+	if math.IsNaN(c.PollutionFrac) || c.PollutionFrac < 0 || c.PollutionFrac > 1 {
 		return fmt.Errorf("machine: pollution fraction %v out of [0,1]", c.PollutionFrac)
+	}
+	if math.IsNaN(c.SMTEfficiency) || math.IsInf(c.SMTEfficiency, 0) {
+		return fmt.Errorf("machine: SMT efficiency %v is not finite", c.SMTEfficiency)
 	}
 	if c.SMTSiblings < 0 || c.SMTSiblings > 2 {
 		return fmt.Errorf("machine: SMT siblings %d (want 0, 1 or 2)", c.SMTSiblings)
@@ -116,6 +119,15 @@ type ThreadStep struct {
 	Rate units.Rate
 	// Migrated reports whether this slice began with a migration.
 	Migrated bool
+	// SoloPerSub is the solo-equivalent progress each micro-step
+	// granted (wall µs × contended speed), in micro-step order: what
+	// Step passed to Thread.AdvanceWork.
+	SoloPerSub []float64
+	// Counters is the slice's virtual-counter increment of each event,
+	// summed over its micro-steps.
+	Counters [perfctr.NumEvents]uint64
+	// Req is the bus request of the slice's last micro-step.
+	Req bus.Request
 }
 
 // StepResult summarizes one Step call.
@@ -132,8 +144,9 @@ type StepResult struct {
 	// ContextSwitches counts processors whose occupant changed since
 	// the previous slice.
 	ContextSwitches int
-	// Threads aliases the machine's reusable scratch: the slice is
-	// valid until the next Step call on the same Machine.
+	// Threads aliases the machine's reusable scratch, SoloPerSub
+	// included: the slice is valid until the next Step call on the
+	// same Machine.
 	Threads []ThreadStep
 	// BusyCPUs is the number of processors that executed a thread.
 	BusyCPUs int
@@ -146,15 +159,16 @@ type Machine struct {
 	now        units.Time
 	lastCPU    map[*workload.Thread]int
 	lastThread []*workload.Thread // per-CPU most recent occupant
-	busyTime   []units.Time       // per-CPU accumulated busy time
 
 	// Per-call scratch, reused across Steps so the quantum loop
-	// allocates nothing beyond the returned ThreadStep slice.
-	cpuUsed  []bool
-	busyCore []int
-	reqs     []bus.Request
-	ctrs     [][perfctr.NumEvents]uint64 // per-placement counter sums
-	steps    []ThreadStep
+	// allocates nothing after a machine's first Step (or a longer
+	// quantum): the ThreadStep slice and the one array its SoloPerSub
+	// slices are carved from.
+	cpuUsed    []bool
+	busyCore   []int
+	reqs       []bus.Request
+	steps      []ThreadStep
+	soloPerSub []float64
 
 	// The bus model's last answer: asked is the request vector it was
 	// given, grants and out what it returned (see allocate).
@@ -162,9 +176,11 @@ type Machine struct {
 	grants []bus.Grant
 	out    bus.Outcome
 
-	// PlanStretch scratch: the plan and its SoloPerSub backing array.
-	plan       StretchPlan
-	soloPerSub []float64
+	// The last Step's result, which PlanStretch hands out, and whether
+	// that Step asked one request vector in every micro-step. Step and
+	// Advance clear uniform, so a record is never older than the clock.
+	last    StepResult
+	uniform bool
 }
 
 // New builds a Machine.
@@ -184,11 +200,9 @@ func New(cfg Config) (*Machine, error) {
 		busModel:   bm,
 		lastCPU:    make(map[*workload.Thread]int),
 		lastThread: make([]*workload.Thread, cfg.NumCPUs),
-		busyTime:   make([]units.Time, cfg.NumCPUs),
 		cpuUsed:    make([]bool, cfg.NumCPUs),
 		busyCore:   make([]int, (cfg.NumCPUs+1)/2),
 		reqs:       make([]bus.Request, 0, cfg.NumCPUs),
-		ctrs:       make([][perfctr.NumEvents]uint64, cfg.NumCPUs),
 		steps:      make([]ThreadStep, 0, cfg.NumCPUs),
 		asked:      make([]bus.Request, 0, cfg.NumCPUs),
 		grants:     make([]bus.Grant, 0, cfg.NumCPUs),
@@ -197,19 +211,21 @@ func New(cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// allocate returns the bus grants and outcome for reqs. Demands change
-// only at phase, debt and barrier edges, so a micro-step usually
-// repeats the previous one's vector, within a Step, across Steps and
-// into PlanStretch; the model is asked only when reqs differs from the
-// vector it was last asked about. The comparison is bitwise, per
-// field, as the model's memo keys, so a -0 demand is a new vector. The
-// grants alias machine scratch, valid until the next call.
-func (m *Machine) allocate(reqs []bus.Request) ([]bus.Grant, bus.Outcome) {
-	if !sameRequests(m.asked, reqs) {
+// allocate returns the bus grants and outcome for reqs, and whether
+// reqs differs from the vector the model was last asked about. Demands
+// change only at phase, debt and barrier edges, so a micro-step usually
+// repeats the previous one's vector, within a Step and across Steps;
+// the model is asked only when the vector changed. The comparison is
+// bitwise, per field, as the model's memo keys, so a -0 demand is a
+// new vector. The grants alias machine scratch, valid until the next
+// call.
+func (m *Machine) allocate(reqs []bus.Request) ([]bus.Grant, bus.Outcome, bool) {
+	changed := !sameRequests(m.asked, reqs)
+	if changed {
 		m.grants, m.out = m.busModel.AllocateInto(m.grants, reqs)
 		m.asked = append(m.asked[:0], reqs...)
 	}
-	return m.grants, m.out
+	return m.grants, m.out, changed
 }
 
 // sameRequests reports whether a and b are bitwise equal, element by
@@ -219,12 +235,17 @@ func sameRequests(a, b []bus.Request) bool {
 		return false
 	}
 	for i := range a {
-		if math.Float64bits(float64(a[i].Demand)) != math.Float64bits(float64(b[i].Demand)) ||
-			math.Float64bits(a[i].StallFrac) != math.Float64bits(b[i].StallFrac) {
+		if !sameRequest(a[i], b[i]) {
 			return false
 		}
 	}
 	return true
+}
+
+// sameRequest reports whether a and b are bitwise equal, per field.
+func sameRequest(a, b bus.Request) bool {
+	return math.Float64bits(float64(a.Demand)) == math.Float64bits(float64(b.Demand)) &&
+		math.Float64bits(a.StallFrac) == math.Float64bits(b.StallFrac)
 }
 
 // Config returns the machine configuration.
@@ -232,19 +253,6 @@ func (m *Machine) Config() Config { return m.cfg }
 
 // Now returns the current simulated time.
 func (m *Machine) Now() units.Time { return m.now }
-
-// BusyTime returns the accumulated busy time of each processor in a
-// fresh slice. Hot paths should prefer AppendBusyTime.
-func (m *Machine) BusyTime() []units.Time {
-	return m.AppendBusyTime(nil)
-}
-
-// AppendBusyTime appends each processor's accumulated busy time to dst
-// and returns the extended slice, reusing dst's capacity — the
-// non-allocating variant of BusyTime.
-func (m *Machine) AppendBusyTime(dst []units.Time) []units.Time {
-	return append(dst, m.busyTime...)
-}
 
 // LastCPU returns where the thread last ran, or -1 if it never ran.
 func (m *Machine) LastCPU(t *workload.Thread) int {
@@ -256,7 +264,8 @@ func (m *Machine) LastCPU(t *workload.Thread) int {
 
 // Step runs the given placements for dt of wall-clock time. Placements
 // must reference distinct CPUs within range and distinct, unfinished
-// threads; violations return an error and leave state untouched.
+// threads; violations return an error and leave state untouched but
+// for ending the previous Step's record (see PlanStretch).
 //
 // Each placed thread's virtual counters are committed once, at the end
 // of the Step: the per-micro-step increments are summed first and
@@ -264,6 +273,7 @@ func (m *Machine) LastCPU(t *workload.Thread) int {
 // addition is associative. Nothing may read a placed thread's counters
 // while Step runs.
 func (m *Machine) Step(placements []Placement, dt units.Time) (StepResult, error) {
+	m.uniform = false
 	if dt <= 0 {
 		return StepResult{}, errors.New("machine: non-positive step duration")
 	}
@@ -291,17 +301,23 @@ func (m *Machine) Step(placements []Placement, dt units.Time) (StepResult, error
 		m.cpuUsed[p.CPU] = true
 	}
 
-	scratch := m.steps[:cap(m.steps)]
-	for i := range scratch {
-		scratch[i] = ThreadStep{}
+	// Micro-step so that phase boundaries and refill debt are honoured
+	// within the slice.
+	steps := int((dt + m.cfg.MicroStep - 1) / m.cfg.MicroStep)
+	if need := m.cfg.NumCPUs * steps; cap(m.soloPerSub) < need {
+		m.soloPerSub = make([]float64, need)
 	}
+	// Every slot in use is overwritten below; clear the rest so the
+	// scratch holds no stale thread pointers.
+	scratch := m.steps[:cap(m.steps)]
+	clear(scratch[len(placements):])
 	res := StepResult{
 		Elapsed:  dt,
 		Threads:  scratch[:len(placements)],
 		BusyCPUs: len(placements),
 	}
 	for i, p := range placements {
-		res.Threads[i] = ThreadStep{Thread: p.Thread, CPU: p.CPU}
+		res.Threads[i] = ThreadStep{Thread: p.Thread, CPU: p.CPU, SoloPerSub: m.soloPerSub[i*steps : (i+1)*steps]}
 		last, ran := m.lastCPU[p.Thread]
 		switch {
 		case ran && last != p.CPU:
@@ -319,7 +335,6 @@ func (m *Machine) Step(placements []Placement, dt units.Time) (StepResult, error
 		}
 		m.lastCPU[p.Thread] = p.CPU
 		m.lastThread[p.CPU] = p.Thread
-		m.busyTime[p.CPU] += dt
 	}
 
 	// Core occupancy for SMT resource sharing.
@@ -334,31 +349,27 @@ func (m *Machine) Step(placements []Placement, dt units.Time) (StepResult, error
 		}
 	}
 
-	// Micro-step so that phase boundaries and refill debt are honoured
-	// within the slice.
-	steps := int((dt + m.cfg.MicroStep - 1) / m.cfg.MicroStep)
-	if steps < 1 {
-		steps = 1
-	}
+	// steps >= 1 and every micro-step is non-empty: dt > 0.
 	remaining := dt
 	var utilSum float64
 	var servedSum units.Rate
+	uniform := true
 	reqs := m.reqs[:len(placements)] // cap is NumCPUs >= len(placements)
-	ctrs := m.ctrs[:len(placements)]
-	clear(ctrs)
 	for s := 0; s < steps; s++ {
 		sub := m.cfg.MicroStep
 		if sub > remaining {
 			sub = remaining
 		}
-		if sub <= 0 {
-			break
-		}
 		remaining -= sub
 		for i, p := range placements {
 			reqs[i].Demand, reqs[i].StallFrac = p.Thread.Request()
 		}
-		grants, out := m.allocate(reqs)
+		grants, out, changed := m.allocate(reqs)
+		if changed && s > 0 {
+			uniform = false
+		}
+		wall := float64(sub)
+		w := float64(sub) / float64(dt)
 		for i, p := range placements {
 			g := grants[i]
 			speed := g.Speed
@@ -367,23 +378,26 @@ func (m *Machine) Step(placements []Placement, dt units.Time) (StepResult, error
 				// share the core's execution resources.
 				speed *= m.cfg.SMTEfficiency
 			}
-			wall := float64(sub)
-			p.Thread.AccrueCounters(&ctrs[i], wall, g.Rate*units.Rate(speed/maxf(g.Speed, 1e-12)))
-			p.Thread.AdvanceWork(wall * speed)
-			w := float64(sub) / float64(dt)
-			res.Threads[i].Speed += speed * w
-			res.Threads[i].Rate += g.Rate * units.Rate(w*speed/maxf(g.Speed, 1e-12))
+			solo := wall * speed
+			ts := &res.Threads[i]
+			p.Thread.AccrueCounters(&ts.Counters, wall, g.Rate*units.Rate(speed/maxf(g.Speed, 1e-12)))
+			ts.SoloPerSub[s] = solo
+			p.Thread.AdvanceWork(solo)
+			ts.Speed += speed * w
+			ts.Rate += g.Rate * units.Rate(w*speed/maxf(g.Speed, 1e-12))
 		}
 		utilSum += out.Utilization
 		servedSum += out.Served
 		res.Outcome = out
 	}
 	for i, p := range placements {
-		p.Thread.Counters.AddAll(ctrs[i])
+		p.Thread.Counters.AddAll(res.Threads[i].Counters)
+		res.Threads[i].Req = reqs[i]
 	}
 	res.MeanUtilization = utilSum / float64(steps)
 	res.MeanServed = servedSum / units.Rate(steps)
 	m.now += dt
+	m.last, m.uniform = res, uniform
 	return res, nil
 }
 
@@ -392,15 +406,4 @@ func maxf(a, b float64) float64 {
 		return a
 	}
 	return b
-}
-
-var errIdleDuration = errors.New("machine: non-positive idle duration")
-
-// Idle advances time without running anything (all CPUs idle).
-func (m *Machine) Idle(dt units.Time) error {
-	if dt <= 0 {
-		return errIdleDuration
-	}
-	m.now += dt
-	return nil
 }

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -40,6 +41,39 @@ func TestConfigValidation(t *testing.T) {
 	bad.MicroStep = -1
 	if _, err := New(bad); err == nil {
 		t.Error("negative micro step accepted")
+	}
+}
+
+// TestConfigRefusesNonFinite sets every float field of the machine
+// and bus configs, in turn, to NaN, +Inf and -Inf: New must refuse each.
+// SMT is on, so SMTEfficiency is in use.
+func TestConfigRefusesNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*Config, float64)
+	}{
+		{"PollutionFrac", func(c *Config, v float64) { c.PollutionFrac = v }},
+		{"SMTEfficiency", func(c *Config, v float64) { c.SMTEfficiency = v }},
+		{"Bus.Capacity", func(c *Config, v float64) { c.Bus.Capacity = units.Rate(v) }},
+		{"Bus.ArbPenalty", func(c *Config, v float64) { c.Bus.ArbPenalty = v }},
+		{"Bus.MinCapacityFrac", func(c *Config, v float64) { c.Bus.MinCapacityFrac = v }},
+		{"Bus.QueueFactor", func(c *Config, v float64) { c.Bus.QueueFactor = v }},
+		{"Bus.CurveExponent", func(c *Config, v float64) { c.Bus.CurveExponent = v }},
+		{"Bus.MaxStretch", func(c *Config, v float64) { c.Bus.MaxStretch = v }},
+		{"Bus.MasterThreshold", func(c *Config, v float64) { c.Bus.MasterThreshold = units.Rate(v) }},
+		{"Bus.Unfairness", func(c *Config, v float64) { c.Bus.Unfairness = v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			t.Run(fmt.Sprintf("%s=%v", f.name, v), func(t *testing.T) {
+				cfg := DefaultConfig()
+				cfg.SMTSiblings = 2
+				f.set(&cfg, v)
+				if _, err := New(cfg); err == nil {
+					t.Error("accepted")
+				}
+			})
+		}
 	}
 }
 
@@ -180,26 +214,18 @@ func TestMigrationSlowsMigrationSensitiveApp(t *testing.T) {
 	}
 }
 
-func TestBusyTimeAccounting(t *testing.T) {
-	m := newMachine(t)
-	cg := appThreads("CG", "CG#1", t)
-	m.Step([]Placement{{cg.Threads[0], 0}}, 100*units.Millisecond)
-	m.Step([]Placement{{cg.Threads[0], 0}, {cg.Threads[1], 3}}, 100*units.Millisecond)
-	bt := m.BusyTime()
-	if bt[0] != 200*units.Millisecond || bt[3] != 100*units.Millisecond || bt[1] != 0 {
-		t.Errorf("busy time = %v", bt)
-	}
-}
-
 func TestIdle(t *testing.T) {
 	m := newMachine(t)
-	if err := m.Idle(100); err != nil {
+	if err := m.Advance(100, 1); err != nil {
 		t.Fatal(err)
 	}
-	if m.Now() != 100 {
-		t.Errorf("Now = %v", m.Now())
+	if err := m.Advance(100, 3); err != nil {
+		t.Fatal(err)
 	}
-	if err := m.Idle(0); err == nil {
+	if m.Now() != 400 {
+		t.Errorf("Now = %v, want 400", m.Now())
+	}
+	if err := m.Advance(0, 1); err == nil {
 		t.Error("zero idle accepted")
 	}
 }
@@ -341,7 +367,7 @@ func TestStepAsksOncePerVector(t *testing.T) {
 		t.Fatal("settled placement refused a stretch plan")
 	}
 	if asks(m) != 3 {
-		t.Errorf("PlanStretch asked again for an unchanged vector: %d asks, want 3", asks(m))
+		t.Errorf("PlanStretch asked the bus model: %d asks, want 3", asks(m))
 	}
 }
 

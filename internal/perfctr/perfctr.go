@@ -208,24 +208,3 @@ func (m *Monitor) Resync(now units.Time) {
 	m.last = Sample{At: now, Values: m.ctr.Snapshot()}
 	m.init = true
 }
-
-// SynthesizeRates computes the per-event rates a fault-free Poll would
-// return for the given counter deltas over elapsed time — the batched
-// sample synthesis used when replaying identical quanta. It mirrors
-// Poll's arithmetic exactly (the same division, in the same order), so
-// a synthesized rate is bitwise equal to the polled one for the same
-// delta. ok is false when no time elapsed, as in Poll.
-func SynthesizeRates(deltas [NumEvents]uint64, elapsed units.Time) (rates [NumEvents]float64, ok bool) {
-	if elapsed <= 0 {
-		return rates, false
-	}
-	for i := range deltas {
-		rates[i] = float64(deltas[i]) / float64(elapsed)
-	}
-	return rates, true
-}
-
-// BusRate is a convenience accessor for the rate array.
-func BusRate(rates [NumEvents]float64) units.Rate {
-	return units.Rate(rates[EventBusTransAny])
-}

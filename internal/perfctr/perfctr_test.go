@@ -105,7 +105,7 @@ func TestMonitorRates(t *testing.T) {
 	if !ok {
 		t.Fatal("second poll should produce rates")
 	}
-	if got := BusRate(rates); got < 23.59 || got > 23.61 {
+	if got := rates[EventBusTransAny]; got < 23.59 || got > 23.61 {
 		t.Errorf("bus rate = %v, want 23.6", got)
 	}
 }

@@ -418,8 +418,9 @@ func (b *BandwidthAware) Schedule(now units.Time, aff Affinity) []machine.Placem
 	} else {
 		clear(b.ran)
 	}
-	for _, j := range selected {
+	for i, j := range selected {
 		b.ran[j] = true
+		j.rank = i
 		if b.staleK > 0 {
 			j.noteScheduled()
 		}

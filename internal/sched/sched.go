@@ -59,6 +59,10 @@ type Job struct {
 	// its last estimate legitimately persists (the paper's rule).
 	staleQuanta    int
 	awaitingSample bool
+
+	// rank is the job's position in the bandwidth-aware policy's last
+	// selection, which Stable compares the next selection with.
+	rank int
 }
 
 // NewJob wraps app with a sample window of length windowLen (minimum

@@ -44,13 +44,18 @@ func (j *Job) steadyUnderRepush(est Estimator) bool {
 
 // Stable implements StretchStable. The decision is a guaranteed replay
 // when (a) the previous quantum selected every job on the list, so the
-// end-of-quantum rotation preserved list order, and (b) every job's
-// estimate is a fixed point under re-pushing its latest sample, so the
-// fitness ordering inside Select cannot change. Staleness bookkeeping
-// must also be quiescent: a pending staleness transition could demote
-// a job to round-robin admission mid-stretch. Condition (b) is skipped
-// for the two estimators that read no samples: the oracle reads live
-// thread demands, whose constancy is part of the engine's own leap
+// end-of-quantum rotation preserved list order, (b) every job's
+// estimate is a fixed point under re-pushing its latest sample, so
+// every later Select reads the estimates the next one reads, and (c)
+// the next Select picks the jobs in the order the last one did. The
+// samples the last quantum pushed may have moved the estimates that
+// Select read, so (c) runs Select once more on the current ones: the
+// order decides the placements, and with them the bus request vector
+// the machine solves. Staleness bookkeeping must also be quiescent: a
+// pending staleness transition could demote a job to round-robin
+// admission mid-stretch. Condition (b) is skipped for the two
+// estimators that read no samples: the oracle reads live thread
+// demands, whose constancy is part of the engine's own leap
 // preconditions, and gang round-robin (EstNone) reads nothing, so list
 // order is its only mutable input.
 func (b *BandwidthAware) Stable() bool {
@@ -63,6 +68,15 @@ func (b *BandwidthAware) Stable() bool {
 			return false
 		}
 		if sampled && !j.steadyUnderRepush(b.estimator) {
+			return false
+		}
+	}
+	sel := b.Select()
+	if len(sel) != b.list.len() {
+		return false
+	}
+	for i, j := range sel {
+		if j.rank != i {
 			return false
 		}
 	}

@@ -8,10 +8,9 @@
 // after each stepped quantum (the "probe") and replays the stretch it
 // anchors analytically:
 //
-//   - integer state — machine clock, per-CPU busy time, performance
-//     counters, per-app run time and transaction totals — batches in
-//     O(1) per stretch, because modular integer addition is
-//     associative;
+//   - integer state — machine clock, performance counters, per-app
+//     run time and transaction totals — batches in O(1) per stretch,
+//     because modular integer addition is associative;
 //   - floating-point state — thread progress, phase position, the
 //     bandwidth-sample windows, the bus-utilization sum — is replayed
 //     value-by-value in the exact order the stepped loop would have
@@ -28,9 +27,9 @@
 // zero behaviour change. Tracing does not: a leapt stretch goes through
 // the same per-quantum record as a stepped quantum (see recorder), so a
 // traced run leaps and its Chrome trace matches the stepped core's byte
-// for byte. Both cores build their jobs with sched.JobFor, and the probe
-// reconstructs its samples with the stepped loop's own accrue and
-// sample arithmetic.
+// for byte. Both cores build their jobs with sched.JobFor, and a leap
+// replays the probe itself: the machine's record of the quantum it
+// just stepped and the samples that quantum's sampling pass produced.
 package sim
 
 import (
@@ -105,21 +104,8 @@ func ParseEngine(s string) (EngineKind, error) {
 // of horizon.
 const leapSlack = 1e-9
 
-// leapApp is one application's precomputed per-quantum sampling
-// artifacts within a stretch.
-type leapApp struct {
-	st *appState
-	// push is the bandwidth sample the app's job receives each replayed
-	// quantum — proven bitwise equal to the probe's push.
-	push units.Rate
-	// trans is the per-quantum transaction total the sampling loop
-	// accrues for the app.
-	trans uint64
-}
-
 // leapScratch is tryLeap's reusable state, owned by one run loop.
 type leapScratch struct {
-	apps []leapApp
 	// finiteThreads and multiPhase are the per-quantum stop watch list:
 	// the plan threads whose replay-visible state can actually move.
 	// ReplayAdvance writes only progress and phase position, so debt,
@@ -137,8 +123,8 @@ type leapScratch struct {
 // boundary-crossing quantum must be excluded), a completion (the
 // completing quantum runs stepped), or a barrier whose gang is not in
 // provable lockstep. Zero means no leap.
-func leapHorizon(plan *machine.StretchPlan, now, maxTime units.Time) int {
-	q := plan.Quantum
+func leapHorizon(plan *machine.StepResult, now, maxTime units.Time) int {
+	q := plan.Elapsed
 	if q <= 0 || now >= maxTime {
 		return 0
 	}
@@ -207,7 +193,7 @@ func leapHorizon(plan *machine.StretchPlan, now, maxTime units.Time) int {
 // interval (so the running thread's headroom, always at least one full
 // interval over its unadvanced siblings, covers it). Such a gang never
 // clamps, hence never changes demand.
-func lockstepGang(plan *machine.StretchPlan, app *workload.App) bool {
+func lockstepGang(plan *machine.StepResult, app *workload.App) bool {
 	first, count := -1, 0
 	for i := range plan.Threads {
 		if plan.Threads[i].Thread.App != app {
@@ -250,7 +236,7 @@ func lockstepGang(plan *machine.StretchPlan, app *workload.App) bool {
 // horizon-math bugs. Debt, barriers and single-phase requests need no
 // per-quantum check — nothing in the replay loop writes them (see
 // leapScratch).
-func (ls *leapScratch) leapStop(plan *machine.StretchPlan, finite []*appState) bool {
+func (ls *leapScratch) leapStop(plan *machine.StepResult, finite []*appState) bool {
 	for _, t := range ls.finiteThreads {
 		if t.Done() {
 			return true
@@ -269,20 +255,11 @@ func (ls *leapScratch) leapStop(plan *machine.StretchPlan, finite []*appState) b
 	return false
 }
 
-// planThreadIndex finds t among the plan's placements, or -1.
-func planThreadIndex(plan *machine.StretchPlan, t *workload.Thread) int {
-	for i := range plan.Threads {
-		if plan.Threads[i].Thread == t {
-			return i
-		}
-	}
-	return -1
-}
-
 // tryLeap attempts to replay the stretch anchored by the quantum just
 // stepped; when it does not leap, the loop keeps stepping. All
 // preconditions are checked here so a failed attempt costs a few
-// comparisons and leaves every piece of state untouched.
+// comparisons and leaves every piece of simulation state untouched.
+// The only error is the machine refusing to advance its clock.
 func (ls *leapScratch) tryLeap(
 	cfg *Config,
 	rec *recorder,
@@ -291,70 +268,35 @@ func (ls *leapScratch) tryLeap(
 	quantum units.Time,
 	placements []machine.Placement,
 	states []*appState,
-	byApp map[*workload.App]*appState,
 	finite []*appState,
 	connected, admitted int,
 	res *Result,
 	utilSum *float64,
-) {
+) error {
 	// The scheduler must certify that re-running Schedule would
 	// reproduce these placements without evolving internal state.
 	ss, ok := s.(sched.StretchStable)
 	if !ok || !ss.Stable() {
-		return
+		return nil
 	}
 	// An application that completed during the probe changes the next
 	// schedule; let retirement and stepping handle it.
 	for _, st := range finite {
 		if st.app.Done() && !st.app.IsMarkedCompleted() {
-			return
+			return nil
 		}
 	}
+	// The plan is the probe's own record (see machine.PlanStretch for
+	// why repeating it is exact), and each replayed quantum repeats the
+	// probe's sampling pass: the sample each application that ran just
+	// received, and the transactions it was charged.
 	plan, ok := m.PlanStretch(placements, quantum)
 	if !ok {
-		return
+		return nil
 	}
-	maxK := leapHorizon(plan, m.Now(), cfg.MaxTime)
+	maxK := leapHorizon(&plan, m.Now(), cfg.MaxTime)
 	if maxK < 1 {
-		return
-	}
-
-	// Reconstruct the probe's sampling pass from the plan with the
-	// stepped loop's own arithmetic: accrue in placement order, then
-	// sample. Only the transactions' source differs — the plan's
-	// synthesized counters instead of monitor polls. Every push value
-	// must be bitwise equal to the sample the job just received,
-	// otherwise the estimate is not a fixed point and replaying would
-	// diverge from stepping.
-	for i := range plan.Threads {
-		pt := &plan.Threads[i]
-		byApp[pt.Thread.App].accrue(pt.Speed, pt.Rate)
-	}
-	ls.apps = ls.apps[:0]
-	steady := true
-	for _, st := range states {
-		var appTrans uint64
-		for _, th := range st.app.Threads {
-			var deltas [perfctr.NumEvents]uint64
-			if pi := planThreadIndex(plan, th); pi >= 0 {
-				deltas = plan.Threads[pi].CountersPerQ
-			}
-			rates, rok := perfctr.SynthesizeRates(deltas, quantum)
-			if !rok {
-				continue
-			}
-			appTrans += uint64(rates[perfctr.EventBusTransAny] * float64(quantum))
-		}
-		if perThread, ran := st.sample(cfg.Sampling, appTrans, quantum); ran {
-			push := units.Rate(perThread)
-			if push != st.job.LatestRate() {
-				steady = false
-			}
-			ls.apps = append(ls.apps, leapApp{st: st, push: push, trans: appTrans})
-		}
-	}
-	if !steady {
-		return
+		return nil
 	}
 
 	// Watch list for the per-quantum stop check: only state replay can
@@ -387,7 +329,7 @@ func (ls *leapScratch) tryLeap(
 		}
 		k++
 		*utilSum += plan.MeanUtilization
-		if ls.leapStop(plan, finite) {
+		if ls.leapStop(&plan, finite) {
 			break
 		}
 	}
@@ -395,24 +337,27 @@ func (ls *leapScratch) tryLeap(
 	// One bandwidth sample per admitted application per quantum.
 	// Nothing reads a job's samples during the replay, so the k pushes
 	// are committed together, in the same per-job order. The per-app
-	// totals, like everything else integer — counters, machine clock
-	// and busy time — are modular or integral, so k quanta collapse to
-	// one addition each.
-	for i := range ls.apps {
-		la := &ls.apps[i]
-		la.st.job.PushSamples(la.push, k)
-		la.st.runTime += units.Time(k) * quantum
-		la.st.trans += uint64(k) * la.trans
+	// totals, like everything else integer — counters and the machine
+	// clock — are modular or integral, so k quanta collapse to one
+	// addition each.
+	for _, st := range states {
+		if st.sampled {
+			st.job.PushSamples(st.job.LatestRate(), k)
+			st.runTime += units.Time(k) * quantum
+			st.trans += uint64(k) * st.qTrans
+		}
 	}
 	for i := range plan.Threads {
 		pt := &plan.Threads[i]
 		var d [perfctr.NumEvents]uint64
-		for e, perQ := range pt.CountersPerQ {
+		for e, perQ := range pt.Counters {
 			d[e] = uint64(k) * perQ
 		}
 		pt.Thread.Counters.AddAll(d)
 	}
-	m.CommitStretch(plan, k)
+	if err := m.Advance(quantum, k); err != nil {
+		return err
+	}
 	closeLeap(rec, res, states, m.Now(), timeline.Sample{
 		StartUsec:   int64(startNow),
 		DurUsec:     int64(quantum),
@@ -422,7 +367,8 @@ func (ls *leapScratch) tryLeap(
 		Placed:      len(plan.Threads),
 		Runnable:    connected,
 		Admitted:    admitted,
-	}, k, rec.replayed(plan))
+	}, k, plan.Threads)
+	return nil
 }
 
 // closeLeap accounts k leapt quanta described by s, during each of which
@@ -470,7 +416,7 @@ func leapIdle(
 	if k < 1 {
 		return nil
 	}
-	if err := m.IdleN(quantum, k); err != nil {
+	if err := m.Advance(quantum, k); err != nil {
 		return err
 	}
 	// utilSum accrues +0.0 per idle quantum — a bitwise no-op on a

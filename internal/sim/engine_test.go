@@ -282,14 +282,14 @@ func TestParseEngine(t *testing.T) {
 // mkPlanThread builds a synthetic stretch-plan entry for horizon tests:
 // a thread advanced to the given progress, with uniform per-micro-step
 // solo advances.
-func mkPlanThread(t *testing.T, prof workload.Profile, progress float64, subs []float64) machine.StretchThread {
+func mkPlanThread(t *testing.T, prof workload.Profile, progress float64, subs []float64) machine.ThreadStep {
 	t.Helper()
 	app := workload.NewApp(prof, prof.Name+"#h")
 	th := app.Threads[0]
 	if progress > 0 {
 		th.AdvanceWork(progress)
 	}
-	return machine.StretchThread{Thread: th, SoloPerSub: subs}
+	return machine.ThreadStep{Thread: th, SoloPerSub: subs}
 }
 
 // TestLeapHorizon is the table-driven next-event computation check:
@@ -323,7 +323,7 @@ func TestLeapHorizon(t *testing.T) {
 
 	cases := []struct {
 		name    string
-		plan    machine.StretchPlan
+		plan    machine.StepResult
 		now     units.Time
 		maxTime units.Time
 		want    int
@@ -332,16 +332,16 @@ func TestLeapHorizon(t *testing.T) {
 			// No thread progress: only the MaxTime guard bounds the
 			// leap, and it rounds up to whole quanta.
 			name: "time guard only",
-			plan: machine.StretchPlan{
-				Quantum: q,
-				Threads: []machine.StretchThread{mkPlanThread(t, endless, 0, subs(0, 20))},
+			plan: machine.StepResult{
+				Elapsed: q,
+				Threads: []machine.ThreadStep{mkPlanThread(t, endless, 0, subs(0, 20))},
 			},
 			now: 0, maxTime: 10*q + q/2,
 			want: 11,
 		},
 		{
 			name:    "at max time",
-			plan:    machine.StretchPlan{Quantum: q},
+			plan:    machine.StepResult{Elapsed: q},
 			now:     units.Second,
 			maxTime: units.Second,
 			want:    0,
@@ -351,9 +351,9 @@ func TestLeapHorizon(t *testing.T) {
 			// bound is exact — 10 replayed quanta provably stay short of
 			// completion, and the completing quantum runs stepped.
 			name: "completion bound",
-			plan: machine.StretchPlan{
-				Quantum: q,
-				Threads: []machine.StretchThread{
+			plan: machine.StepResult{
+				Elapsed: q,
+				Threads: []machine.ThreadStep{
 					mkPlanThread(t, uni, float64(100*units.Second)-10.5*float64(q), subs(10_000, 20)),
 				},
 			},
@@ -364,9 +364,9 @@ func TestLeapHorizon(t *testing.T) {
 			// Completion within the next quantum: no leap at all — the
 			// engine falls back to stepping (a "stretch" of zero).
 			name: "completion imminent",
-			plan: machine.StretchPlan{
-				Quantum: q,
-				Threads: []machine.StretchThread{
+			plan: machine.StepResult{
+				Elapsed: q,
+				Threads: []machine.ThreadStep{
 					mkPlanThread(t, uni, float64(100*units.Second)-0.5*float64(q), subs(10_000, 20)),
 				},
 			},
@@ -380,9 +380,9 @@ func TestLeapHorizon(t *testing.T) {
 			// quanta of work; float slack rounds 5.0 down to 4 whole
 			// quanta and the boundary-crossing quantum is excluded: 3.
 			name: "phase boundary on quantum edge",
-			plan: machine.StretchPlan{
-				Quantum: q,
-				Threads: []machine.StretchThread{
+			plan: machine.StepResult{
+				Elapsed: q,
+				Threads: []machine.ThreadStep{
 					mkPlanThread(t, twoPhase, float64(2*units.Second), subs(10_000, 20)),
 				},
 			},
@@ -394,9 +394,9 @@ func TestLeapHorizon(t *testing.T) {
 			// engine must refuse to leap (Step re-reads demands every
 			// micro-step, so that quantum is not replayable).
 			name: "phase boundary imminent",
-			plan: machine.StretchPlan{
-				Quantum: q,
-				Threads: []machine.StretchThread{
+			plan: machine.StepResult{
+				Elapsed: q,
+				Threads: []machine.ThreadStep{
 					mkPlanThread(t, twoPhase, float64(units.Second)-0.3*float64(q), subs(10_000, 20)),
 				},
 			},
@@ -408,9 +408,9 @@ func TestLeapHorizon(t *testing.T) {
 			// exactly enough room for a leap of one, which must behave
 			// like one plain step.
 			name: "single quantum stretch",
-			plan: machine.StretchPlan{
-				Quantum: q,
-				Threads: []machine.StretchThread{
+			plan: machine.StepResult{
+				Elapsed: q,
+				Threads: []machine.ThreadStep{
 					mkPlanThread(t, uni, float64(100*units.Second)-1.75*float64(q), subs(10_000, 20)),
 				},
 			},
@@ -442,10 +442,10 @@ func TestLeapHorizonBarrier(t *testing.T) {
 		subs[i] = 10_000
 	}
 	app := workload.NewApp(prof, "G#1")
-	mk := func() machine.StretchPlan {
-		return machine.StretchPlan{
-			Quantum: q,
-			Threads: []machine.StretchThread{
+	mk := func() machine.StepResult {
+		return machine.StepResult{
+			Elapsed: q,
+			Threads: []machine.ThreadStep{
 				{Thread: app.Threads[0], SoloPerSub: subs},
 				{Thread: app.Threads[1], SoloPerSub: subs},
 			},

@@ -206,6 +206,12 @@ type appState struct {
 	present    bool
 	lost       bool
 
+	// The last stepped quantum's sampling pass, which a leap repeats:
+	// whether the application ran (so its job just received a sample)
+	// and the transactions it was charged.
+	sampled bool
+	qTrans  uint64
+
 	// scenario marks an instance materialized from Config.Scenario —
 	// it never counts toward the base workload's completion condition.
 	// departed is set when a departure event retires it mid-run.
@@ -267,10 +273,9 @@ func (st *appState) sample(mode SampleMode, appTrans uint64, quantum units.Time)
 // leapt stretch and idle leap goes through record, which feeds the
 // timeline collector and the Chrome trace, whichever are attached.
 type recorder struct {
-	col   *timeline.Collector
-	tr    *trace.Timeline
-	occ   []trace.Slice        // one quantum's trace slices
-	steps []machine.ThreadStep // a replayed quantum's threads
+	col *timeline.Collector
+	tr  *trace.Timeline
+	occ []trace.Slice // one quantum's trace slices
 }
 
 // record accounts n consecutive identical quanta, the first starting at
@@ -292,21 +297,6 @@ func (r *recorder) record(s timeline.Sample, n int, threads []machine.ThreadStep
 		})
 	}
 	r.tr.RecordQuanta(s, r.occ, n)
-}
-
-// replayed returns the threads a replayed quantum of plan runs — each
-// on the CPU it holds, at the plan's speed, not migrated — or nil when
-// no trace needs them.
-func (r *recorder) replayed(plan *machine.StretchPlan) []machine.ThreadStep {
-	if r.tr == nil {
-		return nil
-	}
-	r.steps = r.steps[:0]
-	for i := range plan.Threads {
-		pt := &plan.Threads[i]
-		r.steps = append(r.steps, machine.ThreadStep{Thread: pt.Thread, CPU: pt.CPU, Speed: pt.Speed, Rate: pt.Rate})
-	}
-	return r.steps
 }
 
 // Run executes apps under s until every finite application completes.
@@ -536,7 +526,7 @@ func run(cfg Config, s sched.Scheduler, apps []*workload.App) (Result, error) {
 		}
 		var step machine.StepResult
 		if len(placements) == 0 {
-			if err := m.Idle(quantum); err != nil {
+			if err := m.Advance(quantum, 1); err != nil {
 				return Result{}, err
 			}
 		} else {
@@ -574,7 +564,9 @@ func run(cfg Config, s sched.Scheduler, apps []*workload.App) (Result, error) {
 				}
 				appTrans += uint64(rates[perfctr.EventBusTransAny] * float64(quantum))
 			}
-			if perThread, ran := st.sample(cfg.Sampling, appTrans, quantum); ran {
+			perThread, ran := st.sample(cfg.Sampling, appTrans, quantum)
+			st.sampled, st.qTrans = ran, appTrans
+			if ran {
 				admitted++
 				// A lost publish (the run-time library missed its arena
 				// slot) starves the policy of this quantum's sample;
@@ -607,13 +599,13 @@ func run(cfg Config, s sched.Scheduler, apps []*workload.App) (Result, error) {
 		prevFaults = tot
 
 		// Event engine: the quantum just stepped is the probe that
-		// anchors a stretch. If the scheduler is provably stable, the
-		// machine state replayable and every bandwidth sample a
-		// fixed point, leap across the quanta that would repeat it
-		// bitwise; otherwise this falls through and the loop keeps
-		// stepping. Placed after the record (the probe is
-		// already accounted) and before retirement (a leap ends at or
-		// before any completion, which the block below then handles).
+		// anchors a stretch. If the scheduler is provably stable and
+		// the machine hands out the probe as a replayable plan, leap
+		// across the quanta that would repeat it bitwise; otherwise
+		// this falls through and the loop keeps stepping. Placed after
+		// the record (the probe is already accounted) and before
+		// retirement (a leap ends at or before any completion, which
+		// the block below then handles).
 		if leapable {
 			// Churn gating: a pending arrival or an outstanding departure
 			// event means the mix is still unstable — a leap could carry
@@ -621,7 +613,9 @@ func run(cfg Config, s sched.Scheduler, apps []*workload.App) (Result, error) {
 			// scenario schedule drains (depIdx catches up and pending
 			// empties) leaps resume for the settled mix.
 			if len(placements) > 0 && len(pending) == 0 && depIdx == len(depEvents) && cfg.ManagerOverhead <= 0 {
-				ls.tryLeap(&cfg, &rec, s, m, quantum, placements, states, byApp, finite, connected, admitted, &res, &utilSum)
+				if err := ls.tryLeap(&cfg, &rec, s, m, quantum, placements, states, finite, connected, admitted, &res, &utilSum); err != nil {
+					return Result{}, err
+				}
 			} else if len(placements) == 0 && connected == 0 && len(pending) > 0 {
 				if err := leapIdle(cfg.MaxTime, &rec, m, quantum, states, pending, &res); err != nil {
 					return Result{}, err

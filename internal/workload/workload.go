@@ -124,20 +124,6 @@ func (p Profile) SoloRate() units.Rate {
 	return units.Rate(weighted/float64(total)) * units.Rate(p.Threads)
 }
 
-// MeanStallFrac returns the time-weighted mean stall fraction.
-func (p Profile) MeanStallFrac() float64 {
-	var total units.Time
-	var weighted float64
-	for _, ph := range p.Phases {
-		total += ph.Duration
-		weighted += ph.StallFrac * float64(ph.Duration)
-	}
-	if total == 0 {
-		return 0
-	}
-	return weighted / float64(total)
-}
-
 // Thread is one runnable thread of an App instance.
 type Thread struct {
 	App *App
@@ -164,19 +150,6 @@ func (t *Thread) Done() bool {
 		return false
 	}
 	return t.progress >= float64(t.App.Profile.SoloTime)
-}
-
-// Remaining returns the outstanding solo-equivalent work (including
-// migration debt), or +Inf for endless threads.
-func (t *Thread) Remaining() float64 {
-	if t.App.Profile.Endless() {
-		return math.Inf(1)
-	}
-	rem := float64(t.App.Profile.SoloTime) - t.progress + t.debt
-	if rem < 0 {
-		rem = 0
-	}
-	return rem
 }
 
 // Progress returns completed solo-equivalent work in usec.

@@ -43,10 +43,6 @@ func TestSoloRateWeighting(t *testing.T) {
 	if got := p.SoloRate(); math.Abs(float64(got)-8) > 1e-9 {
 		t.Errorf("SoloRate = %v, want 8", got)
 	}
-	// Stall: (0.5*100 + 0.1*300)/400 = 0.2
-	if got := p.MeanStallFrac(); math.Abs(got-0.2) > 1e-9 {
-		t.Errorf("MeanStallFrac = %v, want 0.2", got)
-	}
 }
 
 func TestPaperAppsOrderingAndRange(t *testing.T) {
@@ -232,9 +228,6 @@ func TestEndlessThreadNeverDone(t *testing.T) {
 	if th.Done() || app.Done() {
 		t.Error("BBMA should never be done")
 	}
-	if !math.IsInf(th.Remaining(), 1) {
-		t.Errorf("endless remaining = %v, want +Inf", th.Remaining())
-	}
 }
 
 func TestTurnaround(t *testing.T) {
@@ -380,9 +373,9 @@ func TestBarrierSpinAccounting(t *testing.T) {
 	if _, f := runner.Request(); f != 0 {
 		t.Errorf("spinning stall = %v, want 0", f)
 	}
-	// Remaining work includes what is left.
-	if rem := runner.Remaining(); rem <= 0 {
-		t.Errorf("remaining = %v", rem)
+	// Spinning is not completion.
+	if runner.Done() {
+		t.Error("runner done at a barrier")
 	}
 	// The sibling catches up; the runner resumes.
 	app.Threads[1].Advance(100_000, 100_000, 11.65)
@@ -406,7 +399,7 @@ func TestDebtAccessor(t *testing.T) {
 
 func TestSoloRateEmptyPhases(t *testing.T) {
 	var p Profile
-	if p.SoloRate() != 0 || p.MeanStallFrac() != 0 {
+	if p.SoloRate() != 0 {
 		t.Error("empty profile should have zero rates")
 	}
 }
