@@ -55,7 +55,9 @@ type (
 	Result = sim.Result
 	// AppResult is one application's outcome within a Result.
 	AppResult = sim.AppResult
-	// MachineConfig describes the simulated SMP.
+	// MachineConfig describes the simulated SMP: its processor count
+	// and whether SMT is on. The bus and the rest of the machine are
+	// the paper platform's calibration.
 	MachineConfig = machine.Config
 	// Timeline records per-quantum scheduling decisions for rendering
 	// or Chrome-trace export.

@@ -67,7 +67,7 @@ func main() {
 	// The manager's scheduling loop: the Director reads arenas, runs
 	// the Quanta Window selection, and enforces it with signals.
 	m := busaware.PaperMachine()
-	policy := sched.NewQuantaWindow(m.NumCPUs, m.Bus.Capacity)
+	policy := sched.NewQuantaWindow(m.NumCPUs, units.SustainedBusRate)
 	director, err := cpumanager.NewDirector(mgr, policy)
 	if err != nil {
 		fatal(err)

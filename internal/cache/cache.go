@@ -1,14 +1,12 @@
 // Package cache implements a set-associative write-allocate LRU cache
-// simulator modelled on the Xeon's 256KB 8-way L2 with 64-byte lines,
-// plus the small analytic helpers the machine model uses to reason
-// about working sets and migration refills.
+// simulator modelled on the Xeon's 256KB 8-way L2 with 64-byte lines.
 //
-// The simulator exists for two reasons. First, it derives the paper's
-// microbenchmark properties (BBMA ~0% hit rate, nBBMA ~100%) from the
-// access patterns instead of hard-coding them; see the tests and
-// cmd/figures -fig hit. Second, it provides the per-thread working-set
-// accounting the machine model uses to charge cache-refill bus traffic
-// after a thread migrates between processors.
+// The simulator derives the paper's microbenchmark properties (BBMA ~0%
+// hit rate, nBBMA ~100%) from the access patterns instead of
+// hard-coding them; see the tests and cmd/figures -fig hit. The machine
+// model does not run it: a profile's MigrationPenalty, repaid at
+// workload.RefillDemand, prices a migration, and its L2HitRate sets the
+// L2 reference and miss counters.
 package cache
 
 import (
@@ -81,21 +79,13 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Refs)
 }
 
-// MissRate returns misses/refs, or 0 with no references.
-func (s Stats) MissRate() float64 {
-	if s.Refs == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Refs)
-}
-
 // BusTransactions returns the number of bus transactions the recorded
 // activity generated: one line fill per miss plus one writeback per
 // dirty eviction.
 func (s Stats) BusTransactions() uint64 { return s.Misses + s.Writebacks }
 
 // Cache is a set-associative LRU cache simulator. It is not safe for
-// concurrent use; the machine model owns one per processor.
+// concurrent use.
 type Cache struct {
 	cfg      Config
 	sets     [][]line
@@ -134,9 +124,6 @@ func (c *Cache) Config() Config { return c.cfg }
 
 // Stats returns a copy of the accumulated statistics.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// ResetStats zeroes the counters without disturbing cache contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // Flush invalidates every line, counting writebacks for dirty ones.
 // This models losing cache state, e.g. on thread migration.
@@ -208,11 +195,6 @@ func (c *Cache) ResidentLines() int {
 		}
 	}
 	return n
-}
-
-// ResidentBytes returns the resident working set in bytes.
-func (c *Cache) ResidentBytes() units.Bytes {
-	return units.Bytes(c.ResidentLines()) * c.cfg.LineSize
 }
 
 // Run plays an entire trace through the cache and returns the stats

@@ -111,7 +111,6 @@ func TestFlushCountsDirtyLines(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.Access(mem.Addr(i*64), true)
 	}
-	c.ResetStats()
 	c.Flush()
 	if got := c.Stats().Writebacks; got != 10 {
 		t.Errorf("flush writebacks = %d, want 10", got)
@@ -126,7 +125,7 @@ func TestResidentBytes(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		c.Access(mem.Addr(i*64), false)
 	}
-	if got := c.ResidentBytes(); got != 100*64 {
+	if got := units.Bytes(c.ResidentLines()) * c.Config().LineSize; got != 100*64 {
 		t.Errorf("resident = %v, want 6400B", got)
 	}
 }
@@ -167,7 +166,7 @@ func TestStreamTraceMissBehaviour(t *testing.T) {
 	s := c.Run(tr)
 	// 8 elements per 64B line; copy touches 2 arrays; expected miss rate
 	// ~1/8 per reference stream.
-	mr := s.MissRate()
+	mr := 1 - s.HitRate()
 	if mr < 0.10 || mr > 0.15 {
 		t.Errorf("stream miss rate = %.4f, want ~0.125", mr)
 	}
@@ -225,39 +224,9 @@ func TestSmallWorkingSetConverges(t *testing.T) {
 	// 16KB working set walked repeatedly: after warmup, no misses.
 	warm := &mem.RowWise{ArrayBytes: 16 * units.KB, Elem: 8, Passes: 1}
 	c.Run(warm)
-	c.ResetStats()
 	steady := &mem.RowWise{ArrayBytes: 16 * units.KB, Elem: 8, Passes: 5}
 	s := c.Run(steady)
 	if s.Misses != 0 {
 		t.Errorf("steady-state misses = %d, want 0", s.Misses)
-	}
-}
-
-func TestWorkingSetRefill(t *testing.T) {
-	ws := WorkingSet{Bytes: 256 * units.KB, HitRate: 0.99, DirtyFrac: 0.5}
-	lines := uint64(256 * 1024 / 64)
-	got := ws.RefillTransactions(64)
-	want := lines + lines/2
-	if got != want {
-		t.Errorf("refill = %d, want %d", got, want)
-	}
-	if ws.RefillTransactions(0) != 0 {
-		t.Error("zero line size should yield zero refill")
-	}
-	if (WorkingSet{}).RefillTransactions(64) != 0 {
-		t.Error("empty working set should yield zero refill")
-	}
-}
-
-func TestWarmupRefs(t *testing.T) {
-	ws := WorkingSet{Bytes: 64 * 100, HitRate: 0.9}
-	// 100 lines at 10% miss rate -> ~1000 refs.
-	if got := ws.WarmupRefs(64); got != 1000 {
-		t.Errorf("warmup refs = %d, want 1000", got)
-	}
-	// Hit rate 1.0 is clamped so warmup stays finite.
-	ws.HitRate = 1.0
-	if got := ws.WarmupRefs(64); got == 0 || got > 100*1000 {
-		t.Errorf("clamped warmup refs = %d", got)
 	}
 }

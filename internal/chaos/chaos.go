@@ -151,11 +151,6 @@ type Stats struct {
 	Delays     uint64 `json:"delays"`
 }
 
-// Injected sums every fault class (Events excluded).
-func (s Stats) Injected() uint64 {
-	return s.Blackholes + s.Resets + s.Err5xx + s.Truncates + s.Corrupts + s.Delays
-}
-
 // counts exposes the per-class counters in class order for the budget
 // check and the stats accounting.
 func (s *Stats) counts() [6]*uint64 {

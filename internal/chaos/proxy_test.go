@@ -214,7 +214,7 @@ func TestProxyDeterministicStats(t *testing.T) {
 	if a.Events != 100 {
 		t.Fatalf("events %d, want one per request", a.Events)
 	}
-	if a.Injected() == 0 {
+	if injected(a) == 0 {
 		t.Fatal("schedule injected nothing")
 	}
 }

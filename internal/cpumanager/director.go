@@ -124,10 +124,3 @@ func (d *Director) Tick() Admitted {
 	}
 	return out
 }
-
-// Jobs returns the number of sessions currently tracked.
-func (d *Director) Jobs() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.jobs)
-}

@@ -39,8 +39,8 @@ func TestDirectorAdmitsEveryoneWhenIdle(t *testing.T) {
 	if len(out.Sessions) != 2 || out.Blocked != 0 {
 		t.Errorf("admitted %d blocked %d, want both admitted", len(out.Sessions), out.Blocked)
 	}
-	if d.Jobs() != 2 {
-		t.Errorf("tracked jobs = %d", d.Jobs())
+	if len(d.jobs) != 2 {
+		t.Errorf("tracked jobs = %d", len(d.jobs))
 	}
 }
 
@@ -116,15 +116,15 @@ func TestDirectorDropsDeadSessions(t *testing.T) {
 	mgr, d := newDirector(t)
 	a, _ := mgr.connect("A", 1)
 	d.Tick()
-	if d.Jobs() != 1 {
-		t.Fatalf("jobs = %d", d.Jobs())
+	if len(d.jobs) != 1 {
+		t.Fatalf("jobs = %d", len(d.jobs))
 	}
 	if err := mgr.disconnect(a.ID); err != nil {
 		t.Fatal(err)
 	}
 	d.Tick()
-	if d.Jobs() != 0 {
-		t.Errorf("jobs after disconnect = %d", d.Jobs())
+	if len(d.jobs) != 0 {
+		t.Errorf("jobs after disconnect = %d", len(d.jobs))
 	}
 }
 

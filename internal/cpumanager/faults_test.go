@@ -350,8 +350,8 @@ func TestDirectorReapsDeadSessions(t *testing.T) {
 	if reaped != 1 {
 		t.Fatalf("director reaped %d sessions, want 1", reaped)
 	}
-	if dir.Jobs() != 1 {
-		t.Errorf("policy still tracks %d jobs, want 1", dir.Jobs())
+	if len(dir.jobs) != 1 {
+		t.Errorf("policy still tracks %d jobs, want 1", len(dir.jobs))
 	}
 	out := dir.Tick()
 	if len(out.Sessions) != 1 || out.Sessions[0] != alive {

@@ -300,7 +300,7 @@ func TestSweepMetrics(t *testing.T) {
 	if !ok {
 		t.Fatal("BT missing from registry")
 	}
-	if _, err := Figure2App(SetMixed, opt, bt); err != nil {
+	if _, err := opt.runCells("figure2/BT", figure2Cells(SetMixed, opt, bt)); err != nil {
 		t.Fatal(err)
 	}
 	batches := m.Batches()

@@ -16,46 +16,14 @@ import (
 // experiments.
 
 // ServerRow is one server application's outcome on the mixed
-// antagonist set.
-type ServerRow struct {
-	App             string
-	LinuxTurnaround units.Time
-	LQTurnaround    units.Time
-	QWTurnaround    units.Time
-	LQImprovement   float64
-	QWImprovement   float64
-}
+// antagonist set: a Figure 2C row.
+type ServerRow = Fig2Row
 
 // ServerWorkloads runs the web-server and database profiles through
 // the mixed antagonist set, exactly like a Figure 2C panel. Both
 // profiles' cells fan out through the runner as one batch.
 func ServerWorkloads(opt Options) ([]ServerRow, error) {
-	profiles := workload.ServerProfiles()
-	var cells []runner.Cell
-	for _, p := range profiles {
-		cells = append(cells, figure2Cells(SetMixed, opt, p)...)
-	}
-	results, err := opt.runCells("servers", cells)
-	if err != nil {
-		return nil, err
-	}
-	per := len(opt.seeds()) + 2
-	var rows []ServerRow
-	for i, p := range profiles {
-		f2, err := figure2Row(SetMixed, opt, p, results[i*per:(i+1)*per])
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, ServerRow{
-			App:             p.Name,
-			LinuxTurnaround: f2.LinuxTurnaround,
-			LQTurnaround:    f2.LQTurnaround,
-			QWTurnaround:    f2.QWTurnaround,
-			LQImprovement:   f2.LQImprovement,
-			QWImprovement:   f2.QWImprovement,
-		})
-	}
-	return rows, nil
+	return figure2Rows("servers", SetMixed, opt, workload.ServerProfiles())
 }
 
 // SMTRow compares one scheduling policy with hyperthreading off
@@ -91,7 +59,7 @@ func SMTStudy(opt Options) ([]SMTRow, error) {
 	off := machine.DefaultConfig() // 4 CPUs, SMT off
 	on := off
 	on.NumCPUs = off.NumCPUs * 2
-	on.SMTSiblings = 2
+	on.SMT = true
 
 	var cells []runner.Cell
 	for _, policy := range []string{"linux", "window"} {

@@ -31,18 +31,23 @@ type Fig2Row struct {
 // application — is independent, so the whole grid fans out through
 // the parallel runner in a single batch.
 func Figure2(set WorkloadSet, opt Options) ([]Fig2Row, error) {
-	apps := workload.PaperApps()
+	return figure2Rows(fmt.Sprintf("figure2/%s", set), set, opt, workload.PaperApps())
+}
+
+// figure2Rows runs the panel cells of every profile as one batch and
+// assembles their rows, in profile order.
+func figure2Rows(batch string, set WorkloadSet, opt Options, profiles []workload.Profile) ([]Fig2Row, error) {
 	var cells []runner.Cell
-	for _, p := range apps {
+	for _, p := range profiles {
 		cells = append(cells, figure2Cells(set, opt, p)...)
 	}
-	results, err := opt.runCells(fmt.Sprintf("figure2/%s", set), cells)
+	results, err := opt.runCells(batch, cells)
 	if err != nil {
 		return nil, err
 	}
 	per := len(opt.seeds()) + 2
 	var rows []Fig2Row
-	for i, p := range apps {
+	for i, p := range profiles {
 		row, err := figure2Row(set, opt, p, results[i*per:(i+1)*per])
 		if err != nil {
 			return nil, err
@@ -50,15 +55,6 @@ func Figure2(set WorkloadSet, opt Options) ([]Fig2Row, error) {
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// Figure2App measures a single application in one panel.
-func Figure2App(set WorkloadSet, opt Options, p workload.Profile) (Fig2Row, error) {
-	results, err := opt.runCells(fmt.Sprintf("figure2/%s/%s", set, p.Name), figure2Cells(set, opt, p))
-	if err != nil {
-		return Fig2Row{App: p.Name}, err
-	}
-	return figure2Row(set, opt, p, results)
 }
 
 // figure2Cells builds one application's panel cells: the per-seed

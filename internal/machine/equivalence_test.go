@@ -23,7 +23,7 @@ type refMachine struct {
 
 func newRefMachine(t *testing.T, cfg Config) *refMachine {
 	t.Helper()
-	bm, err := bus.New(cfg.Bus)
+	bm, err := bus.New(bus.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,9 +40,9 @@ func (r *refMachine) step(placements []Placement, dt units.Time) {
 		last, ran := r.lastCPU[p.Thread]
 		switch {
 		case ran && last != p.CPU:
-			p.Thread.Migrate(r.cfg.L2.LineSize)
+			p.Thread.Migrate()
 		case ran && r.lastThread[p.CPU] != p.Thread:
-			p.Thread.AddDebt(r.cfg.PollutionFrac * float64(p.Thread.App.Profile.MigrationPenalty))
+			p.Thread.AddDebt(pollutionFrac * float64(p.Thread.App.Profile.MigrationPenalty))
 		}
 		r.lastCPU[p.Thread] = p.CPU
 		r.lastThread[p.CPU] = p.Thread
@@ -52,7 +52,7 @@ func (r *refMachine) step(placements []Placement, dt units.Time) {
 		busyCore[p.CPU/2]++
 	}
 	for remaining := dt; remaining > 0; {
-		sub := r.cfg.MicroStep
+		sub := microStep
 		if sub > remaining {
 			sub = remaining
 		}
@@ -65,8 +65,8 @@ func (r *refMachine) step(placements []Placement, dt units.Time) {
 		for i, p := range placements {
 			g := grants[i]
 			speed := g.Speed
-			if r.cfg.SMTSiblings == 2 && busyCore[p.CPU/2] > 1 {
-				speed *= r.cfg.SMTEfficiency
+			if r.cfg.SMT && busyCore[p.CPU/2] > 1 {
+				speed *= smtEfficiency
 			}
 			wall := float64(sub)
 			p.Thread.Advance(wall*speed, wall, g.Rate*units.Rate(speed/maxf(g.Speed, 1e-12)))
@@ -78,7 +78,7 @@ func (r *refMachine) step(placements []Placement, dt units.Time) {
 type slot struct{ a, th, cpu int }
 
 // threadDiff reports the first bitwise difference between two threads'
-// counters, progress, phase position, debt and spin time, or "".
+// counters, progress, phase position and debt, or "".
 func threadDiff(x, y *workload.Thread) string {
 	if cx, cy := x.Counters.Snapshot(), y.Counters.Snapshot(); cx != cy {
 		return fmt.Sprintf("counters %v vs %v", cx, cy)
@@ -95,9 +95,6 @@ func threadDiff(x, y *workload.Thread) string {
 	if bits(x.Debt()) != bits(y.Debt()) {
 		return fmt.Sprintf("debt %v vs %v", x.Debt(), y.Debt())
 	}
-	if bits(x.SpunTime()) != bits(y.SpunTime()) {
-		return fmt.Sprintf("spun %v vs %v", x.SpunTime(), y.SpunTime())
-	}
 	return ""
 }
 
@@ -108,7 +105,7 @@ func threadDiff(x, y *workload.Thread) string {
 // quantum that ends on a partial micro-step.
 func TestStepMatchesPerMicroStepAdvance(t *testing.T) {
 	smt := DefaultConfig()
-	smt.SMTSiblings = 2
+	smt.SMT = true
 	repeat := func(n int, q []slot) [][]slot {
 		out := make([][]slot, n)
 		for i := range out {
@@ -116,7 +113,7 @@ func TestStepMatchesPerMicroStepAdvance(t *testing.T) {
 		}
 		return out
 	}
-	spun := func(apps []*workload.App, _ int) bool { return apps[0].Threads[0].SpunTime() > 0 }
+	spun := func(apps []*workload.App, _ int) bool { return apps[0].Threads[0].AtBarrier() }
 	migrated := func(_ []*workload.App, migrations int) bool { return migrations > 0 }
 	wrapped := func(apps []*workload.App, _ int) bool {
 		idx, _ := apps[0].Threads[0].PhasePos()
@@ -129,7 +126,8 @@ func TestStepMatchesPerMicroStepAdvance(t *testing.T) {
 		apps     []string
 		quantum  units.Time
 		schedule [][]slot
-		// exercised reports whether the run reached the case's feature.
+		// exercised reports whether the run has reached the case's
+		// feature; it is asked after every quantum.
 		exercised func(apps []*workload.App, migrations int) bool
 	}{
 		{
@@ -189,7 +187,7 @@ func TestStepMatchesPerMicroStepAdvance(t *testing.T) {
 				return apps
 			}
 			got, want := build(), build()
-			migrations := 0
+			migrations, reached := 0, false
 			for q, slots := range tc.schedule {
 				pg := make([]Placement, len(slots))
 				pw := make([]Placement, len(slots))
@@ -210,8 +208,9 @@ func TestStepMatchesPerMicroStepAdvance(t *testing.T) {
 						}
 					}
 				}
+				reached = reached || tc.exercised(got, migrations)
 			}
-			if !tc.exercised(got, migrations) {
+			if !reached {
 				t.Errorf("schedule never reached the case's feature")
 			}
 		})

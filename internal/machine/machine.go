@@ -17,88 +17,57 @@ import (
 	"math"
 
 	"busaware/internal/bus"
-	"busaware/internal/cache"
 	"busaware/internal/perfctr"
 	"busaware/internal/units"
 	"busaware/internal/workload"
 )
 
-// Config describes the machine.
+// Config describes the machine: its processor count and whether the
+// processors are SMT siblings. Everything else is the paper machine's
+// calibration, fixed in code: the bus is bus.DefaultConfig's, and the
+// constants below set the micro-step, the cache-pollution charge and
+// the SMT sibling speed.
 type Config struct {
-	// NumCPUs is the processor count (4 on the paper's machine).
+	// NumCPUs is the logical processor count (4 on the paper's
+	// machine).
 	NumCPUs int
-	// Bus configures the shared front-side bus model.
-	Bus bus.Config
-	// L2 is the per-processor cache geometry (affinity bookkeeping).
-	L2 cache.Config
-	// MicroStep subdivides each Step so phase changes and migration
+	// SMT enables simultaneous multithreading: logical processors 2i
+	// and 2i+1 share physical core i, so NumCPUs must be even. The
+	// paper disabled hyperthreading (the perfctr driver of 2003 could
+	// not virtualize counters for sibling threads) and named SMT as
+	// future work.
+	SMT bool
+}
+
+const (
+	// microStep subdivides each Step so phase changes and migration
 	// debt repayment inside a slice are resolved with reasonable
-	// fidelity. Zero selects the default of 10ms.
-	MicroStep units.Time
-	// PollutionFrac is the fraction of a thread's migration penalty
+	// fidelity.
+	microStep units.Time = 10 * units.Millisecond
+	// pollutionFrac is the fraction of a thread's migration penalty
 	// charged when it resumes on its own processor after a *different*
 	// thread ran there in between (the intervening thread evicted part
 	// of its working set). Time-sharing is cheaper than migrating, but
 	// not free — this is why LU CB and Water-nsqr suffer under any
 	// multiprogramming in the paper.
-	PollutionFrac float64
-
-	// SMTSiblings enables simultaneous multithreading: logical
-	// processors 2i and 2i+1 share physical core i. The paper disabled
-	// hyperthreading (the perfctr driver of 2003 could not virtualize
-	// counters for sibling threads) and named SMT as future work; set
-	// SMTSiblings to 2 to explore it. 0 and 1 mean no sharing.
-	SMTSiblings int
-	// SMTEfficiency is each sibling's speed multiplier when both
+	pollutionFrac float64 = 0.5
+	// smtEfficiency is each sibling's speed multiplier when both
 	// logical processors of a core are busy. Hyperthreaded Xeons of
 	// the era gained ~25% aggregate throughput from a busy sibling
 	// pair, i.e. ~0.62 per thread.
-	SMTEfficiency float64
-}
+	smtEfficiency float64 = 0.62
+)
 
-// DefaultConfig returns the paper machine: 4 CPUs, STREAM-calibrated
-// bus, Xeon L2 geometry.
-func DefaultConfig() Config {
-	return Config{
-		NumCPUs:       4,
-		Bus:           bus.DefaultConfig(),
-		L2:            cache.XeonL2(),
-		MicroStep:     10 * units.Millisecond,
-		PollutionFrac: 0.5,
-		SMTEfficiency: 0.62,
-	}
-}
+// DefaultConfig returns the paper machine: 4 CPUs, no SMT.
+func DefaultConfig() Config { return Config{NumCPUs: 4} }
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.NumCPUs < 1 {
 		return fmt.Errorf("machine: %d CPUs", c.NumCPUs)
 	}
-	if err := c.Bus.Validate(); err != nil {
-		return err
-	}
-	if err := c.L2.Validate(); err != nil {
-		return err
-	}
-	if c.MicroStep < 0 {
-		return errors.New("machine: negative micro step")
-	}
-	if math.IsNaN(c.PollutionFrac) || c.PollutionFrac < 0 || c.PollutionFrac > 1 {
-		return fmt.Errorf("machine: pollution fraction %v out of [0,1]", c.PollutionFrac)
-	}
-	if math.IsNaN(c.SMTEfficiency) || math.IsInf(c.SMTEfficiency, 0) {
-		return fmt.Errorf("machine: SMT efficiency %v is not finite", c.SMTEfficiency)
-	}
-	if c.SMTSiblings < 0 || c.SMTSiblings > 2 {
-		return fmt.Errorf("machine: SMT siblings %d (want 0, 1 or 2)", c.SMTSiblings)
-	}
-	if c.SMTSiblings == 2 {
-		if c.NumCPUs%2 != 0 {
-			return fmt.Errorf("machine: SMT needs an even logical CPU count, got %d", c.NumCPUs)
-		}
-		if c.SMTEfficiency <= 0 || c.SMTEfficiency > 1 {
-			return fmt.Errorf("machine: SMT efficiency %v out of (0,1]", c.SMTEfficiency)
-		}
+	if c.SMT && c.NumCPUs%2 != 0 {
+		return fmt.Errorf("machine: SMT needs an even logical CPU count, got %d", c.NumCPUs)
 	}
 	return nil
 }
@@ -188,10 +157,7 @@ func New(cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.MicroStep == 0 {
-		cfg.MicroStep = 10 * units.Millisecond
-	}
-	bm, err := bus.New(cfg.Bus)
+	bm, err := bus.New(bus.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -303,7 +269,7 @@ func (m *Machine) Step(placements []Placement, dt units.Time) (StepResult, error
 
 	// Micro-step so that phase boundaries and refill debt are honoured
 	// within the slice.
-	steps := int((dt + m.cfg.MicroStep - 1) / m.cfg.MicroStep)
+	steps := int((dt + microStep - 1) / microStep)
 	if need := m.cfg.NumCPUs * steps; cap(m.soloPerSub) < need {
 		m.soloPerSub = make([]float64, need)
 	}
@@ -322,13 +288,13 @@ func (m *Machine) Step(placements []Placement, dt units.Time) (StepResult, error
 		switch {
 		case ran && last != p.CPU:
 			// Full migration: the working set must be rebuilt.
-			p.Thread.Migrate(m.cfg.L2.LineSize)
+			p.Thread.Migrate()
 			res.Threads[i].Migrated = true
 			res.Migrations++
 		case ran && m.lastThread[p.CPU] != p.Thread:
 			// Resuming on its own processor after someone else used
 			// it: partial working-set refill.
-			p.Thread.AddDebt(m.cfg.PollutionFrac * float64(p.Thread.App.Profile.MigrationPenalty))
+			p.Thread.AddDebt(pollutionFrac * float64(p.Thread.App.Profile.MigrationPenalty))
 		}
 		if m.lastThread[p.CPU] != p.Thread {
 			res.ContextSwitches++
@@ -339,7 +305,7 @@ func (m *Machine) Step(placements []Placement, dt units.Time) (StepResult, error
 
 	// Core occupancy for SMT resource sharing.
 	var busyCore []int
-	if m.cfg.SMTSiblings == 2 {
+	if m.cfg.SMT {
 		busyCore = m.busyCore
 		for i := range busyCore {
 			busyCore[i] = 0
@@ -356,7 +322,7 @@ func (m *Machine) Step(placements []Placement, dt units.Time) (StepResult, error
 	uniform := true
 	reqs := m.reqs[:len(placements)] // cap is NumCPUs >= len(placements)
 	for s := 0; s < steps; s++ {
-		sub := m.cfg.MicroStep
+		sub := microStep
 		if sub > remaining {
 			sub = remaining
 		}
@@ -373,10 +339,10 @@ func (m *Machine) Step(placements []Placement, dt units.Time) (StepResult, error
 		for i, p := range placements {
 			g := grants[i]
 			speed := g.Speed
-			if m.cfg.SMTSiblings == 2 && busyCore[p.CPU/2] > 1 {
+			if m.cfg.SMT && busyCore[p.CPU/2] > 1 {
 				// Both logical siblings of this core are busy: they
 				// share the core's execution resources.
-				speed *= m.cfg.SMTEfficiency
+				speed *= smtEfficiency
 			}
 			solo := wall * speed
 			ts := &res.Threads[i]

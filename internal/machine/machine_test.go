@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"busaware/internal/bus"
 	"busaware/internal/units"
 	"busaware/internal/workload"
 )
@@ -37,39 +38,31 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(bad); err == nil {
 		t.Error("zero CPUs accepted")
 	}
-	bad = DefaultConfig()
-	bad.MicroStep = -1
-	if _, err := New(bad); err == nil {
-		t.Error("negative micro step accepted")
-	}
 }
 
-// TestConfigRefusesNonFinite sets every float field of the machine
-// and bus configs, in turn, to NaN, +Inf and -Inf: New must refuse each.
-// SMT is on, so SMTEfficiency is in use.
+// TestConfigRefusesNonFinite sets every field of the bus calibration
+// the machine builds its bus from, in turn, to NaN, +Inf and -Inf:
+// bus.New must refuse each.
 func TestConfigRefusesNonFinite(t *testing.T) {
 	fields := []struct {
 		name string
-		set  func(*Config, float64)
+		set  func(*bus.Config, float64)
 	}{
-		{"PollutionFrac", func(c *Config, v float64) { c.PollutionFrac = v }},
-		{"SMTEfficiency", func(c *Config, v float64) { c.SMTEfficiency = v }},
-		{"Bus.Capacity", func(c *Config, v float64) { c.Bus.Capacity = units.Rate(v) }},
-		{"Bus.ArbPenalty", func(c *Config, v float64) { c.Bus.ArbPenalty = v }},
-		{"Bus.MinCapacityFrac", func(c *Config, v float64) { c.Bus.MinCapacityFrac = v }},
-		{"Bus.QueueFactor", func(c *Config, v float64) { c.Bus.QueueFactor = v }},
-		{"Bus.CurveExponent", func(c *Config, v float64) { c.Bus.CurveExponent = v }},
-		{"Bus.MaxStretch", func(c *Config, v float64) { c.Bus.MaxStretch = v }},
-		{"Bus.MasterThreshold", func(c *Config, v float64) { c.Bus.MasterThreshold = units.Rate(v) }},
-		{"Bus.Unfairness", func(c *Config, v float64) { c.Bus.Unfairness = v }},
+		{"Bus.Capacity", func(c *bus.Config, v float64) { c.Capacity = units.Rate(v) }},
+		{"Bus.ArbPenalty", func(c *bus.Config, v float64) { c.ArbPenalty = v }},
+		{"Bus.MinCapacityFrac", func(c *bus.Config, v float64) { c.MinCapacityFrac = v }},
+		{"Bus.QueueFactor", func(c *bus.Config, v float64) { c.QueueFactor = v }},
+		{"Bus.CurveExponent", func(c *bus.Config, v float64) { c.CurveExponent = v }},
+		{"Bus.MaxStretch", func(c *bus.Config, v float64) { c.MaxStretch = v }},
+		{"Bus.MasterThreshold", func(c *bus.Config, v float64) { c.MasterThreshold = units.Rate(v) }},
+		{"Bus.Unfairness", func(c *bus.Config, v float64) { c.Unfairness = v }},
 	}
 	for _, f := range fields {
 		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 			t.Run(fmt.Sprintf("%s=%v", f.name, v), func(t *testing.T) {
-				cfg := DefaultConfig()
-				cfg.SMTSiblings = 2
+				cfg := bus.DefaultConfig()
 				f.set(&cfg, v)
-				if _, err := New(cfg); err == nil {
+				if _, err := bus.New(cfg); err == nil {
 					t.Error("accepted")
 				}
 			})
@@ -261,27 +254,16 @@ func TestEmptyStepAdvancesTime(t *testing.T) {
 
 func TestSMTValidation(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.SMTSiblings = 3
-	if _, err := New(cfg); err == nil {
-		t.Error("SMTSiblings=3 accepted")
-	}
-	cfg = DefaultConfig()
-	cfg.SMTSiblings = 2
+	cfg.SMT = true
 	cfg.NumCPUs = 5
 	if _, err := New(cfg); err == nil {
 		t.Error("odd logical CPU count with SMT accepted")
-	}
-	cfg = DefaultConfig()
-	cfg.SMTSiblings = 2
-	cfg.SMTEfficiency = 0
-	if _, err := New(cfg); err == nil {
-		t.Error("zero SMT efficiency accepted")
 	}
 }
 
 func TestSMTCoreSharingSlowsSiblings(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.SMTSiblings = 2
+	cfg.SMT = true
 	cfg.NumCPUs = 8 // 4 physical cores
 	m, err := New(cfg)
 	if err != nil {
@@ -309,10 +291,10 @@ func TestSMTCoreSharingSlowsSiblings(t *testing.T) {
 		t.Errorf("sibling-shared speed %.3f should trail separate-core speed %.3f",
 			shared.Threads[0].Speed, apart.Threads[0].Speed)
 	}
-	// Sharing costs ~the configured efficiency, not more.
+	// Sharing costs ~the sibling efficiency, not more.
 	ratio := shared.Threads[0].Speed / apart.Threads[0].Speed
-	if ratio < cfg.SMTEfficiency-0.02 || ratio > cfg.SMTEfficiency+0.02 {
-		t.Errorf("sharing ratio = %.3f, want ~%.2f", ratio, cfg.SMTEfficiency)
+	if ratio < smtEfficiency-0.02 || ratio > smtEfficiency+0.02 {
+		t.Errorf("sharing ratio = %.3f, want ~%.2f", ratio, smtEfficiency)
 	}
 }
 

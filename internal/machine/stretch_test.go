@@ -32,7 +32,7 @@ func bits(r StepResult) string { return fmt.Sprintf("%+v", r) }
 func TestPlanIsTheNextQuantum(t *testing.T) {
 	const dt = 100 * units.Millisecond
 	smt := DefaultConfig()
-	smt.SMTSiblings = 2
+	smt.SMT = true
 	cases := []struct {
 		name string
 		cfg  Config

@@ -100,11 +100,3 @@ func (s *StreamTrace) Refs() int {
 	reads, writes := s.Kernel.arrays()
 	return s.Passes * (int(s.ArrayBytes) / streamElem) * (reads + writes)
 }
-
-// BytesMoved returns the bytes of memory traffic one pass of the kernel
-// moves, using STREAM's own accounting (each array touched once per
-// iteration).
-func (s *StreamTrace) BytesMoved() units.Bytes {
-	reads, writes := s.Kernel.arrays()
-	return units.Bytes(reads+writes) * s.ArrayBytes * units.Bytes(s.Passes)
-}

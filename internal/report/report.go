@@ -50,9 +50,6 @@ func (t *Table) AddRowf(cells ...interface{}) {
 	t.AddRow(row...)
 }
 
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
-
 // WriteTo renders the table.
 func (t *Table) WriteTo(w io.Writer) (int64, error) {
 	widths := make([]int, len(t.Columns))

@@ -31,8 +31,8 @@ func TestTableRowPadding(t *testing.T) {
 	tb := NewTable("", "A", "B")
 	tb.AddRow("only-one")
 	tb.AddRow("x", "y", "dropped")
-	if tb.Rows() != 2 {
-		t.Fatalf("rows = %d", tb.Rows())
+	if len(tb.rows) != 2 {
+		t.Fatalf("rows = %d", len(tb.rows))
 	}
 	out := tb.String()
 	if strings.Contains(out, "dropped") {

@@ -81,7 +81,7 @@ func fuzzCell(t testing.TB, data []byte) Cell {
 	m.NumCPUs = 1 + next()%8
 	flags := next()
 	if flags&fuzzSMT != 0 && m.NumCPUs%2 == 0 {
-		m.SMTSiblings = 2
+		m.SMT = true
 	}
 	c.Config = sim.Config{Machine: m, Engine: sim.EngineShadow, MaxTime: fuzzMaxTime}
 	if flags&fuzzChurn != 0 {
@@ -174,7 +174,7 @@ func FuzzShadowEngine(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := fuzzCell(t, data)
 		if _, err := c.Simulate(); err != nil {
-			t.Fatalf("%s on %d CPUs (SMT %d), %+v: %v", c.Apps, c.Config.Machine.NumCPUs, c.Config.Machine.SMTSiblings, c.Params, err)
+			t.Fatalf("%s on %d CPUs (SMT %v), %+v: %v", c.Apps, c.Config.Machine.NumCPUs, c.Config.Machine.SMT, c.Params, err)
 		}
 	})
 }

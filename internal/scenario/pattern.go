@@ -199,30 +199,6 @@ func (p *Pattern) Level(t units.Time) float64 {
 	return v
 }
 
-// MeanLevel is the pattern's time-averaged level over its duration,
-// sampled at millisecond resolution (the same grid Arrivals
-// integrates on).
-func (p *Pattern) MeanLevel() float64 {
-	dur := p.Duration()
-	if dur <= 0 {
-		return 0
-	}
-	step := integrationStep
-	if step > dur {
-		step = dur
-	}
-	var sum float64
-	n := 0
-	for t := units.Time(0); t < dur; t += step {
-		sum += p.Level(t)
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // Phase is one labeled stretch of the pattern's primary (first) track
 // — the reporting granularity for per-phase load accounting.
 type Phase struct {

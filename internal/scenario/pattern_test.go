@@ -237,13 +237,3 @@ func TestArrivalsDeterministicAndRateAccurate(t *testing.T) {
 		t.Fatalf("Arrivals(0) = %v, want nil", got)
 	}
 }
-
-func TestMeanLevel(t *testing.T) {
-	p, err := ParsePattern("ramp:10s@0..10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.MeanLevel(); math.Abs(got-5) > 0.1 {
-		t.Fatalf("MeanLevel(ramp 0..10) = %v, want ~5", got)
-	}
-}

@@ -9,8 +9,8 @@ import (
 	"busaware/internal/workload"
 )
 
-// integrationStep is the fixed grid both integrators (MeanLevel,
-// Arrivals) and the churn materializer default to. One millisecond is
+// integrationStep is the fixed grid Arrivals integrates on and the
+// churn materializer defaults to. One millisecond is
 // three orders of magnitude finer than any pattern the evaluation
 // uses, and a fixed step — rather than adaptive — is what makes every
 // materialization bitwise-reproducible.

@@ -219,9 +219,6 @@ func (b *BandwidthAware) Name() string { return b.name }
 // Quantum implements Scheduler.
 func (b *BandwidthAware) Quantum() units.Time { return b.quantum }
 
-// WindowLen returns the configured sample-window length.
-func (b *BandwidthAware) WindowLen() int { return b.windowLen }
-
 // Estimator returns the policy's estimator kind.
 func (b *BandwidthAware) Estimator() Estimator { return b.estimator }
 
@@ -241,9 +238,6 @@ func (b *BandwidthAware) Remove(j *Job) {
 // Jobs exposes the current applications list order (head first), for
 // tests and introspection.
 func (b *BandwidthAware) Jobs() []*Job { return b.list.all() }
-
-// StaleFallback returns the stale-quanta horizon K (0 = disabled).
-func (b *BandwidthAware) StaleFallback() int { return b.staleK }
 
 // degraded reports whether j's estimate has gone stale beyond the
 // fallback horizon. Always false when the fallback is disabled.

@@ -317,15 +317,15 @@ func TestOptionValidation(t *testing.T) {
 		if b.Quantum() != DefaultQuantum {
 			t.Errorf("%+v: quantum %v, want the default", p, b.Quantum())
 		}
-		if b.WindowLen() != DefaultWindow {
-			t.Errorf("%+v: window %d, want the default", p, b.WindowLen())
+		if b.windowLen != DefaultWindow {
+			t.Errorf("%+v: window %d, want the default", p, b.windowLen)
 		}
-		if b.StaleFallback() != 0 || b.guard {
-			t.Errorf("%+v: stale fallback %d, guard %v; want both off", p, b.StaleFallback(), b.guard)
+		if b.staleK != 0 || b.guard {
+			t.Errorf("%+v: stale fallback %d, guard %v; want both off", p, b.staleK, b.guard)
 		}
 	}
 	b := tuned(t, "window", Params{Quantum: 100 * units.Millisecond, Window: 9})
-	if b.Quantum() != 100*units.Millisecond || b.WindowLen() != 9 {
+	if b.Quantum() != 100*units.Millisecond || b.windowLen != 9 {
 		t.Error("params not applied")
 	}
 }
@@ -347,10 +347,10 @@ func TestPolicyIdentities(t *testing.T) {
 	if n := NewQuantaWindow(4, 29.5).Name(); n != "QuantaWindow" {
 		t.Error(n)
 	}
-	if NewLatestQuantum(4, 29.5).WindowLen() != 1 {
+	if NewLatestQuantum(4, 29.5).windowLen != 1 {
 		t.Error("LatestQuantum must use window length 1")
 	}
-	if NewQuantaWindow(4, 29.5).WindowLen() != DefaultWindow {
+	if NewQuantaWindow(4, 29.5).windowLen != DefaultWindow {
 		t.Error("QuantaWindow must default to the paper's window of 5")
 	}
 	if NewOracle(4, 29.5).Estimator() != EstOracle {
@@ -359,15 +359,15 @@ func TestPolicyIdentities(t *testing.T) {
 	if NewEWMAPolicy(4, 29.5, 0.3).Estimator() != EstEWMA {
 		t.Error("ewma estimator")
 	}
-	if g := NewGang(4); g.Name() != "GangRR" || g.Estimator() != EstNone || g.WindowLen() != 1 {
-		t.Errorf("gang is %s with estimator %v and window %d", g.Name(), g.Estimator(), g.WindowLen())
+	if g := NewGang(4); g.Name() != "GangRR" || g.Estimator() != EstNone || g.windowLen != 1 {
+		t.Errorf("gang is %s with estimator %v and window %d", g.Name(), g.Estimator(), g.windowLen)
 	}
 	// The policy table hands every Params field to the five policies
 	// of the bandwidth-aware family.
 	p := Params{Quantum: 100 * units.Millisecond, Window: 7, Guard: true, StaleQuanta: 3}
 	for _, name := range []string{"latest", "window", "ewma", "oracle", "gang"} {
 		b := tuned(t, name, p)
-		got := Params{Quantum: b.Quantum(), Window: b.WindowLen(), Guard: b.guard, StaleQuanta: b.StaleFallback()}
+		got := Params{Quantum: b.Quantum(), Window: b.windowLen, Guard: b.guard, StaleQuanta: b.staleK}
 		if got != p {
 			t.Errorf("New(%q, %+v) is tuned %+v", name, p, got)
 		}

@@ -34,7 +34,9 @@ func TestJobFor(t *testing.T) {
 		if j.App != app {
 			t.Errorf("%s: job wraps %v, want the app", tc.name, j.App)
 		}
-		if got := j.window.Cap(); got != tc.window {
+		// A window holds at most its capacity: push well past it.
+		j.PushSamples(1, 100)
+		if got := j.Samples(); got != tc.window {
 			t.Errorf("%s: window %d samples, want %d", tc.name, got, tc.window)
 		}
 		switch {

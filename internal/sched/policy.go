@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"strings"
 
+	"busaware/internal/bus"
 	"busaware/internal/machine"
+	"busaware/internal/units"
 )
 
 // Policies lists the policy names New accepts.
@@ -12,8 +14,11 @@ func Policies() []string {
 	return []string{"latest", "window", "ewma", "oracle", "optimal", "linux", "gang", "rr"}
 }
 
-// New builds the named policy for machine m; the seed only affects the
-// Linux baseline's runqueue shuffling, and p tunes the bandwidth-aware
+// New builds the named policy for machine m. Every policy schedules
+// against the paper machine's bus: the bandwidth-aware family budgets
+// units.SustainedBusRate, and Optimal prices subsets on
+// bus.DefaultConfig's model. The seed only affects the Linux
+// baseline's runqueue shuffling, and p tunes the bandwidth-aware
 // family (latest, window, ewma, oracle, gang) only. This is the one
 // policy table: the busaware facade, the HTTP API and every experiment
 // cell build their schedulers here, the first two prefixing errors
@@ -21,13 +26,13 @@ func Policies() []string {
 func New(policy string, m machine.Config, seed int64, p Params) (Scheduler, error) {
 	switch policy {
 	case "latest":
-		return NewLatestQuantum(m.NumCPUs, m.Bus.Capacity).tune(p), nil
+		return NewLatestQuantum(m.NumCPUs, units.SustainedBusRate).tune(p), nil
 	case "window":
-		return NewQuantaWindow(m.NumCPUs, m.Bus.Capacity).tune(p), nil
+		return NewQuantaWindow(m.NumCPUs, units.SustainedBusRate).tune(p), nil
 	case "ewma":
-		return NewEWMAPolicy(m.NumCPUs, m.Bus.Capacity, 0.4).tune(p), nil
+		return NewEWMAPolicy(m.NumCPUs, units.SustainedBusRate, 0.4).tune(p), nil
 	case "oracle":
-		return NewOracle(m.NumCPUs, m.Bus.Capacity).tune(p), nil
+		return NewOracle(m.NumCPUs, units.SustainedBusRate).tune(p), nil
 	case "gang":
 		return NewGang(m.NumCPUs).tune(p), nil
 	case "linux":
@@ -35,7 +40,7 @@ func New(policy string, m machine.Config, seed int64, p Params) (Scheduler, erro
 	case "rr":
 		return NewRoundRobin(m.NumCPUs, 0), nil
 	case "optimal":
-		return NewOptimal(m.NumCPUs, m.Bus)
+		return NewOptimal(m.NumCPUs, bus.DefaultConfig())
 	}
 	names := Policies()
 	return nil, fmt.Errorf("unknown policy %q (want %s or %s)", policy,

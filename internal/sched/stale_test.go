@@ -57,8 +57,8 @@ func TestStaleQuantaBookkeeping(t *testing.T) {
 // forever and noteScheduled is never invoked by the policy.
 func TestStaleFallbackDisabledByDefault(t *testing.T) {
 	b := NewQuantaWindow(4, 30)
-	if b.StaleFallback() != 0 {
-		t.Fatalf("fallback enabled by default: K=%d", b.StaleFallback())
+	if b.staleK != 0 {
+		t.Fatalf("fallback enabled by default: K=%d", b.staleK)
 	}
 	j := staleTestJob("a", 2, 6)
 	b.Add(j)

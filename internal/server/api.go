@@ -244,7 +244,7 @@ type TimelineReport struct {
 func NewTimelineReport(col *timeline.Collector) *TimelineReport {
 	return &TimelineReport{
 		QuantaPerWindow:     col.QuantaPerWindow(),
-		SaturationThreshold: col.SaturationThreshold(),
+		SaturationThreshold: timeline.SaturationThreshold,
 		Evicted:             col.Evicted(),
 		Summary:             col.Summary(),
 		Windows:             col.Windows(),

@@ -163,7 +163,7 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 			Dropped:             dropped,
 			Subscribers:         subs,
 			QuantaPerWindow:     s.timelineQuanta(),
-			SaturationThreshold: timeline.DefaultSaturationThreshold,
+			SaturationThreshold: timeline.SaturationThreshold,
 			Summary:             sum,
 		})
 		return

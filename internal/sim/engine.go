@@ -459,9 +459,8 @@ func runShadow(cfg Config, s sched.Scheduler, apps []*workload.App) (Result, err
 	cfgE := cfg
 	cfgE.Engine = EngineEvent
 	cfgE.Timeline = timeline.MustNew(timeline.Config{
-		QuantaPerWindow:     cfgQ.Timeline.QuantaPerWindow(),
-		Capacity:            cfgQ.Timeline.Capacity(),
-		SaturationThreshold: cfgQ.Timeline.SaturationThreshold(),
+		QuantaPerWindow: cfgQ.Timeline.QuantaPerWindow(),
+		Capacity:        cfgQ.Timeline.Capacity(),
 	})
 	if cfg.Trace != nil {
 		// The event core records its own trace; the caller's belongs

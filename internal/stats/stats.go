@@ -40,22 +40,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(ss / float64(len(xs)-1))
 }
 
-// GeoMean returns the geometric mean of xs. All samples must be
-// positive; non-positive samples yield an error.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, errors.New("stats: non-positive sample in geometric mean")
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs))), nil
-}
-
 // Min returns the smallest element of xs.
 func Min(xs []float64) (float64, error) {
 	if len(xs) == 0 {

@@ -42,22 +42,6 @@ func TestStdDev(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	got, err := GeoMean([]float64{1, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(got, 10, 1e-9) {
-		t.Errorf("GeoMean(1,100) = %v, want 10", got)
-	}
-	if _, err := GeoMean([]float64{1, 0}); err == nil {
-		t.Error("GeoMean with zero sample should error")
-	}
-	if _, err := GeoMean(nil); err != ErrEmpty {
-		t.Errorf("GeoMean(nil) err = %v, want ErrEmpty", err)
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	xs := []float64{3, -2, 7, 0}
 	mn, err := Min(xs)

@@ -28,10 +28,8 @@ func NewWindow(capacity int) *Window {
 	return &Window{buf: make([]float64, capacity)}
 }
 
-// Cap returns the window capacity.
-func (w *Window) Cap() int { return len(w.buf) }
-
-// Len returns the number of samples currently held (<= Cap).
+// Len returns the number of samples currently held, at most the
+// window's capacity.
 func (w *Window) Len() int { return w.n }
 
 // Push appends a sample, evicting the oldest if the window is full.

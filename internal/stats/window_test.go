@@ -9,8 +9,8 @@ import (
 
 func TestWindowBasics(t *testing.T) {
 	w := NewWindow(3)
-	if w.Cap() != 3 || w.Len() != 0 {
-		t.Fatalf("new window cap/len = %d/%d", w.Cap(), w.Len())
+	if len(w.buf) != 3 || w.Len() != 0 {
+		t.Fatalf("new window cap/len = %d/%d", len(w.buf), w.Len())
 	}
 	if w.Mean() != 0 || w.Latest() != 0 {
 		t.Error("empty window should report zero mean and latest")

@@ -14,10 +14,11 @@ const (
 	// DefaultCapacity bounds the ring: 1024 windows is ~65k quanta of
 	// full detail, with older history folded into the running summary.
 	DefaultCapacity = 1024
-	// DefaultSaturationThreshold marks a quantum saturated when the
-	// bus model served at least this fraction of effective capacity.
-	DefaultSaturationThreshold = 0.9
 )
+
+// SaturationThreshold marks a quantum saturated when the bus model
+// served at least this fraction of effective capacity.
+const SaturationThreshold = 0.9
 
 // Config sizes a Collector. The zero value selects every default.
 type Config struct {
@@ -28,9 +29,6 @@ type Config struct {
 	// (0 = DefaultCapacity). Oldest windows are evicted into the
 	// running summary when the ring is full.
 	Capacity int
-	// SaturationThreshold is the utilization at or above which a
-	// quantum counts as saturated (0 = DefaultSaturationThreshold).
-	SaturationThreshold float64
 	// OnSeal, when non-nil, is called with every sealed window —
 	// including the final partial window flushed by Seal — outside the
 	// collector lock. The serving layer uses it to publish windows to
@@ -65,17 +63,11 @@ func New(cfg Config) (*Collector, error) {
 	if cfg.Capacity == 0 {
 		cfg.Capacity = DefaultCapacity
 	}
-	if cfg.SaturationThreshold == 0 {
-		cfg.SaturationThreshold = DefaultSaturationThreshold
-	}
 	if cfg.QuantaPerWindow < 1 {
 		return nil, fmt.Errorf("timeline: quanta per window %d", cfg.QuantaPerWindow)
 	}
 	if cfg.Capacity < 1 {
 		return nil, fmt.Errorf("timeline: capacity %d", cfg.Capacity)
-	}
-	if cfg.SaturationThreshold < 0 || cfg.SaturationThreshold > 1 {
-		return nil, fmt.Errorf("timeline: saturation threshold %v out of [0,1]", cfg.SaturationThreshold)
 	}
 	return &Collector{cfg: cfg, ring: make([]Window, cfg.Capacity)}, nil
 }
@@ -144,7 +136,7 @@ func (c *Collector) foldLocked(s Sample, sealed *Window) bool {
 	if d := s.Runnable - s.Admitted; d > 0 {
 		w.Deferred += int64(d)
 	}
-	if s.Utilization >= c.cfg.SaturationThreshold {
+	if s.Utilization >= SaturationThreshold {
 		w.Saturated++
 	}
 	if s.Placed == 0 {
@@ -242,10 +234,6 @@ func (c *Collector) Evicted() int64 {
 	defer c.mu.Unlock()
 	return c.sealed - int64(c.n)
 }
-
-// SaturationThreshold reports the threshold the collector classifies
-// saturated quanta with (after defaulting).
-func (c *Collector) SaturationThreshold() float64 { return c.cfg.SaturationThreshold }
 
 // QuantaPerWindow reports the window span in quanta (after defaulting).
 func (c *Collector) QuantaPerWindow() int { return c.cfg.QuantaPerWindow }

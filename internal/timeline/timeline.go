@@ -57,9 +57,9 @@ type Window struct {
 	// admission decisions of a bandwidth-aware policy made visible.
 	Admitted int64 `json:"admitted"`
 	Deferred int64 `json:"deferred"`
-	// Saturated counts quanta whose bus utilization reached the
-	// collector's saturation threshold; Idle counts quanta with no
-	// placements at all.
+	// Saturated counts quanta whose bus utilization reached
+	// SaturationThreshold; Idle counts quanta with no placements at
+	// all.
 	Saturated int64 `json:"saturated"`
 	Idle      int64 `json:"idle"`
 	// Faults counts fault-injection events landing in the window.
@@ -131,16 +131,6 @@ func Merge(a, b Window) Window {
 	out.Saturated += b.Saturated
 	out.Idle += b.Idle
 	out.Faults += b.Faults
-	return out
-}
-
-// MergeAll folds windows into one. The zero Window is returned for an
-// empty input.
-func MergeAll(ws []Window) Window {
-	var out Window
-	for _, w := range ws {
-		out = Merge(out, w)
-	}
 	return out
 }
 

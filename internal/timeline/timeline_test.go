@@ -1,6 +1,7 @@
 package timeline
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -61,15 +62,15 @@ func TestCollectorWindowing(t *testing.T) {
 }
 
 func TestCollectorFieldAccumulation(t *testing.T) {
-	c := MustNew(Config{QuantaPerWindow: 4, Capacity: 4, SaturationThreshold: 0.5})
+	c := MustNew(Config{QuantaPerWindow: 4, Capacity: 4})
 	// Quantum roster: two saturated, one idle, deferred jobs on two.
-	c.RecordQuanta(Sample{DurUsec: 10, Utilization: 0.75, Served: 2, Stretch: 4, Placed: 4, Runnable: 3, Admitted: 2}, 1)
-	c.RecordQuanta(Sample{StartUsec: 10, DurUsec: 10, Utilization: 0.5, Served: 1, Stretch: 2, Placed: 2, Runnable: 2, Admitted: 1, Faults: 3}, 1)
-	c.RecordQuanta(Sample{StartUsec: 20, DurUsec: 10, Utilization: 0.25, Served: 0.5, Stretch: 1, Placed: 1, Runnable: 1, Admitted: 1}, 1)
+	c.RecordQuanta(Sample{DurUsec: 10, Utilization: 0.95, Served: 2, Stretch: 4, Placed: 4, Runnable: 3, Admitted: 2}, 1)
+	c.RecordQuanta(Sample{StartUsec: 10, DurUsec: 10, Utilization: SaturationThreshold, Served: 1, Stretch: 2, Placed: 2, Runnable: 2, Admitted: 1, Faults: 3}, 1)
+	c.RecordQuanta(Sample{StartUsec: 20, DurUsec: 10, Utilization: 0.875, Served: 0.5, Stretch: 1, Placed: 1, Runnable: 1, Admitted: 1}, 1)
 	c.RecordQuanta(Sample{StartUsec: 30, DurUsec: 10}, 1)
 	w := c.Windows()[0]
 	if w.Saturated != 2 {
-		t.Errorf("saturated = %d, want 2 (threshold 0.5 inclusive)", w.Saturated)
+		t.Errorf("saturated = %d, want 2 (threshold %v inclusive)", w.Saturated, SaturationThreshold)
 	}
 	if w.Idle != 1 {
 		t.Errorf("idle = %d, want 1", w.Idle)
@@ -77,11 +78,11 @@ func TestCollectorFieldAccumulation(t *testing.T) {
 	if w.Admitted != 4 || w.Deferred != 2 {
 		t.Errorf("admitted/deferred = %d/%d, want 4/2", w.Admitted, w.Deferred)
 	}
-	if w.UtilMax != 0.75 || w.StretchMax != 4 {
-		t.Errorf("maxes = %v/%v, want 0.75/4", w.UtilMax, w.StretchMax)
+	if w.UtilMax != 0.95 || w.StretchMax != 4 {
+		t.Errorf("maxes = %v/%v, want 0.95/4", w.UtilMax, w.StretchMax)
 	}
-	if w.UtilMean() != 0.375 {
-		t.Errorf("util mean = %v, want 0.375", w.UtilMean())
+	if got := w.UtilMean(); math.Abs(got-0.68125) > 1e-12 {
+		t.Errorf("util mean = %v, want 0.68125", got)
 	}
 	if w.Faults != 3 {
 		t.Errorf("faults = %d, want 3", w.Faults)
@@ -145,9 +146,18 @@ func TestRingWraparound(t *testing.T) {
 		t.Errorf("summary faults = %d, want %d", sum.Faults, wantFaults)
 	}
 	// Summary == merge(evicted..., retained...): recomputable from parts.
-	if got := Merge(c.evictedSnapshot(), MergeAll(ws)); !reflect.DeepEqual(got, sum) {
+	if got := Merge(c.evictedSnapshot(), mergeAll(ws)); !reflect.DeepEqual(got, sum) {
 		t.Errorf("summary != evicted+retained:\n got %+v\nwant %+v", got, sum)
 	}
+}
+
+// mergeAll folds windows into one, left to right from the zero Window.
+func mergeAll(ws []Window) Window {
+	var out Window
+	for _, w := range ws {
+		out = Merge(out, w)
+	}
+	return out
 }
 
 // evictedSnapshot exposes the evicted-windows fold for the wraparound
@@ -196,12 +206,12 @@ func TestMergeAssociative(t *testing.T) {
 	for i := range pool {
 		pool[i] = mk(i)
 	}
-	want := MergeAll(pool)
+	want := mergeAll(pool)
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
 		shuffled := append([]Window(nil), pool...)
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		if got := MergeAll(shuffled); !reflect.DeepEqual(got, want) {
+		if got := mergeAll(shuffled); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: shuffled fold diverged:\n got %+v\nwant %+v", trial, got, want)
 		}
 	}
@@ -234,9 +244,7 @@ func TestNewValidation(t *testing.T) {
 		{"defaults", Config{}, true},
 		{"negative-window", Config{QuantaPerWindow: -1}, false},
 		{"negative-capacity", Config{Capacity: -1}, false},
-		{"threshold-high", Config{SaturationThreshold: 1.5}, false},
-		{"threshold-negative", Config{SaturationThreshold: -0.1}, false},
-		{"explicit", Config{QuantaPerWindow: 1, Capacity: 1, SaturationThreshold: 1}, true},
+		{"explicit", Config{QuantaPerWindow: 1, Capacity: 1}, true},
 	} {
 		_, err := New(tc.cfg)
 		if (err == nil) != tc.ok {
@@ -246,8 +254,5 @@ func TestNewValidation(t *testing.T) {
 	c := MustNew(Config{})
 	if c.QuantaPerWindow() != DefaultQuantaPerWindow {
 		t.Errorf("defaulted quanta/window = %d", c.QuantaPerWindow())
-	}
-	if c.SaturationThreshold() != DefaultSaturationThreshold {
-		t.Errorf("defaulted threshold = %v", c.SaturationThreshold())
 	}
 }

@@ -64,11 +64,6 @@ func (t *Timeline) RecordQuanta(s timeline.Sample, occupants []Slice, n int) {
 // Len returns the number of recorded slices.
 func (t *Timeline) Len() int { return len(t.slices) }
 
-// Slices returns the recorded slices in recording order.
-func (t *Timeline) Slices() []Slice {
-	return append([]Slice(nil), t.slices...)
-}
-
 // Span returns the earliest start and latest end across all slices.
 func (t *Timeline) Span() (start, end units.Time) {
 	if len(t.slices) == 0 {

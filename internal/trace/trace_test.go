@@ -33,9 +33,6 @@ func TestTimelineBasics(t *testing.T) {
 	if start != 0 || end != 400*units.Millisecond {
 		t.Errorf("span = %v..%v", start, end)
 	}
-	if got := len(tl.Slices()); got != 4 {
-		t.Errorf("Slices() = %d", got)
-	}
 }
 
 func TestEmptyTimeline(t *testing.T) {

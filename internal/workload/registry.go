@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"busaware/internal/cache"
 	"busaware/internal/units"
 )
 
@@ -13,7 +12,7 @@ import (
 // transaction rates are read off Figure 1A: the paper states the range
 // is 0.48 to 23.31 trans/usec with SP, MG, Raytrace and CG the top
 // four; Raytrace's four-thread cumulative rate is 34.89. Stall
-// fractions and working sets are calibrated so the simulator
+// fractions and migration penalties are calibrated so the simulator
 // reproduces Figure 1B's slowdown bands (41-61% for the top four when
 // two instances co-run, 2x-3x against two BBMA copies, near-solo
 // against nBBMA; LU CB and Water-nsqr migration-sensitive thanks to
@@ -23,7 +22,7 @@ const ms = units.Millisecond
 
 // uniform builds a single-phase two-thread profile from the cumulative
 // solo rate as plotted in Figure 1A.
-func uniform(name string, cumRate units.Rate, stall float64, solo units.Time, ws cache.WorkingSet, migPenalty units.Time) Profile {
+func uniform(name string, cumRate units.Rate, stall float64, solo units.Time, hit float64, migPenalty units.Time) Profile {
 	return Profile{
 		Name:     name,
 		Threads:  2,
@@ -31,7 +30,7 @@ func uniform(name string, cumRate units.Rate, stall float64, solo units.Time, ws
 		Phases: []Phase{
 			{Duration: 100 * ms, Demand: cumRate / 2, StallFrac: stall},
 		},
-		WorkingSet:       ws,
+		L2HitRate:        hit,
 		MigrationPenalty: migPenalty,
 		BarrierInterval:  DefaultBarrierInterval,
 	}
@@ -44,17 +43,14 @@ const DefaultBarrierInterval = 40 * ms
 
 // Radiosity through CG, in Figure 1A's increasing-rate order.
 func paperProfiles() []Profile {
-	smallWS := func(bytes units.Bytes, hit float64) cache.WorkingSet {
-		return cache.WorkingSet{Bytes: bytes, HitRate: hit, DirtyFrac: 0.3}
-	}
 	ps := []Profile{
-		uniform("Radiosity", 0.48, 0.04, 14*units.Second, smallWS(96*units.KB, 0.97), 500),
+		uniform("Radiosity", 0.48, 0.04, 14*units.Second, 0.97, 500),
 		// Water-nsqr: tiny bandwidth but ~99.5% hit rate; rebuilding its
 		// working set after a migration is expensive (paper Section 3).
-		uniform("Water-nsqr", 0.90, 0.05, 13*units.Second, cache.WorkingSet{Bytes: 224 * units.KB, HitRate: 0.995, DirtyFrac: 0.4}, 6000),
-		uniform("Volrend", 1.40, 0.08, 12*units.Second, smallWS(128*units.KB, 0.95), 1000),
-		uniform("Barnes", 2.20, 0.12, 15*units.Second, smallWS(160*units.KB, 0.93), 1200),
-		uniform("FMM", 3.20, 0.18, 14*units.Second, smallWS(176*units.KB, 0.92), 1200),
+		uniform("Water-nsqr", 0.90, 0.05, 13*units.Second, 0.995, 6000),
+		uniform("Volrend", 1.40, 0.08, 12*units.Second, 0.95, 1000),
+		uniform("Barnes", 2.20, 0.12, 15*units.Second, 0.93, 1200),
+		uniform("FMM", 3.20, 0.18, 14*units.Second, 0.92, 1200),
 		{
 			// LU CB: 99.53% hit rate when run with two threads (paper),
 			// irregular bursts, very migration-sensitive.
@@ -65,13 +61,13 @@ func paperProfiles() []Profile {
 				{Duration: 250 * ms, Demand: 1.2, StallFrac: 0.10},
 				{Duration: 80 * ms, Demand: 4.71, StallFrac: 0.35},
 			},
-			WorkingSet:       cache.WorkingSet{Bytes: 256 * units.KB, HitRate: 0.9953, DirtyFrac: 0.5},
+			L2HitRate:        0.9953,
 			MigrationPenalty: 8000,
 			BarrierInterval:  DefaultBarrierInterval,
 		},
-		uniform("BT", 6.80, 0.30, 16*units.Second, smallWS(192*units.KB, 0.90), 1500),
-		uniform("SP", 15.0, 0.52, 15*units.Second, smallWS(208*units.KB, 0.85), 1500),
-		uniform("MG", 16.5, 0.56, 14*units.Second, smallWS(208*units.KB, 0.84), 1500),
+		uniform("BT", 6.80, 0.30, 16*units.Second, 0.90, 1500),
+		uniform("SP", 15.0, 0.52, 15*units.Second, 0.85, 1500),
+		uniform("MG", 16.5, 0.56, 14*units.Second, 0.84, 1500),
 		{
 			// Raytrace: "a highly irregular bus transactions pattern";
 			// the cycle below averages 17.45 cumulative (34.89 over four
@@ -92,11 +88,11 @@ func paperProfiles() []Profile {
 				{Duration: 90 * ms, Demand: 20.5, StallFrac: 0.88},
 				{Duration: 140 * ms, Demand: 5.2, StallFrac: 0.42},
 			},
-			WorkingSet:       cache.WorkingSet{Bytes: 192 * units.KB, HitRate: 0.80, DirtyFrac: 0.2},
+			L2HitRate:        0.80,
 			MigrationPenalty: 1200,
 			BarrierInterval:  DefaultBarrierInterval,
 		},
-		uniform("CG", 23.31, 0.65, 13*units.Second, smallWS(224*units.KB, 0.78), 1500),
+		uniform("CG", 23.31, 0.65, 13*units.Second, 0.78, 1500),
 	}
 	return ps
 }
@@ -157,8 +153,8 @@ func BBMA() Profile {
 		Phases: []Phase{
 			{Duration: 100 * ms, Demand: 23.6, StallFrac: 0.97},
 		},
-		WorkingSet: cache.WorkingSet{Bytes: 512 * units.KB, HitRate: 0, DirtyFrac: 1},
-		// Nothing cached worth rebuilding: migrations are free.
+		// L2HitRate 0: nothing cached worth rebuilding, so migrations
+		// are free.
 	}
 }
 
@@ -171,7 +167,7 @@ func NBBMA() Profile {
 		Phases: []Phase{
 			{Duration: 100 * ms, Demand: 0.0037, StallFrac: 0.001},
 		},
-		WorkingSet:       cache.WorkingSet{Bytes: 128 * units.KB, HitRate: 0.9999, DirtyFrac: 0.1},
+		L2HitRate:        0.9999,
 		MigrationPenalty: 200,
 	}
 }
@@ -187,7 +183,7 @@ func STREAM() Profile {
 		Phases: []Phase{
 			{Duration: 100 * ms, Demand: 10.5, StallFrac: 0.95},
 		},
-		WorkingSet: cache.WorkingSet{Bytes: 512 * units.KB, HitRate: 0.05, DirtyFrac: 0.5},
+		L2HitRate: 0.05,
 	}
 }
 
@@ -207,16 +203,17 @@ func RandomProfile(rng *rand.Rand, name string) Profile {
 		}
 	}
 	hit := 0.7 + rng.Float64()*0.3
+	solo := units.Time(4+rng.Intn(20)) * units.Second
+	// Two discarded draws: they keep every later draw, and so the
+	// profiles a seed generates for the robustness sweep, unchanged.
+	rng.Intn(224)
+	rng.Float64()
 	return Profile{
-		Name:     name,
-		Threads:  threads,
-		SoloTime: units.Time(4+rng.Intn(20)) * units.Second,
-		Phases:   phases,
-		WorkingSet: cache.WorkingSet{
-			Bytes:     units.Bytes(32+rng.Intn(224)) * units.KB,
-			HitRate:   hit,
-			DirtyFrac: rng.Float64() * 0.6,
-		},
+		Name:             name,
+		Threads:          threads,
+		SoloTime:         solo,
+		Phases:           phases,
+		L2HitRate:        hit,
 		MigrationPenalty: units.Time(rng.Intn(6000)),
 		BarrierInterval:  units.Time(rng.Intn(3)) * DefaultBarrierInterval,
 	}

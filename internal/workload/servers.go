@@ -1,9 +1,6 @@
 package workload
 
-import (
-	"busaware/internal/cache"
-	"busaware/internal/units"
-)
+import "busaware/internal/units"
 
 // Server-class profiles — the paper's future-work direction ("we plan
 // to test our scheduler with I/O and network-intensive workloads which
@@ -13,7 +10,7 @@ import (
 // Unlike the barrier-synchronized scientific codes, server threads
 // handle independent requests: no gang barriers, bursty bus usage
 // driven by request trains, and (for the database) a large dirty
-// working set that makes migrations expensive.
+// buffer pool that makes migrations expensive.
 
 // WebServer returns a request-driven two-thread profile: short bursts
 // of memory traffic (request parsing + response assembly streaming
@@ -31,7 +28,7 @@ func WebServer() Profile {
 			{Duration: 50 * ms, Demand: 9.0, StallFrac: 0.55},
 			{Duration: 160 * ms, Demand: 0.9, StallFrac: 0.07},
 		},
-		WorkingSet: cache.WorkingSet{Bytes: 96 * units.KB, HitRate: 0.9, DirtyFrac: 0.3},
+		L2HitRate: 0.9,
 		// Request handlers rebuild state quickly after migrating.
 		MigrationPenalty: 800,
 		// Independent requests: no barriers.
@@ -50,7 +47,7 @@ func Database() Profile {
 			{Duration: 200 * ms, Demand: 4.8, StallFrac: 0.38},
 			{Duration: 60 * ms, Demand: 7.5, StallFrac: 0.5},
 		},
-		WorkingSet:       cache.WorkingSet{Bytes: 240 * units.KB, HitRate: 0.96, DirtyFrac: 0.6},
+		L2HitRate:        0.96,
 		MigrationPenalty: 5000,
 	}
 }

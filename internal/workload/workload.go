@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math"
 
-	"busaware/internal/cache"
 	"busaware/internal/perfctr"
 	"busaware/internal/units"
 )
@@ -50,14 +49,16 @@ type Profile struct {
 	SoloTime units.Time
 	// Phases is the cyclic phase list; must be non-empty.
 	Phases []Phase
-	// WorkingSet describes the warm-cache footprint, which prices
-	// thread migrations.
-	WorkingSet cache.WorkingSet
-	// MigrationPenalty is the solo-equivalent extra work a thread pays
-	// after running on a different processor than last time, on top of
-	// the refill bus traffic implied by WorkingSet. Applications with
-	// very high hit rates (LU CB, Water-nsqr) have large penalties —
-	// the paper singles them out as migration-sensitive.
+	// L2HitRate is the steady-state L2 hit rate once warm (0..1). It
+	// sets the L2 reference and miss counters behind each bus
+	// transaction (see AccrueCounters); it does not price migrations.
+	L2HitRate float64
+	// MigrationPenalty prices a migration: the solo-equivalent extra
+	// work a thread owes after running on a different processor than
+	// last time. It is repaid at RefillDemand, the traffic of
+	// rebuilding the cache. Applications with very high hit rates (LU
+	// CB, Water-nsqr) have large penalties — the paper singles them
+	// out as migration-sensitive.
 	MigrationPenalty units.Time
 	// BarrierInterval is the solo-equivalent execution time between
 	// synchronization barriers. The paper's applications are OpenMP /
@@ -137,7 +138,6 @@ type Thread struct {
 	phaseUsed float64 // solo usec consumed within the current phase
 	progress  float64 // total solo usec of real work completed
 	debt      float64 // migration penalty work still owed
-	spun      float64 // solo-equivalent usec wasted spinning at barriers
 }
 
 // CPUFrequencyMHz converts simulated time to cycle counts for the
@@ -154,10 +154,6 @@ func (t *Thread) Done() bool {
 
 // Progress returns completed solo-equivalent work in usec.
 func (t *Thread) Progress() float64 { return t.progress }
-
-// SpunTime returns the solo-equivalent time wasted spinning at
-// barriers so far.
-func (t *Thread) SpunTime() float64 { return t.spun }
 
 // CurrentPhase returns the phase governing the thread right now.
 func (t *Thread) CurrentPhase() Phase {
@@ -202,11 +198,7 @@ const SpinDemand units.Rate = 0.01
 // sibling by a full barrier interval and must spin until the sibling
 // catches up.
 func (t *Thread) AtBarrier() bool {
-	interval := t.App.Profile.BarrierInterval
-	if interval <= 0 || len(t.App.Threads) < 2 || t.Done() {
-		return false
-	}
-	return t.progress >= t.App.minProgress(t)+float64(interval)
+	return t.barrierCap() == 0 && !t.Done()
 }
 
 // BarrierHeadroom returns how much further the thread may progress
@@ -230,19 +222,18 @@ func (t *Thread) barrierCap() float64 {
 }
 
 // RefillDemand and RefillStallFrac characterize the working-set refill
-// stream a freshly migrated thread issues: back-to-back line fills,
-// essentially the BBMA pattern.
+// stream a thread issues while it repays migration debt: back-to-back
+// line fills, essentially the BBMA pattern.
 const (
 	RefillDemand    units.Rate = 20
 	RefillStallFrac            = 0.95
 )
 
-// Migrate charges the thread the migration cost: extra solo-equivalent
-// work plus the refill bus transactions, which land on the counters as
-// they are replayed by Advance.
-func (t *Thread) Migrate(lineSize units.Bytes) {
+// Migrate charges the thread its profile's MigrationPenalty as debt.
+// The thread repays it at RefillDemand (see Request), so the refill
+// traffic lands on its counters as the debt is worked off.
+func (t *Thread) Migrate() {
 	t.AddDebt(float64(t.App.Profile.MigrationPenalty))
-	_ = lineSize // refill traffic is produced by the elevated Demand while debt > 0
 }
 
 // AddDebt charges the thread extra solo-equivalent work (usec) that
@@ -283,7 +274,7 @@ func (t *Thread) AccrueCounters(sum *[perfctr.NumEvents]uint64, wallUsec float64
 	trans := float64(actualRate) * wallUsec
 	sum[perfctr.EventCycles] += uint64(wallUsec * CPUFrequencyMHz)
 	sum[perfctr.EventBusTransAny] += uint64(trans)
-	if miss := 1 - t.App.Profile.WorkingSet.HitRate; miss > 0 {
+	if miss := 1 - t.App.Profile.L2HitRate; miss > 0 {
 		sum[perfctr.EventL2Refs] += uint64(trans / miss)
 		sum[perfctr.EventL2Misses] += uint64(trans)
 	}
@@ -312,7 +303,6 @@ func (t *Thread) AdvanceWork(soloUsec float64) {
 	// Barrier synchronization: progress beyond a barrier interval ahead
 	// of the slowest sibling is spin-waiting, not work.
 	if cap := t.barrierCap(); soloUsec > cap {
-		t.spun += soloUsec - cap
 		soloUsec = cap
 	}
 	if soloUsec <= 0 {

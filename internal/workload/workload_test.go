@@ -97,8 +97,8 @@ func TestLUCalibration(t *testing.T) {
 	if !ok {
 		t.Fatal("LU CB not in registry")
 	}
-	if p.WorkingSet.HitRate < 0.99 {
-		t.Errorf("LU CB hit rate = %v, paper says 99.53%%", p.WorkingSet.HitRate)
+	if p.L2HitRate < 0.99 {
+		t.Errorf("LU CB hit rate = %v, paper says 99.53%%", p.L2HitRate)
 	}
 	if p.MigrationPenalty < 4000 {
 		t.Errorf("LU CB migration penalty = %v, should be large (migration-sensitive)", p.MigrationPenalty)
@@ -199,7 +199,7 @@ func TestMigrationDebt(t *testing.T) {
 	p, _ := ByName("LU CB")
 	app := NewApp(p, "LU#1")
 	th := app.Threads[0]
-	th.Migrate(64)
+	th.Migrate()
 	if th.Demand() < RefillDemand {
 		t.Errorf("migrated thread demand = %v, want >= refill %v", th.Demand(), RefillDemand)
 	}
@@ -354,13 +354,10 @@ func TestBarrierSpinAccounting(t *testing.T) {
 	app := NewApp(p, "CG#1")
 	runner := app.Threads[0]
 	// Run one thread far ahead of its sleeping sibling: it must stop
-	// at the barrier, spin, and account the spun time.
+	// at the barrier and spin.
 	runner.Advance(200_000, 200_000, 11.65)
 	if runner.Progress() > float64(p.BarrierInterval)+1 {
 		t.Errorf("runner progressed %.0f past barrier cap %d", runner.Progress(), p.BarrierInterval)
-	}
-	if runner.SpunTime() <= 0 {
-		t.Error("spin time not accounted")
 	}
 	if !runner.AtBarrier() {
 		t.Error("runner should be at the barrier")
