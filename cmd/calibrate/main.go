@@ -43,5 +43,5 @@ func main() {
 		n.AddRowf(k.String(), res.MBPerSec, float64(res.TransPerUs))
 	}
 	fmt.Println(n.String())
-	fmt.Println("To re-base the simulator, set bus.Config.Capacity to the native Triad trans/us figure.")
+	fmt.Println("To re-base the simulator, set units.SustainedBusRate, the one capacity both the bus model and sched.New read, to the native Triad trans/us figure.")
 }

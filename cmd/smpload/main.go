@@ -77,6 +77,7 @@ import (
 	"time"
 
 	"busaware/internal/digest"
+	"busaware/internal/gateway"
 	"busaware/internal/scenario"
 )
 
@@ -433,18 +434,6 @@ func issue(httpc *http.Client, addr string, e *mixEntry, mixIdx int, variant int
 	return r
 }
 
-// sweepLine mirrors the NDJSON schema shared by smpsimd's /v1/sweep
-// and smpgw's merged stream (which adds the backend field).
-type sweepLine struct {
-	Index    int             `json:"index"`
-	Status   int             `json:"status"`
-	Cache    string          `json:"cache"`
-	Error    string          `json:"error"`
-	Response json.RawMessage `json:"response"`
-	Backend  string          `json:"backend"`
-	Digest   string          `json:"digest"`
-}
-
 // issueSweep sends cells [lo, hi) of the deterministic stream as one
 // batch and records a result per cell as its line arrives. Cells the
 // stream never answers (transport failure mid-stream) count as
@@ -507,7 +496,8 @@ func issueSweep(httpc *http.Client, addr string, entries []*mixEntry, spread int
 		if len(raw) == 0 {
 			continue
 		}
-		var line sweepLine
+		// smpgw's line schema is smpsimd's plus the backend field.
+		var line gateway.SweepLine
 		if err := json.Unmarshal(raw, &line); err != nil || line.Index < 0 || line.Index >= len(refs) {
 			continue
 		}

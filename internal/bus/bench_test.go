@@ -22,10 +22,7 @@ var benchReqs = []Request{
 // this is the cost of a return to an earlier vector, not of each
 // micro-step.
 func BenchmarkBusAllocate(b *testing.B) {
-	m, err := New(DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
+	m := New()
 	var grants []Grant
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -38,10 +35,7 @@ func BenchmarkBusAllocate(b *testing.B) {
 // perturbing one demand every iteration so no vector ever repeats
 // within the LRU bound.
 func BenchmarkBusAllocateCold(b *testing.B) {
-	m, err := New(DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
+	m := New()
 	reqs := append([]Request(nil), benchReqs...)
 	var grants []Grant
 	b.ReportAllocs()

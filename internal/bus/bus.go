@@ -25,131 +25,61 @@
 // the delay curve rises monotonically in utilization; we find it by
 // bisection.
 //
-// The constants are calibrated in internal/workload so the model
-// reproduces the paper's Section 3 measurements: a CPU-bound thread
-// (f~0) is unharmed even on a saturated bus, while a memory-bound
-// application sharing the bus with two copies of the BBMA
-// microbenchmark slows down 2x-3x (Figure 1B).
+// The constants below are the paper machine's bus, calibrated against
+// internal/workload's profiles so the model reproduces the paper's
+// Section 3 measurements: a CPU-bound thread (f~0) is unharmed even on
+// a saturated bus, while a memory-bound application sharing the bus
+// with two copies of the BBMA microbenchmark slows down 2x-3x (Figure
+// 1B). The capacity C is units.SustainedBusRate, the 29.5 trans/usec
+// STREAM sustained on that machine.
 package bus
 
 import (
-	"errors"
-	"fmt"
 	"math"
 	"sync"
 
 	"busaware/internal/units"
 )
 
-// Config holds the bus model parameters.
-type Config struct {
-	// Capacity is the sustained transaction throughput with all
-	// processors issuing, as measured by STREAM (29.5 trans/usec on
-	// the paper's machine).
-	Capacity units.Rate
-
-	// ArbPenalty is the fractional capacity lost per additional bus
+const (
+	// arbPenalty is the fractional capacity lost per additional bus
 	// master beyond the first, modelling arbitration overhead. The
 	// paper observes that "contention and arbitration contribute to
 	// bandwidth consumption" before nominal saturation.
-	ArbPenalty float64
+	arbPenalty float64 = 0.004
 
-	// MinCapacityFrac floors the arbitration degradation so capacity
+	// minCapacityFrac floors the arbitration degradation so capacity
 	// never collapses entirely.
-	MinCapacityFrac float64
+	minCapacityFrac float64 = 0.5
 
-	// QueueFactor is k in the delay curve 1 + k*rho^g/(1-rho).
-	QueueFactor float64
+	// queueFactor is k in the delay curve 1 + k*rho^g/(1-rho).
+	queueFactor float64 = 0.05
 
-	// CurveExponent is g in the delay curve. A large exponent keeps the
+	// curveExponent is g in the delay curve. A large exponent keeps the
 	// curve flat at moderate utilization — per-thread demands are
 	// calibrated from *solo measured* runs, which already include the
 	// application's self-contention — and makes it bite only near
 	// saturation, which is where the paper's machine degraded.
-	CurveExponent float64
+	curveExponent float64 = 6
 
-	// MaxStretch bounds the latency inflation searched for; demand far
+	// maxStretch bounds the latency inflation searched for; demand far
 	// beyond capacity saturates at this stretch.
-	MaxStretch float64
+	maxStretch float64 = 10000
 
-	// MasterThreshold is the demand (trans/usec) above which a thread
+	// masterThreshold is the demand (trans/usec) above which a thread
 	// counts as a bus master for arbitration purposes. nBBMA-like
 	// threads (0.0037 trans/usec) should not.
-	MasterThreshold units.Rate
+	masterThreshold units.Rate = 0.25
 
-	// Unfairness models the arbitration advantage of streaming threads:
+	// unfairness models the arbitration advantage of streaming threads:
 	// a thread that always has the next miss queued (BBMA) wins
 	// back-to-back arbitration rounds, while threads with dependent
 	// misses lose turns. A thread's latency stretch is amplified by
-	// 1 + Unfairness*(1 - d/dmax), so the lightest co-runner suffers
+	// 1 + unfairness*(1 - d/dmax), so the lightest co-runner suffers
 	// the most relative delay — the effect behind the paper's 2.5-2.8x
-	// victim slowdowns next to BBMA. Zero restores fair sharing.
-	Unfairness float64
-}
-
-// DefaultConfig returns the calibration used throughout the
-// reproduction, pinned to the paper's machine constants.
-func DefaultConfig() Config {
-	return Config{
-		Capacity:        units.SustainedBusRate,
-		ArbPenalty:      0.004,
-		MinCapacityFrac: 0.5,
-		QueueFactor:     0.05,
-		CurveExponent:   6,
-		MaxStretch:      10000,
-		MasterThreshold: 0.25,
-		Unfairness:      0.75,
-	}
-}
-
-// Validate reports configuration errors. Every field must be finite:
-// a NaN or infinite parameter slips past the range checks below and
-// yields equilibria no bus could reach (an infinite MaxStretch, for
-// one, grants speed 0).
-func (c Config) Validate() error {
-	for _, f := range [...]struct {
-		name string
-		v    float64
-	}{
-		{"capacity", float64(c.Capacity)},
-		{"arbitration penalty", c.ArbPenalty},
-		{"min capacity fraction", c.MinCapacityFrac},
-		{"queue factor", c.QueueFactor},
-		{"curve exponent", c.CurveExponent},
-		{"max stretch", c.MaxStretch},
-		{"master threshold", float64(c.MasterThreshold)},
-		{"unfairness", c.Unfairness},
-	} {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return fmt.Errorf("bus: %s %v is not finite", f.name, f.v)
-		}
-	}
-	if c.Capacity <= 0 {
-		return errors.New("bus: capacity must be positive")
-	}
-	if c.ArbPenalty < 0 || c.ArbPenalty >= 1 {
-		return fmt.Errorf("bus: arbitration penalty %v out of [0,1)", c.ArbPenalty)
-	}
-	if c.MinCapacityFrac <= 0 || c.MinCapacityFrac > 1 {
-		return fmt.Errorf("bus: min capacity fraction %v out of (0,1]", c.MinCapacityFrac)
-	}
-	if c.QueueFactor < 0 {
-		return errors.New("bus: queue factor must be non-negative")
-	}
-	if c.CurveExponent < 1 {
-		return errors.New("bus: curve exponent must be >= 1")
-	}
-	if c.MaxStretch < 1 {
-		return errors.New("bus: max stretch must be >= 1")
-	}
-	if c.MasterThreshold < 0 {
-		return errors.New("bus: master threshold must be non-negative")
-	}
-	if c.Unfairness < 0 {
-		return errors.New("bus: unfairness must be non-negative")
-	}
-	return nil
-}
+	// victim slowdowns next to BBMA.
+	unfairness float64 = 0.75
+)
 
 // Request describes one running thread's bus behaviour.
 type Request struct {
@@ -171,21 +101,12 @@ type Grant struct {
 
 // Outcome summarizes one allocation round.
 type Outcome struct {
-	// Masters is the number of threads that counted as bus masters.
-	Masters int
-	// EffectiveCapacity is capacity after arbitration degradation.
-	EffectiveCapacity units.Rate
-	// Offered is the sum of solo demands.
-	Offered units.Rate
 	// Served is the sum of achieved rates.
 	Served units.Rate
-	// Utilization is Served / EffectiveCapacity.
+	// Utilization is Served over the capacity left after arbitration.
 	Utilization float64
 	// Stretch is the equilibrium latency inflation X.
 	Stretch float64
-	// Saturated reports whether the equilibrium sits on the congested
-	// branch (utilization above the saturation knee).
-	Saturated bool
 }
 
 // Model evaluates bus contention for co-scheduled thread sets.
@@ -196,9 +117,9 @@ type Outcome struct {
 // a bounded LRU keyed on the exact float64 bits of the requests. Safe
 // for concurrent use.
 type Model struct {
-	cfg Config
-	// bracketable reports whether cfg admits solveStretch's certified
-	// bracket (see bracketable).
+	// bracketable reports whether solveStretch may certify a bracket:
+	// the bracketable constant, which tests clear to exercise the
+	// uncertified path on every architecture.
 	bracketable bool
 
 	mu     sync.Mutex
@@ -208,28 +129,10 @@ type Model struct {
 	misses uint64
 }
 
-// New builds a Model, validating cfg.
-func New(cfg Config) (*Model, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &Model{cfg: cfg, bracketable: bracketable(cfg), cache: newAllocCache(DefaultCacheSize)}, nil
+// New builds a Model of the paper machine's bus.
+func New() *Model {
+	return &Model{bracketable: bracketable, cache: newAllocCache(DefaultCacheSize)}
 }
-
-// Config returns the model's configuration.
-func (m *Model) Config() Config { return m.cfg }
-
-// CacheStats reports the equilibrium cache's hit/miss counts and
-// current size, for perf instrumentation.
-func (m *Model) CacheStats() (hits, misses uint64, size int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.hits, m.misses, m.cache.Len()
-}
-
-// SaturationKnee is the utilization above which an outcome is labelled
-// saturated.
-const SaturationKnee = 0.85
 
 // Allocate computes the equilibrium grants for the given co-scheduled
 // thread set. A nil or empty request set returns no grants and an idle
@@ -246,7 +149,6 @@ func (m *Model) Allocate(reqs []Request) ([]Grant, Outcome) {
 func (m *Model) AllocateInto(dst []Grant, reqs []Request) ([]Grant, Outcome) {
 	out := Outcome{Stretch: 1}
 	if len(reqs) == 0 {
-		out.EffectiveCapacity = m.cfg.Capacity
 		return nil, out
 	}
 
@@ -264,7 +166,7 @@ func (m *Model) AllocateInto(dst []Grant, reqs []Request) ([]Grant, Outcome) {
 	masters := 0
 	var offered units.Rate
 	for _, r := range reqs {
-		if r.Demand > m.cfg.MasterThreshold {
+		if r.Demand > masterThreshold {
 			masters++
 		}
 		if r.Demand > 0 {
@@ -272,10 +174,6 @@ func (m *Model) AllocateInto(dst []Grant, reqs []Request) ([]Grant, Outcome) {
 		}
 	}
 	ceff := m.effectiveCapacity(masters)
-	out.Masters = masters
-	out.EffectiveCapacity = ceff
-	out.Offered = offered
-
 	dmax := maxDemand(reqs)
 	x := m.solveStretch(reqs, ceff, dmax, offered)
 	out.Stretch = x
@@ -289,10 +187,7 @@ func (m *Model) AllocateInto(dst []Grant, reqs []Request) ([]Grant, Outcome) {
 		served += g.Rate
 	}
 	out.Served = served
-	if ceff > 0 {
-		out.Utilization = float64(served / ceff)
-	}
-	out.Saturated = out.Utilization > SaturationKnee
+	out.Utilization = float64(served / ceff)
 	m.cache.put(m.keyBuf, append([]Grant(nil), grants...), out)
 	m.mu.Unlock()
 	return grants, out
@@ -301,13 +196,13 @@ func (m *Model) AllocateInto(dst []Grant, reqs []Request) ([]Grant, Outcome) {
 // effectiveCapacity applies the arbitration penalty for n masters.
 func (m *Model) effectiveCapacity(masters int) units.Rate {
 	if masters <= 1 {
-		return m.cfg.Capacity
+		return units.SustainedBusRate
 	}
-	frac := 1 - m.cfg.ArbPenalty*float64(masters-1)
-	if frac < m.cfg.MinCapacityFrac {
-		frac = m.cfg.MinCapacityFrac
+	frac := 1 - arbPenalty*float64(masters-1)
+	if frac < minCapacityFrac {
+		frac = minCapacityFrac
 	}
-	return m.cfg.Capacity * units.Rate(frac)
+	return units.SustainedBusRate * units.Rate(frac)
 }
 
 // maxDemand returns the largest positive demand among reqs.
@@ -334,7 +229,7 @@ func (m *Model) speedAt(r Request, x float64, dmax units.Rate) float64 {
 }
 
 // stallWeight returns r's stall fraction clamped to [0, 1] and the
-// weight 1 + Unfairness*(1 - d/dmax) that amplifies its stretch.
+// weight 1 + unfairness*(1 - d/dmax) that amplifies its stretch.
 func (m *Model) stallWeight(r Request, dmax units.Rate) (f, w float64) {
 	f = r.StallFrac
 	if f < 0 {
@@ -344,8 +239,8 @@ func (m *Model) stallWeight(r Request, dmax units.Rate) (f, w float64) {
 		f = 1
 	}
 	w = 1
-	if dmax > 0 && m.cfg.Unfairness > 0 {
-		w = 1 + m.cfg.Unfairness*(1-float64(r.Demand/dmax))
+	if dmax > 0 {
+		w = 1 + unfairness*(1-float64(r.Demand/dmax))
 	}
 	return f, w
 }
@@ -366,7 +261,7 @@ func (m *Model) servedAt(reqs []Request, x float64, dmax units.Rate) units.Rate 
 // rho. The delay grows without bound as rho approaches 1 and is +Inf
 // from there on: a bus cannot serve more than its effective capacity,
 // so the bisection settles at an equilibrium with rho < 1 or pins the
-// stretch at MaxStretch. A curve held finite near rho = 1 would cap
+// stretch at maxStretch. A curve held finite near rho = 1 would cap
 // the stretch and let heavy, low-stall request sets settle above
 // capacity.
 func (m *Model) delayCurve(rho float64) float64 {
@@ -376,5 +271,5 @@ func (m *Model) delayCurve(rho float64) float64 {
 	if rho >= 1 {
 		return math.Inf(1)
 	}
-	return 1 + m.cfg.QueueFactor*math.Pow(rho, m.cfg.CurveExponent)/(1-rho)
+	return 1 + queueFactor*math.Pow(rho, curveExponent)/(1-rho)
 }

@@ -9,55 +9,60 @@ import (
 	"busaware/internal/units"
 )
 
-func mustModel(t testing.TB, cfg Config) *Model {
-	t.Helper()
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+// allocInputs returns the effective capacity, largest demand and
+// offered load AllocateInto derives from reqs before solving.
+func allocInputs(m *Model, reqs []Request) (ceff, dmax, offered units.Rate) {
+	masters := 0
+	for _, r := range reqs {
+		if r.Demand > masterThreshold {
+			masters++
+		}
+		if r.Demand > 0 {
+			offered += r.Demand
+		}
 	}
-	return m
+	return m.effectiveCapacity(masters), maxDemand(reqs), offered
 }
 
-func TestConfigValidate(t *testing.T) {
-	tests := []struct {
-		name   string
-		mutate func(*Config)
-		ok     bool
-	}{
-		{"default", func(*Config) {}, true},
-		{"zero-capacity", func(c *Config) { c.Capacity = 0 }, false},
-		{"neg-arb", func(c *Config) { c.ArbPenalty = -0.1 }, false},
-		{"arb-one", func(c *Config) { c.ArbPenalty = 1 }, false},
-		{"zero-minfrac", func(c *Config) { c.MinCapacityFrac = 0 }, false},
-		{"neg-queue", func(c *Config) { c.QueueFactor = -1 }, false},
-		{"stretch-lt-1", func(c *Config) { c.MaxStretch = 0.5 }, false},
-		{"neg-threshold", func(c *Config) { c.MasterThreshold = -1 }, false},
+// The solver relies on the bus constants instead of checking its
+// inputs: bracketable's proof needs them finite with an integral curve
+// exponent, and solveStretch has no zero-capacity or flat-curve
+// early-out because the effective capacity is positive for any number
+// of masters and the queue factor is positive.
+func TestConstantsMeetSolverPremises(t *testing.T) {
+	for _, v := range []float64{float64(units.SustainedBusRate), arbPenalty, minCapacityFrac,
+		queueFactor, curveExponent, maxStretch, float64(masterThreshold), unfairness} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Errorf("bus constant %v is not finite", v)
+		}
 	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := DefaultConfig()
-			tc.mutate(&cfg)
-			_, err := New(cfg)
-			if (err == nil) != tc.ok {
-				t.Errorf("New err = %v, want ok=%v", err, tc.ok)
-			}
-		})
+	if curveExponent < 1 || curveExponent != math.Trunc(curveExponent) {
+		t.Errorf("curve exponent %v is not an integer >= 1", curveExponent)
+	}
+	if !(queueFactor > 0) || maxStretch < 1 || unfairness < 0 {
+		t.Errorf("queue factor %v, max stretch %v, unfairness %v", queueFactor, maxStretch, unfairness)
+	}
+	m := New()
+	for masters := 0; masters <= 1000; masters++ {
+		if c := m.effectiveCapacity(masters); !(c > 0) {
+			t.Fatalf("effective capacity %v for %d masters", c, masters)
+		}
 	}
 }
 
 func TestEmptyAllocation(t *testing.T) {
-	m := mustModel(t, DefaultConfig())
+	m := New()
 	grants, out := m.Allocate(nil)
 	if len(grants) != 0 {
 		t.Errorf("grants = %v, want none", grants)
 	}
-	if out.Stretch != 1 || out.Served != 0 || out.Saturated {
+	if out.Stretch != 1 || out.Served != 0 || out.Utilization != 0 {
 		t.Errorf("idle outcome = %+v", out)
 	}
 }
 
 func TestSoloThreadUnharmed(t *testing.T) {
-	m := mustModel(t, DefaultConfig())
+	m := New()
 	grants, out := m.Allocate([]Request{{Demand: 11.6, StallFrac: 0.6}})
 	if len(grants) != 1 {
 		t.Fatalf("got %d grants", len(grants))
@@ -67,13 +72,13 @@ func TestSoloThreadUnharmed(t *testing.T) {
 	if grants[0].Speed < 0.92 {
 		t.Errorf("solo speed = %.3f, want near 1", grants[0].Speed)
 	}
-	if out.Saturated {
-		t.Error("single moderate job should not saturate the bus")
+	if out.Utilization > saturationKnee {
+		t.Errorf("single moderate job saturates the bus: utilization %.3f", out.Utilization)
 	}
 }
 
 func TestZeroDemandThreadFullSpeed(t *testing.T) {
-	m := mustModel(t, DefaultConfig())
+	m := New()
 	grants, _ := m.Allocate([]Request{
 		{Demand: 0, StallFrac: 0},
 		{Demand: 23.6, StallFrac: 0.97},
@@ -84,10 +89,14 @@ func TestZeroDemandThreadFullSpeed(t *testing.T) {
 	}
 }
 
+// saturationKnee is the utilization above which these tests call a bus
+// saturated.
+const saturationKnee = 0.85
+
 // The paper's headline: a memory-bound application on a bus saturated
 // by two BBMA instances slows 2x to almost 3x.
 func TestSaturatedBusSlowdownBand(t *testing.T) {
-	m := mustModel(t, DefaultConfig())
+	m := New()
 	// CG: 23.31 trans/us across 2 threads; BBMA: 23.6 trans/us each.
 	reqs := []Request{
 		{Demand: 11.65, StallFrac: 0.65}, // CG thread 1
@@ -100,18 +109,18 @@ func TestSaturatedBusSlowdownBand(t *testing.T) {
 	if slowdown < 1.8 || slowdown > 3.2 {
 		t.Errorf("memory-bound slowdown on saturated bus = %.2f, want 2x-3x", slowdown)
 	}
-	if !out.Saturated {
+	if out.Utilization <= saturationKnee {
 		t.Errorf("outcome not saturated: %+v", out)
 	}
-	if out.Served > out.EffectiveCapacity*1.001 {
-		t.Errorf("served %.2f exceeds capacity %.2f", out.Served, out.EffectiveCapacity)
+	if out.Utilization > 1.001 {
+		t.Errorf("served %.2f exceeds capacity: utilization %.4f", out.Served, out.Utilization)
 	}
 }
 
 // nBBMA companions leave an application at essentially solo speed
 // (Figure 1, white bars).
 func TestNBBMACompanionsHarmless(t *testing.T) {
-	m := mustModel(t, DefaultConfig())
+	m := New()
 	reqs := []Request{
 		{Demand: 11.65, StallFrac: 0.65},
 		{Demand: 11.65, StallFrac: 0.65},
@@ -122,8 +131,8 @@ func TestNBBMACompanionsHarmless(t *testing.T) {
 	if grants[0].Speed < 0.90 {
 		t.Errorf("app speed with nBBMA = %.3f, want ~solo", grants[0].Speed)
 	}
-	if out.Saturated {
-		t.Error("nBBMA pairing should not saturate")
+	if out.Utilization > saturationKnee {
+		t.Errorf("nBBMA pairing saturates the bus: utilization %.3f", out.Utilization)
 	}
 	// nBBMA threads themselves are unharmed.
 	if grants[2].Speed < 0.99 {
@@ -134,7 +143,7 @@ func TestNBBMACompanionsHarmless(t *testing.T) {
 // Two instances of a high-bandwidth app suffer the paper's 41-61%
 // degradation band (Figure 1B, dark gray bars, top-4 apps).
 func TestTwoInstanceDegradationBand(t *testing.T) {
-	m := mustModel(t, DefaultConfig())
+	m := New()
 	for _, app := range []struct {
 		name      string
 		perThread units.Rate
@@ -164,27 +173,18 @@ func TestTwoInstanceDegradationBand(t *testing.T) {
 }
 
 func TestArbitrationPenalty(t *testing.T) {
-	m := mustModel(t, DefaultConfig())
-	if got := m.effectiveCapacity(1); got != m.cfg.Capacity {
+	m := New()
+	if got := m.effectiveCapacity(1); got != units.SustainedBusRate {
 		t.Errorf("1 master capacity = %v", got)
 	}
 	c4 := m.effectiveCapacity(4)
-	if c4 >= m.cfg.Capacity {
+	if c4 >= units.SustainedBusRate {
 		t.Error("4-master capacity should be degraded")
 	}
 	// Floor applies.
 	cLots := m.effectiveCapacity(1000)
-	if got, want := float64(cLots), float64(m.cfg.Capacity)*m.cfg.MinCapacityFrac; math.Abs(got-want) > 1e-9 {
+	if got, want := float64(cLots), float64(units.SustainedBusRate)*minCapacityFrac; math.Abs(got-want) > 1e-9 {
 		t.Errorf("floored capacity = %v, want %v", got, want)
-	}
-}
-
-func TestZeroCapacityFloorViaMaxStretch(t *testing.T) {
-	cfg := DefaultConfig()
-	m := mustModel(t, cfg)
-	x := m.solveStretch([]Request{{Demand: 10, StallFrac: 1}}, 0, 10, 10)
-	if x != cfg.MaxStretch {
-		t.Errorf("zero-capacity stretch = %v, want MaxStretch", x)
 	}
 }
 
@@ -192,7 +192,7 @@ func TestZeroCapacityFloorViaMaxStretch(t *testing.T) {
 // capacity by more than the solver tolerance, and never exceeds
 // offered demand.
 func TestWorkConservationProperty(t *testing.T) {
-	m := mustModel(t, DefaultConfig())
+	m := New()
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		k := int(n%8) + 1
@@ -214,13 +214,14 @@ func TestWorkConservationProperty(t *testing.T) {
 		if math.Abs(float64(served-out.Served)) > 1e-6 {
 			return false
 		}
-		if out.Served > out.Offered+1e-6 {
+		ceff, _, offered := allocInputs(m, reqs)
+		if out.Served > offered+1e-6 {
 			return false
 		}
 		// On the congested branch the equilibrium may slightly exceed
 		// nominal capacity only via solver tolerance.
-		return float64(out.Served) <= float64(out.EffectiveCapacity)*1.01+1e-6 ||
-			out.Stretch == m.cfg.MaxStretch
+		return float64(out.Served) <= float64(ceff)*1.01+1e-6 ||
+			out.Stretch == maxStretch
 	}
 	// Heavy, low-stall sets that once settled above effective capacity
 	// (33.01 served against 28.67 at stretch 50.70 for the first).
@@ -242,7 +243,7 @@ func TestWorkConservationProperty(t *testing.T) {
 
 // Property: adding demand never speeds anyone up (monotonicity).
 func TestMonotonicContentionProperty(t *testing.T) {
-	m := mustModel(t, DefaultConfig())
+	m := New()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		base := []Request{
@@ -267,7 +268,7 @@ func TestMonotonicContentionProperty(t *testing.T) {
 
 // Property: the fixed point really is a fixed point.
 func TestStretchFixedPointProperty(t *testing.T) {
-	m := mustModel(t, DefaultConfig())
+	m := New()
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		k := int(n%6) + 1
@@ -276,11 +277,10 @@ func TestStretchFixedPointProperty(t *testing.T) {
 			reqs[i] = Request{Demand: units.Rate(rng.Float64() * 24), StallFrac: 0.2 + 0.8*rng.Float64()}
 		}
 		_, out := m.Allocate(reqs)
-		if out.Stretch >= m.cfg.MaxStretch {
+		if out.Stretch >= maxStretch {
 			return true // pinned; not an interior fixed point
 		}
-		rho := float64(out.Served / out.EffectiveCapacity)
-		want := m.delayCurve(rho)
+		want := m.delayCurve(out.Utilization)
 		return math.Abs(out.Stretch-want) < 1e-3*want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -289,7 +289,7 @@ func TestStretchFixedPointProperty(t *testing.T) {
 }
 
 func TestStallFracClamped(t *testing.T) {
-	m := mustModel(t, DefaultConfig())
+	m := New()
 	if got := m.speedAt(Request{Demand: 5, StallFrac: -1}, 3, 5); got != 1 {
 		t.Errorf("negative stall frac speed = %v, want 1", got)
 	}
@@ -299,7 +299,7 @@ func TestStallFracClamped(t *testing.T) {
 }
 
 func TestUnfairnessPenalizesLightThreads(t *testing.T) {
-	m := mustModel(t, DefaultConfig())
+	m := New()
 	reqs := []Request{
 		{Demand: 11.65, StallFrac: 0.65}, // app thread
 		{Demand: 23.6, StallFrac: 0.65},  // streaming antagonist (same f for isolation)
@@ -310,21 +310,10 @@ func TestUnfairnessPenalizesLightThreads(t *testing.T) {
 		t.Errorf("light thread speed %.3f should trail heavy %.3f under unfair arbitration",
 			grants[0].Speed, grants[1].Speed)
 	}
-
-	fair := DefaultConfig()
-	fair.Unfairness = 0
-	mf := mustModel(t, fair)
-	gf, _ := mf.Allocate(reqs)
-	if math.Abs(gf[0].Speed-gf[1].Speed) > 1e-9 {
-		t.Errorf("fair bus should treat equal-f threads equally: %.3f vs %.3f", gf[0].Speed, gf[1].Speed)
-	}
-	if _, err := New(Config{Capacity: 1, MinCapacityFrac: 1, CurveExponent: 1, MaxStretch: 1, Unfairness: -1}); err == nil {
-		t.Error("negative unfairness accepted")
-	}
 }
 
 func BenchmarkAllocate8Threads(b *testing.B) {
-	m, _ := New(DefaultConfig())
+	m := New()
 	reqs := []Request{
 		{Demand: 11.65, StallFrac: 0.65}, {Demand: 11.65, StallFrac: 0.65},
 		{Demand: 23.6, StallFrac: 0.97}, {Demand: 23.6, StallFrac: 0.97},

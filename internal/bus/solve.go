@@ -12,30 +12,28 @@ import (
 // is strictly increasing: served falls with X, delay rises with
 // served, so -delay rises with X.
 //
-// The bisection — its bracket [1, MaxStretch], midpoints, stop rule and
+// The bisection — its bracket [1, maxStretch], midpoints, stop rule and
 // both early-outs — defines the answer bit for bit. A certified
 // bracket only spares evaluations of f: given f(a) < 0 <= f(b) for the
 // f computed here, every midpoint at or below a takes the lo branch
 // and every one at or above b the hi branch, exactly as evaluating f
 // there would decide, because computed f never decreases (see
 // bracketable). A certified f(b) > 0 likewise settles the
-// f(MaxStretch) early-out, and a certified a the f(1) one.
+// f(maxStretch) early-out, and a certified a the f(1) one.
 func (m *Model) solveStretch(reqs []Request, ceff, dmax, offered units.Rate) float64 {
-	if ceff <= 0 {
-		return m.cfg.MaxStretch
-	}
-	// Early-out hoisted before the bracket: with no offered load (or a
-	// flat delay curve) the delay at X=1 is exactly 1, so f(1) = 0 and
-	// the bisection below would return 1 anyway — prove it without
-	// scanning reqs or evaluating the curve.
-	if offered <= 0 || m.cfg.QueueFactor == 0 {
+	// No zero-capacity early-out: ceff >= SustainedBusRate*minCapacityFrac > 0.
+	// Early-out hoisted before the bracket: with no offered load the
+	// delay at X=1 is exactly 1, so f(1) = 0 and the bisection below
+	// would return 1 anyway — prove it without scanning reqs or
+	// evaluating the curve. No flat-curve early-out: queueFactor is 0.05.
+	if offered <= 0 {
 		return 1
 	}
 	f := func(x float64) float64 {
 		rho := float64(m.servedAt(reqs, x, dmax) / ceff)
 		return x - m.delayCurve(rho)
 	}
-	lo, hi := 1.0, m.cfg.MaxStretch
+	lo, hi := 1.0, maxStretch
 	// f(a) < 0 <= f(b) = fb. The defaults lie outside [lo, hi] and
 	// spare nothing.
 	a, b, fb := math.Inf(-1), math.Inf(1), math.Inf(1)
@@ -143,7 +141,7 @@ func (m *Model) equilibrium(reqs []Request, ceff, dmax units.Rate) float64 {
 // delaySlope returns delayCurve(rho) for rho in [0, 1), computed
 // through math.Pow(rho, g-1), and its derivative in rho.
 func (m *Model) delaySlope(rho float64) (d, dd float64) {
-	k, g := m.cfg.QueueFactor, m.cfg.CurveExponent
+	k, g := queueFactor, curveExponent
 	pw := math.Pow(rho, g-1)
 	q := 1 / (1 - rho)
 	return 1 + k*pw*rho*q, k * pw * (g*(1-rho) + rho) * q * q
@@ -164,20 +162,20 @@ func (m *Model) servedSlope(reqs []Request, x float64, dmax units.Rate) (s, ds u
 	return s, ds
 }
 
-// bracketable reports whether cfg makes the f of solveStretch
-// non-decreasing in X as a float64 function, not just as a real one,
-// so that f(a) < 0 proves f(x) < 0 for every x <= a and f(b) >= 0
-// proves f(x) >= 0 for every x >= b. The proof needs a finite
-// configuration, which is not checked here: New validates cfg first,
-// and Validate refuses NaN and ±Inf in every field. Follow one
+// bracketable reports whether the f of solveStretch is non-decreasing
+// in X as a float64 function, not just as a real one, so that
+// f(a) < 0 proves f(x) < 0 for every x <= a and f(b) >= 0 proves
+// f(x) >= 0 for every x >= b. The proof rests on the bus constants:
+// all finite, ceff > 0, and an integral curveExponent. Follow one
 // evaluation of f(x) = x - delayCurve(servedAt(x)/ceff):
 //
 //   - speedAt: stallWeight's clamped stall fraction s in [0, 1] and
-//     weight w = 1 + U*(1 - d/dmax) >= 1 do not depend on x. Each of x-1,
-//     (x-1)*w, 1+(x-1)*w, s*xt and (1-s)+s*xt is one correctly rounded
-//     operation on a non-decreasing operand and a constant >= 0, and
-//     rounding is monotone, so each is non-decreasing; the positive
-//     denominator makes the speed 1/den non-increasing.
+//     weight w = 1 + unfairness*(1 - d/dmax) >= 1 do not depend on x.
+//     Each of x-1, (x-1)*w, 1+(x-1)*w, s*xt and (1-s)+s*xt is one
+//     correctly rounded operation on a non-decreasing operand and a
+//     constant >= 0, and rounding is monotone, so each is
+//     non-decreasing; the positive denominator makes the speed 1/den
+//     non-increasing.
 //   - servedAt adds the terms d*speed (the same requests, d > 0) in a
 //     fixed order. Rounded addition is monotone in each operand, so the
 //     sum is non-increasing, and so is rho = served/ceff for ceff > 0.
@@ -192,17 +190,14 @@ func (m *Model) servedSlope(reqs []Request, x float64, dmax units.Rate) (s, ds u
 //     or (Ldexp into the subnormals) one rounded multiply, so the power
 //     is non-decreasing; the loop's exponent guard fires only for
 //     inputs small enough that every smaller one fires it too, and the
-//     power underflows to 0. A non-integral g adds Exp(yf*Log(x)),
-//     whose monotonicity is not shown here.
+//     power underflows to 0. (A non-integral g would add
+//     Exp(yf*Log(x)), whose monotonicity is not shown here.)
 //   - x - delay is then non-decreasing in x.
 //
 // NaN breaks the order, so it is ruled in or out: a NaN demand or
 // stall fraction, or an infinite demand under unfairness, makes f NaN
-// at every x, so no probe certifies anything. With a finite
-// configuration the only other NaN is s*xt = 0*Inf once (x-1)*w
-// overflows, which then holds for every larger x too: a NaN there
-// takes the hi branch, as f >= 0 would, and lies above any certified
-// a.
-func bracketable(cfg Config) bool {
-	return runtime.GOARCH != "s390x" && cfg.CurveExponent == math.Trunc(cfg.CurveExponent)
-}
+// at every x, so no probe certifies anything. With finite constants
+// the only other NaN is s*xt = 0*Inf once (x-1)*w overflows, which
+// then holds for every larger x too: a NaN there takes the hi branch,
+// as f >= 0 would, and lies above any certified a.
+const bracketable = runtime.GOARCH != "s390x"

@@ -14,17 +14,14 @@ import (
 // answer by: the same bracket, midpoints, stop rule and early-outs,
 // with f evaluated at every one of them.
 func referenceSolveStretch(m *Model, reqs []Request, ceff, dmax, offered units.Rate) float64 {
-	if ceff <= 0 {
-		return m.cfg.MaxStretch
-	}
-	if offered <= 0 || m.cfg.QueueFactor == 0 {
+	if offered <= 0 {
 		return 1
 	}
 	f := func(x float64) float64 {
 		rho := float64(m.servedAt(reqs, x, dmax) / ceff)
 		return x - m.delayCurve(rho)
 	}
-	lo, hi := 1.0, m.cfg.MaxStretch
+	lo, hi := 1.0, maxStretch
 	if f(lo) >= 0 {
 		return lo
 	}
@@ -49,41 +46,28 @@ func referenceSolveStretch(m *Model, reqs []Request, ceff, dmax, offered units.R
 // for bit on reqs, with the inputs AllocateInto would pass.
 func checkSolve(t *testing.T, m *Model, reqs []Request) {
 	t.Helper()
-	masters := 0
-	var offered units.Rate
-	for _, r := range reqs {
-		if r.Demand > m.cfg.MasterThreshold {
-			masters++
-		}
-		if r.Demand > 0 {
-			offered += r.Demand
-		}
-	}
-	ceff, dmax := m.effectiveCapacity(masters), maxDemand(reqs)
+	ceff, dmax, offered := allocInputs(m, reqs)
 	got := m.solveStretch(reqs, ceff, dmax, offered)
 	want := referenceSolveStretch(m, reqs, ceff, dmax, offered)
 	if math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("stretch %v (%#x), reference %v (%#x), for %+v under %+v",
-			got, math.Float64bits(got), want, math.Float64bits(want), reqs, m.cfg)
+		t.Fatalf("stretch %v (%#x), reference %v (%#x), for %+v (certified bracket %v)",
+			got, math.Float64bits(got), want, math.Float64bits(want), reqs, m.bracketable)
 	}
 }
 
-// solveConfigs are the bus configurations the solver is checked
-// under: the calibration, fair arbitration, a scarce bus that pins
-// heavy sets at MaxStretch, a lower cap with a steep curve, and a
-// non-integral exponent, which must fall back to the full bisection.
-func solveConfigs() []Config {
-	fair, scarce, steep, frac := DefaultConfig(), DefaultConfig(), DefaultConfig(), DefaultConfig()
-	fair.Unfairness = 0
-	scarce.Capacity, scarce.MaxStretch = 3, 500
-	steep.QueueFactor, steep.CurveExponent, steep.MaxStretch = 2, 1, 50
-	frac.CurveExponent = 5.5
-	return []Config{DefaultConfig(), fair, scarce, steep, frac}
+// solveModels returns a model on each solver path: the certified
+// bracket (on every GOARCH but s390x, whose assembly math.Pow the
+// monotonicity proof does not cover) and the plain bisection that
+// s390x runs, forced here so every architecture checks it.
+func solveModels() []*Model {
+	plain := New()
+	plain.bracketable = false
+	return []*Model{New(), plain}
 }
 
-// Property: the certified-bracket solve returns the reference's bits on
-// random vectors under every configuration, and on vectors built from
-// special values that the monotonicity proof has to rule in or out.
+// Property: both solver paths return the reference's bits on random
+// vectors, and on vectors built from special values that the
+// monotonicity proof has to rule in or out.
 func TestSolveStretchMatchesReference(t *testing.T) {
 	special := [][]Request{
 		{{Demand: units.Rate(math.NaN()), StallFrac: 0.5}, {Demand: 10, StallFrac: 0.9}},
@@ -96,8 +80,7 @@ func TestSolveStretchMatchesReference(t *testing.T) {
 		{{Demand: units.Rate(math.Copysign(0, -1)), StallFrac: 0.5}, {Demand: 40, StallFrac: 0}},
 		{{Demand: 40, StallFrac: 0}, {Demand: 0.0037, StallFrac: 1}},
 	}
-	for _, cfg := range solveConfigs() {
-		m := mustModel(t, cfg)
+	for _, m := range solveModels() {
 		for _, reqs := range special {
 			checkSolve(t, m, reqs)
 		}
@@ -108,17 +91,18 @@ func TestSolveStretchMatchesReference(t *testing.T) {
 	}
 }
 
-// decodeSolve reads a configuration index (one byte), a request count
-// of 1-64 (one byte) and the requests from fuzz bytes. Each request is
+// decodeSolve reads a solver path (one byte: even for the certified
+// bracket, odd for the plain bisection), a request count of 1-64 (one
+// byte) and the requests from fuzz bytes. Each request is
 // two float64 bit patterns; a demand outside [-1, 64] or a stall
 // fraction outside [-0.5, 1.5] is folded into [0, 32) or [0, 1) from
 // its bits, so every input prices a plausible vector while exact
 // encodings (0, -0, 23.6, 0.0037, 1) pass through.
-func decodeSolve(data []byte) (cfg int, reqs []Request) {
+func decodeSolve(data []byte) (path int, reqs []Request) {
 	if len(data) < 2 {
 		return 0, nil
 	}
-	cfg, n := int(data[0])%len(solveConfigs()), int(data[1])%64+1
+	path, n := int(data[0])%2, int(data[1])%64+1
 	data = data[2:]
 	fold := func(bits uint64, lo, hi, span float64) float64 {
 		if v := math.Float64frombits(bits); v >= lo && v <= hi {
@@ -133,12 +117,12 @@ func decodeSolve(data []byte) (cfg int, reqs []Request) {
 		})
 		data = data[16:]
 	}
-	return cfg, reqs
+	return path, reqs
 }
 
 // encodeSolve is decodeSolve's inverse for the seed corpus.
-func encodeSolve(cfg int, reqs []Request) []byte {
-	data := []byte{byte(cfg), byte(len(reqs) - 1)}
+func encodeSolve(path int, reqs []Request) []byte {
+	data := []byte{byte(path), byte(len(reqs) - 1)}
 	for _, r := range reqs {
 		data = binary.LittleEndian.AppendUint64(data, math.Float64bits(float64(r.Demand)))
 		data = binary.LittleEndian.AppendUint64(data, math.Float64bits(r.StallFrac))
@@ -179,24 +163,25 @@ func coSchedules() [][]Request {
 	return out
 }
 
-// FuzzSolveStretch checks the certified-bracket solve against the
-// reference bisection bit for bit on decoded request vectors.
+// FuzzSolveStretch checks both solver paths against the reference
+// bisection bit for bit on decoded request vectors. The paper's
+// co-schedules seed the certified path first, then the plain one.
 func FuzzSolveStretch(f *testing.F) {
 	f.Add(encodeSolve(0, benchReqs))
 	for _, reqs := range coSchedules() {
 		f.Add(encodeSolve(0, reqs))
 	}
-	f.Add(encodeSolve(2, []Request{{Demand: 23.6, StallFrac: 1}, {Demand: 0, StallFrac: 0}, {Demand: 0.0037, StallFrac: 0}}))
-	f.Add(encodeSolve(4, benchReqs))
-	models := make([]*Model, len(solveConfigs()))
-	for i, cfg := range solveConfigs() {
-		models[i] = mustModel(f, cfg)
+	f.Add(encodeSolve(0, []Request{{Demand: 23.6, StallFrac: 1}, {Demand: 0, StallFrac: 0}, {Demand: 0.0037, StallFrac: 0}}))
+	f.Add(encodeSolve(1, benchReqs))
+	for _, reqs := range coSchedules() {
+		f.Add(encodeSolve(1, reqs))
 	}
+	models := solveModels()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cfg, reqs := decodeSolve(data)
+		path, reqs := decodeSolve(data)
 		if len(reqs) == 0 {
 			return
 		}
-		checkSolve(t, models[cfg], reqs)
+		checkSolve(t, models[path], reqs)
 	})
 }

@@ -5,8 +5,7 @@
 // hit rate, nBBMA ~100%) from the access patterns instead of
 // hard-coding them; see the tests and cmd/figures -fig hit. The machine
 // model does not run it: a profile's MigrationPenalty, repaid at
-// workload.RefillDemand, prices a migration, and its L2HitRate sets the
-// L2 reference and miss counters.
+// workload.RefillDemand, prices a migration.
 package cache
 
 import (
@@ -87,7 +86,6 @@ func (s Stats) BusTransactions() uint64 { return s.Misses + s.Writebacks }
 // Cache is a set-associative LRU cache simulator. It is not safe for
 // concurrent use.
 type Cache struct {
-	cfg      Config
 	sets     [][]line
 	clock    uint64
 	stats    Stats
@@ -112,15 +110,11 @@ func New(cfg Config) (*Cache, error) {
 		shift++
 	}
 	return &Cache{
-		cfg:      cfg,
 		sets:     sets,
 		setShift: shift,
 		setMask:  uint64(nsets - 1),
 	}, nil
 }
-
-// Config returns the cache geometry.
-func (c *Cache) Config() Config { return c.cfg }
 
 // Stats returns a copy of the accumulated statistics.
 func (c *Cache) Stats() Stats { return c.stats }

@@ -121,11 +121,12 @@ func TestFlushCountsDirtyLines(t *testing.T) {
 }
 
 func TestResidentBytes(t *testing.T) {
-	c := mustNew(t, XeonL2())
+	cfg := XeonL2()
+	c := mustNew(t, cfg)
 	for i := 0; i < 100; i++ {
 		c.Access(mem.Addr(i*64), false)
 	}
-	if got := units.Bytes(c.ResidentLines()) * c.Config().LineSize; got != 100*64 {
+	if got := units.Bytes(c.ResidentLines()) * cfg.LineSize; got != 100*64 {
 		t.Errorf("resident = %v, want 6400B", got)
 	}
 }

@@ -48,7 +48,7 @@ func demandSeries(p workload.Profile, quantum units.Time, horizon int) []float64
 		for i := 0; i < n; i++ {
 			sum += float64(th.CurrentPhase().Demand)
 			// Walk the phase clock without bus interaction.
-			th.Advance(float64(tick), float64(tick), 0)
+			th.AdvanceWork(float64(tick))
 		}
 		series = append(series, sum/float64(n))
 	}

@@ -51,7 +51,8 @@ type Config struct {
 	// fails (ok == false, baseline kept — the next successful poll
 	// spans the gap, i.e. the reading goes stale, not lost).
 	CounterLoss float64
-	// CounterNoise is the relative noise on per-event counter rates.
+	// CounterNoise is the relative noise on the polled bus-transaction
+	// rate: one perturbation per successful perfctr Monitor.Poll.
 	CounterNoise float64
 
 	// SignalLoss is the probability one block/unblock signal is
@@ -239,7 +240,8 @@ func (in *Injector) DropCounterSample() bool {
 	return in.draw(in.cfgSnapshot().CounterLoss, &in.stats.CountersDropped)
 }
 
-// PerturbCounterRate applies counter noise to one derived event rate.
+// PerturbCounterRate applies counter noise to one polled bus-transaction
+// rate.
 func (in *Injector) PerturbCounterRate(v float64) float64 {
 	if in == nil {
 		return v

@@ -81,22 +81,18 @@ func cellBody(seed int) string {
 	return fmt.Sprintf(`{"apps":%q,"policy":"linux","seed":%d}`, smallSpec, seed)
 }
 
-// TestShardAffinity sends a set of distinct cells twice through a
-// two-backend gateway: every repetition must land on the same backend
-// (X-Backend stable per cell) and hit its cache, and the two backends'
-// caches must partition the working set rather than both holding all
-// of it. Where the backends sit on the ring depends on the ports they
-// drew, so the cells are chosen with the gateway's own ring until each
-// backend owns at least three; hedging is off, so a cell slow under
-// -race is never computed on two shards.
-func TestShardAffinity(t *testing.T) {
-	c := newCluster(t, 2, Config{HedgeDelayMin: -1})
+// seedsOwnedByEach returns the cell seeds 1, 2, ... up to the first
+// at which each of c's two backends owns at least min of them on the
+// gateway's own ring. The ring is built over the backends' random
+// ports, so fixed seeds could all land on one backend.
+func seedsOwnedByEach(t *testing.T, c *cluster, min int) []int {
+	t.Helper()
 	ring := c.gw.cluster.Load().ring
 	var seeds []int
 	owned := make([]int, len(c.servers))
-	for seed := 1; owned[0] < 3 || owned[1] < 3; seed++ {
+	for seed := 1; owned[0] < min || owned[1] < min; seed++ {
 		if seed > 1000 {
-			t.Fatalf("a thousand cells left a backend owning fewer than three: %v", owned)
+			t.Fatalf("a thousand cells left a backend owning fewer than %d: %v", min, owned)
 		}
 		req, err := server.DecodeRequest(strings.NewReader(cellBody(seed)))
 		if err != nil {
@@ -113,6 +109,20 @@ func TestShardAffinity(t *testing.T) {
 		owned[b]++
 		seeds = append(seeds, seed)
 	}
+	return seeds
+}
+
+// TestShardAffinity sends a set of distinct cells twice through a
+// two-backend gateway: every repetition must land on the same backend
+// (X-Backend stable per cell) and hit its cache, and the two backends'
+// caches must partition the working set rather than both holding all
+// of it. Where the backends sit on the ring depends on the ports they
+// drew, so the cells are chosen with the gateway's own ring until each
+// backend owns at least three; hedging is off, so a cell slow under
+// -race is never computed on two shards.
+func TestShardAffinity(t *testing.T) {
+	c := newCluster(t, 2, Config{HedgeDelayMin: -1})
+	seeds := seedsOwnedByEach(t, c, 3)
 	owner := make(map[int]string)
 	for pass := 0; pass < 2; pass++ {
 		for _, seed := range seeds {
@@ -389,12 +399,12 @@ func readSweepLines(t *testing.T, body io.Reader) []SweepLine {
 // checks completeness, byte-identity with the single-cell path, and
 // that both shards actually served cells.
 func TestSweepThroughGateway(t *testing.T) {
-	c := newCluster(t, 2, Config{})
-	const n = 10
+	c := newCluster(t, 2, Config{HedgeDelayMin: -1})
 	var cells []string
-	for i := 1; i <= n; i++ {
-		cells = append(cells, cellBody(i))
+	for _, seed := range seedsOwnedByEach(t, c, 5) {
+		cells = append(cells, cellBody(seed))
 	}
+	n := len(cells)
 	resp, err := http.Post(c.gwts.URL+"/v1/sweep", "application/json",
 		strings.NewReader(`{"cells":[`+strings.Join(cells, ",")+`]}`))
 	if err != nil {

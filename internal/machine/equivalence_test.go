@@ -11,9 +11,9 @@ import (
 )
 
 // refMachine is the per-micro-step reference for Step: the same
-// occupancy bookkeeping, and a micro-step loop that advances each
-// thread and commits its counters through Thread.Advance every
-// micro-step, where Step sums a quantum's increments and commits once.
+// occupancy bookkeeping, and a micro-step loop that commits each
+// thread's transactions and advances it every micro-step, where Step
+// sums a quantum's increments and commits once.
 type refMachine struct {
 	cfg        Config
 	bus        *bus.Model
@@ -21,15 +21,10 @@ type refMachine struct {
 	lastThread []*workload.Thread
 }
 
-func newRefMachine(t *testing.T, cfg Config) *refMachine {
-	t.Helper()
-	bm, err := bus.New(bus.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+func newRefMachine(cfg Config) *refMachine {
 	return &refMachine{
 		cfg:        cfg,
-		bus:        bm,
+		bus:        bus.New(),
 		lastCPU:    make(map[*workload.Thread]int),
 		lastThread: make([]*workload.Thread, cfg.NumCPUs),
 	}
@@ -69,7 +64,10 @@ func (r *refMachine) step(placements []Placement, dt units.Time) {
 				speed *= smtEfficiency
 			}
 			wall := float64(sub)
-			p.Thread.Advance(wall*speed, wall, g.Rate*units.Rate(speed/maxf(g.Speed, 1e-12)))
+			var trans uint64
+			p.Thread.AccrueCounters(&trans, wall, g.Rate*units.Rate(speed/maxf(g.Speed, 1e-12)))
+			p.Thread.Counters.Add(trans)
+			p.Thread.AdvanceWork(wall * speed)
 		}
 	}
 }
@@ -80,7 +78,7 @@ type slot struct{ a, th, cpu int }
 // threadDiff reports the first bitwise difference between two threads'
 // counters, progress, phase position and debt, or "".
 func threadDiff(x, y *workload.Thread) string {
-	if cx, cy := x.Counters.Snapshot(), y.Counters.Snapshot(); cx != cy {
+	if cx, cy := x.Counters.Read(), y.Counters.Read(); cx != cy {
 		return fmt.Sprintf("counters %v vs %v", cx, cy)
 	}
 	bits := math.Float64bits
@@ -178,7 +176,7 @@ func TestStepMatchesPerMicroStepAdvance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref := newRefMachine(t, m.Config())
+			ref := newRefMachine(tc.cfg)
 			build := func() []*workload.App {
 				apps := make([]*workload.App, len(tc.apps))
 				for i, name := range tc.apps {

@@ -8,7 +8,7 @@
 // says which thread runs on which processor, and the machine advances
 // every placed thread at the speed the bus model grants it, maintains
 // cache-affinity state, charges migration costs, and accumulates each
-// thread's virtual performance counters.
+// thread's virtual bus-transaction counter.
 package machine
 
 import (
@@ -17,16 +17,15 @@ import (
 	"math"
 
 	"busaware/internal/bus"
-	"busaware/internal/perfctr"
 	"busaware/internal/units"
 	"busaware/internal/workload"
 )
 
 // Config describes the machine: its processor count and whether the
 // processors are SMT siblings. Everything else is the paper machine's
-// calibration, fixed in code: the bus is bus.DefaultConfig's, and the
-// constants below set the micro-step, the cache-pollution charge and
-// the SMT sibling speed.
+// calibration, fixed in code: the bus is bus.New's, and the constants
+// below set the micro-step, the cache-pollution charge and the SMT
+// sibling speed.
 type Config struct {
 	// NumCPUs is the logical processor count (4 on the paper's
 	// machine).
@@ -92,9 +91,9 @@ type ThreadStep struct {
 	// granted (wall µs × contended speed), in micro-step order: what
 	// Step passed to Thread.AdvanceWork.
 	SoloPerSub []float64
-	// Counters is the slice's virtual-counter increment of each event,
+	// Transactions is the slice's bus-transaction counter increment,
 	// summed over its micro-steps.
-	Counters [perfctr.NumEvents]uint64
+	Transactions uint64
 	// Req is the bus request of the slice's last micro-step.
 	Req bus.Request
 }
@@ -102,9 +101,9 @@ type ThreadStep struct {
 // StepResult summarizes one Step call.
 type StepResult struct {
 	Elapsed units.Time
-	// Outcome is the bus outcome of the final micro-step (demands may
-	// shift within the slice as phases roll over).
-	Outcome bus.Outcome
+	// Stretch is the bus latency stretch of the final micro-step
+	// (demands may shift within the slice as phases roll over).
+	Stretch float64
 	// MeanUtilization averages bus utilization over micro-steps.
 	MeanUtilization float64
 	// MeanServed averages the served transaction rate over micro-steps.
@@ -117,17 +116,18 @@ type StepResult struct {
 	// included: the slice is valid until the next Step call on the
 	// same Machine.
 	Threads []ThreadStep
-	// BusyCPUs is the number of processors that executed a thread.
-	BusyCPUs int
 }
 
 // Machine is the simulated SMP. Not safe for concurrent use.
 type Machine struct {
 	cfg        Config
-	busModel   *bus.Model
 	now        units.Time
 	lastCPU    map[*workload.Thread]int
 	lastThread []*workload.Thread // per-CPU most recent occupant
+
+	// busAllocate is the bus model's AllocateInto; tests wrap it to
+	// count the request vectors the machine asks about.
+	busAllocate func(dst []bus.Grant, reqs []bus.Request) ([]bus.Grant, bus.Outcome)
 
 	// Per-call scratch, reused across Steps so the quantum loop
 	// allocates nothing after a machine's first Step (or a longer
@@ -157,23 +157,19 @@ func New(cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	bm, err := bus.New(bus.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
 	m := &Machine{
-		cfg:        cfg,
-		busModel:   bm,
-		lastCPU:    make(map[*workload.Thread]int),
-		lastThread: make([]*workload.Thread, cfg.NumCPUs),
-		cpuUsed:    make([]bool, cfg.NumCPUs),
-		busyCore:   make([]int, (cfg.NumCPUs+1)/2),
-		reqs:       make([]bus.Request, 0, cfg.NumCPUs),
-		steps:      make([]ThreadStep, 0, cfg.NumCPUs),
-		asked:      make([]bus.Request, 0, cfg.NumCPUs),
-		grants:     make([]bus.Grant, 0, cfg.NumCPUs),
+		cfg:         cfg,
+		busAllocate: bus.New().AllocateInto,
+		lastCPU:     make(map[*workload.Thread]int),
+		lastThread:  make([]*workload.Thread, cfg.NumCPUs),
+		cpuUsed:     make([]bool, cfg.NumCPUs),
+		busyCore:    make([]int, (cfg.NumCPUs+1)/2),
+		reqs:        make([]bus.Request, 0, cfg.NumCPUs),
+		steps:       make([]ThreadStep, 0, cfg.NumCPUs),
+		asked:       make([]bus.Request, 0, cfg.NumCPUs),
+		grants:      make([]bus.Grant, 0, cfg.NumCPUs),
 	}
-	_, m.out = bm.Allocate(nil) // the answer to the empty vector asked
+	_, m.out = m.busAllocate(nil, nil) // the answer to the empty vector asked
 	return m, nil
 }
 
@@ -188,7 +184,7 @@ func New(cfg Config) (*Machine, error) {
 func (m *Machine) allocate(reqs []bus.Request) ([]bus.Grant, bus.Outcome, bool) {
 	changed := !sameRequests(m.asked, reqs)
 	if changed {
-		m.grants, m.out = m.busModel.AllocateInto(m.grants, reqs)
+		m.grants, m.out = m.busAllocate(m.grants, reqs)
 		m.asked = append(m.asked[:0], reqs...)
 	}
 	return m.grants, m.out, changed
@@ -214,9 +210,6 @@ func sameRequest(a, b bus.Request) bool {
 		math.Float64bits(a.StallFrac) == math.Float64bits(b.StallFrac)
 }
 
-// Config returns the machine configuration.
-func (m *Machine) Config() Config { return m.cfg }
-
 // Now returns the current simulated time.
 func (m *Machine) Now() units.Time { return m.now }
 
@@ -233,10 +226,10 @@ func (m *Machine) LastCPU(t *workload.Thread) int {
 // threads; violations return an error and leave state untouched but
 // for ending the previous Step's record (see PlanStretch).
 //
-// Each placed thread's virtual counters are committed once, at the end
-// of the Step: the per-micro-step increments are summed first and
-// added with one Counters.AddAll, which is exact because masked counter
-// addition is associative. Nothing may read a placed thread's counters
+// Each placed thread's virtual counter is committed once, at the end of
+// the Step: the per-micro-step increments are summed first and added
+// with one Counters.Add, which is exact because masked counter
+// addition is associative. Nothing may read a placed thread's counter
 // while Step runs.
 func (m *Machine) Step(placements []Placement, dt units.Time) (StepResult, error) {
 	m.uniform = false
@@ -278,9 +271,8 @@ func (m *Machine) Step(placements []Placement, dt units.Time) (StepResult, error
 	scratch := m.steps[:cap(m.steps)]
 	clear(scratch[len(placements):])
 	res := StepResult{
-		Elapsed:  dt,
-		Threads:  scratch[:len(placements)],
-		BusyCPUs: len(placements),
+		Elapsed: dt,
+		Threads: scratch[:len(placements)],
 	}
 	for i, p := range placements {
 		res.Threads[i] = ThreadStep{Thread: p.Thread, CPU: p.CPU, SoloPerSub: m.soloPerSub[i*steps : (i+1)*steps]}
@@ -346,7 +338,7 @@ func (m *Machine) Step(placements []Placement, dt units.Time) (StepResult, error
 			}
 			solo := wall * speed
 			ts := &res.Threads[i]
-			p.Thread.AccrueCounters(&ts.Counters, wall, g.Rate*units.Rate(speed/maxf(g.Speed, 1e-12)))
+			p.Thread.AccrueCounters(&ts.Transactions, wall, g.Rate*units.Rate(speed/maxf(g.Speed, 1e-12)))
 			ts.SoloPerSub[s] = solo
 			p.Thread.AdvanceWork(solo)
 			ts.Speed += speed * w
@@ -354,10 +346,10 @@ func (m *Machine) Step(placements []Placement, dt units.Time) (StepResult, error
 		}
 		utilSum += out.Utilization
 		servedSum += out.Served
-		res.Outcome = out
+		res.Stretch = out.Stretch
 	}
 	for i, p := range placements {
-		p.Thread.Counters.AddAll(res.Threads[i].Counters)
+		p.Thread.Counters.Add(res.Threads[i].Transactions)
 		res.Threads[i].Req = reqs[i]
 	}
 	res.MeanUtilization = utilSum / float64(steps)

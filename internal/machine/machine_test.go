@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -37,36 +36,6 @@ func TestConfigValidation(t *testing.T) {
 	bad.NumCPUs = 0
 	if _, err := New(bad); err == nil {
 		t.Error("zero CPUs accepted")
-	}
-}
-
-// TestConfigRefusesNonFinite sets every field of the bus calibration
-// the machine builds its bus from, in turn, to NaN, +Inf and -Inf:
-// bus.New must refuse each.
-func TestConfigRefusesNonFinite(t *testing.T) {
-	fields := []struct {
-		name string
-		set  func(*bus.Config, float64)
-	}{
-		{"Bus.Capacity", func(c *bus.Config, v float64) { c.Capacity = units.Rate(v) }},
-		{"Bus.ArbPenalty", func(c *bus.Config, v float64) { c.ArbPenalty = v }},
-		{"Bus.MinCapacityFrac", func(c *bus.Config, v float64) { c.MinCapacityFrac = v }},
-		{"Bus.QueueFactor", func(c *bus.Config, v float64) { c.QueueFactor = v }},
-		{"Bus.CurveExponent", func(c *bus.Config, v float64) { c.CurveExponent = v }},
-		{"Bus.MaxStretch", func(c *bus.Config, v float64) { c.MaxStretch = v }},
-		{"Bus.MasterThreshold", func(c *bus.Config, v float64) { c.MasterThreshold = units.Rate(v) }},
-		{"Bus.Unfairness", func(c *bus.Config, v float64) { c.Unfairness = v }},
-	}
-	for _, f := range fields {
-		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-			t.Run(fmt.Sprintf("%s=%v", f.name, v), func(t *testing.T) {
-				cfg := bus.DefaultConfig()
-				f.set(&cfg, v)
-				if _, err := bus.New(cfg); err == nil {
-					t.Error("accepted")
-				}
-			})
-		}
 	}
 }
 
@@ -143,8 +112,8 @@ func TestSaturationSlowsMemoryBoundApp(t *testing.T) {
 	if slow < 1.8 || slow > 3.2 {
 		t.Errorf("CG slowdown vs 2 BBMA = %.2f, want 2x-3x", slow)
 	}
-	if !res.Outcome.Saturated {
-		t.Error("bus should be saturated")
+	if res.MeanUtilization <= 0.85 {
+		t.Errorf("bus should be saturated: mean utilization %.3f", res.MeanUtilization)
 	}
 }
 
@@ -247,8 +216,8 @@ func TestEmptyStepAdvancesTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.BusyCPUs != 0 || m.Now() != 100*units.Millisecond {
-		t.Errorf("empty step: busy=%d now=%v", res.BusyCPUs, m.Now())
+	if len(res.Threads) != 0 || m.Now() != 100*units.Millisecond {
+		t.Errorf("empty step: threads=%d now=%v", len(res.Threads), m.Now())
 	}
 }
 
@@ -312,11 +281,18 @@ func TestSMTOffMeansNoSharing(t *testing.T) {
 	}
 }
 
-// asks returns how many non-empty request vectors the machine has put
-// to its bus model.
-func asks(m *Machine) uint64 {
-	hits, misses, _ := m.busModel.CacheStats()
-	return hits + misses
+// countAsks wraps m's bus model so the returned count tracks how many
+// non-empty request vectors m puts to it.
+func countAsks(m *Machine) *uint64 {
+	n := new(uint64)
+	allocate := m.busAllocate
+	m.busAllocate = func(dst []bus.Grant, reqs []bus.Request) ([]bus.Grant, bus.Outcome) {
+		if len(reqs) > 0 {
+			*n++
+		}
+		return allocate(dst, reqs)
+	}
+	return n
 }
 
 // The machine asks the bus model once per distinct consecutive request
@@ -325,6 +301,7 @@ func asks(m *Machine) uint64 {
 // debt inside the first micro-step.
 func TestStepAsksOncePerVector(t *testing.T) {
 	m := newMachine(t)
+	asks := countAsks(m)
 	bt := appThreads("BT", "BT#1", t)
 	a, b := bt.Threads[0], bt.Threads[1]
 	for _, c := range []struct {
@@ -337,19 +314,19 @@ func TestStepAsksOncePerVector(t *testing.T) {
 		{"both migrate", []Placement{{a, 1}, {b, 0}}, 2},
 		{"settled again", []Placement{{a, 1}, {b, 0}}, 0},
 	} {
-		before := asks(m)
+		before := *asks
 		if _, err := m.Step(c.pl, 100*units.Millisecond); err != nil {
 			t.Fatal(err)
 		}
-		if got := asks(m) - before; got != c.want {
+		if got := *asks - before; got != c.want {
 			t.Errorf("%s: asked the bus model %d times over ten micro-steps, want %d", c.name, got, c.want)
 		}
 	}
 	if _, ok := m.PlanStretch([]Placement{{a, 1}, {b, 0}}, 100*units.Millisecond); !ok {
 		t.Fatal("settled placement refused a stretch plan")
 	}
-	if asks(m) != 3 {
-		t.Errorf("PlanStretch asked the bus model: %d asks, want 3", asks(m))
+	if *asks != 3 {
+		t.Errorf("PlanStretch asked the bus model: %d asks, want 3", *asks)
 	}
 }
 
@@ -366,6 +343,7 @@ func TestNegativeZeroDemandIsANewVector(t *testing.T) {
 		{"+0 then -0", units.Rate(math.Copysign(0, -1)), 2},
 	} {
 		m := newMachine(t)
+		asks := countAsks(m)
 		p := workload.BBMA()
 		p.Phases = []workload.Phase{
 			{Duration: 50 * units.Millisecond, Demand: 0, StallFrac: 0.5},
@@ -378,7 +356,7 @@ func TestNegativeZeroDemandIsANewVector(t *testing.T) {
 		if idx, _ := app.Threads[0].PhasePos(); idx != 0 {
 			t.Fatalf("%s: quantum ended in phase %d, want a full cycle back to 0", c.name, idx)
 		}
-		if got := asks(m); got != c.want {
+		if got := *asks; got != c.want {
 			t.Errorf("%s: %d asks, want %d", c.name, got, c.want)
 		}
 	}

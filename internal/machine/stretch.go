@@ -28,13 +28,13 @@ import (
 //   - The requests are unchanged, and the bus model is deterministic
 //     per vector, so it grants the same speeds. A repeated quantum
 //     therefore reproduces every recorded value: each thread's
-//     per-micro-step solo advances, counter increments, speed, rate
+//     per-micro-step solo advances, transaction count, speed, rate
 //     and request, and the quantum's utilization, served rate and
-//     outcome.
+//     stretch.
 //   - On the sampling side (internal/sim), every monitor is polled at
 //     the end of every stepped quantum, idle applications included, and
 //     resynced after every leap. So the probe's poll spans exactly one
-//     quantum, and its delta is the recorded counter increment. With
+//     quantum, and its delta is the recorded transaction count. With
 //     faults off, which leaping already requires, the sample a job just
 //     received is the one each replayed quantum pushes.
 //   - A record is valid only until the machine's next Step or clock

@@ -108,7 +108,7 @@ func TestPlanIsTheNextQuantum(t *testing.T) {
 			}
 			before := make([]perfctr.Sample, len(pl))
 			for i, p := range pl {
-				before[i].Values = p.Thread.Counters.Snapshot()
+				before[i].Value = p.Thread.Counters.Read()
 			}
 			again, err := m.Step(pl, dt)
 			if err != nil {
@@ -118,9 +118,9 @@ func TestPlanIsTheNextQuantum(t *testing.T) {
 				t.Errorf("second Step differs from the plan:\n got %s\nwant %s", g, w)
 			}
 			for i, p := range pl {
-				d := perfctr.Delta(before[i], perfctr.Sample{Values: p.Thread.Counters.Snapshot()})
-				if d != want.Threads[i].Counters {
-					t.Errorf("thread %d counter increments %v, plan %v", i, d, want.Threads[i].Counters)
+				d := perfctr.Delta(before[i], perfctr.Sample{Value: p.Thread.Counters.Read()})
+				if d != want.Threads[i].Transactions {
+					t.Errorf("thread %d counter increment %d, plan %d", i, d, want.Threads[i].Transactions)
 				}
 			}
 		})

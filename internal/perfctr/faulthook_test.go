@@ -39,18 +39,18 @@ func TestMonitorDroppedPollGoesStale(t *testing.T) {
 	hook := &scriptedHook{drops: []bool{true, false}}
 	m.SetFaultHook(hook)
 
-	c.Add(EventBusTransAny, 1000)
+	c.Add(1000)
 	if _, ok := m.Poll(100); ok {
 		t.Fatal("dropped poll reported ok")
 	}
-	c.Add(EventBusTransAny, 1000)
-	rates, ok := m.Poll(200)
+	c.Add(1000)
+	rate, ok := m.Poll(200)
 	if !ok {
 		t.Fatal("recovery poll failed")
 	}
 	// 2000 transactions over the full 200us gap, not 1000 over 100us.
-	if got := rates[EventBusTransAny]; got != 10 {
-		t.Errorf("recovered rate = %v trans/us, want 10 (gap-spanning)", got)
+	if rate != 10 {
+		t.Errorf("recovered rate = %v trans/us, want 10 (gap-spanning)", rate)
 	}
 }
 
@@ -59,13 +59,34 @@ func TestMonitorPerturbedRates(t *testing.T) {
 	m := NewMonitor(&c)
 	m.Poll(0)
 	m.SetFaultHook(&scriptedHook{scale: 2})
-	c.Add(EventBusTransAny, 500)
-	rates, ok := m.Poll(100)
+	c.Add(500)
+	rate, ok := m.Poll(100)
 	if !ok {
 		t.Fatal("poll failed")
 	}
-	if got := rates[EventBusTransAny]; got != 10 {
-		t.Errorf("perturbed rate = %v, want 5*2", got)
+	if rate != 10 {
+		t.Errorf("perturbed rate = %v, want 5*2", rate)
+	}
+}
+
+// Each successful poll perturbs its one rate once: n polls through a
+// CounterNoise injector count n perturbations, and a dropped or
+// baseline poll counts none.
+func TestMonitorPerturbsOncePerPoll(t *testing.T) {
+	inj := faults.New(faults.Config{Seed: 3, CounterNoise: 0.2})
+	var c Counters
+	m := NewMonitor(&c)
+	m.SetFaultHook(inj)
+	m.Poll(0) // baseline
+	const n = 25
+	for i := 1; i <= n; i++ {
+		c.Add(1000)
+		if _, ok := m.Poll(units.Time(100 * i)); !ok {
+			t.Fatalf("poll %d failed", i)
+		}
+	}
+	if got := inj.Stats().CountersPerturbed; got != n {
+		t.Errorf("CountersPerturbed = %d after %d successful polls, want %d", got, n, n)
 	}
 }
 
@@ -77,13 +98,13 @@ func TestMonitorInjectorIntegration(t *testing.T) {
 	m := NewMonitor(&c)
 	m.Poll(0)
 	m.SetFaultHook(hook)
-	c.Add(EventCycles, 10)
+	c.Add(10)
 	if _, ok := m.Poll(units.Time(50)); ok {
 		t.Error("CounterLoss=1 injector let a poll through")
 	}
 	m.SetFaultHook(nil)
-	rates, ok := m.Poll(units.Time(100))
-	if !ok || rates[EventCycles] != 0.1 {
-		t.Errorf("detached monitor poll = (%v, %v), want (0.1, true)", rates[EventCycles], ok)
+	rate, ok := m.Poll(units.Time(100))
+	if !ok || rate != 0.1 {
+		t.Errorf("detached monitor poll = (%v, %v), want (0.1, true)", rate, ok)
 	}
 }

@@ -54,20 +54,16 @@ type Optimal struct {
 	ran     map[*Job]bool
 }
 
-// NewOptimal builds the model-driven reference policy. The bus
-// configuration should match the machine the workload runs on.
-func NewOptimal(numCPUs int, busCfg bus.Config) (*Optimal, error) {
-	m, err := bus.New(busCfg)
-	if err != nil {
-		return nil, err
-	}
+// NewOptimal builds the model-driven reference policy, pricing subsets
+// on the paper machine's bus.
+func NewOptimal(numCPUs int) *Optimal {
 	return &Optimal{
 		quantum: DefaultQuantum,
 		numCPUs: numCPUs,
-		model:   m,
+		model:   bus.New(),
 		waiting: make(map[*Job]int),
 		ran:     make(map[*Job]bool),
-	}, nil
+	}
 }
 
 // Name implements Scheduler.

@@ -3,26 +3,13 @@ package sched
 import (
 	"testing"
 
-	"busaware/internal/bus"
 	"busaware/internal/machine"
 	"busaware/internal/units"
 	"busaware/internal/workload"
 )
 
-func newOptimal(t *testing.T) *Optimal {
-	t.Helper()
-	o, err := NewOptimal(4, bus.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return o
-}
-
 func TestOptimalValidation(t *testing.T) {
-	if _, err := NewOptimal(4, bus.Config{}); err == nil {
-		t.Error("invalid bus config accepted")
-	}
-	o := newOptimal(t)
+	o := NewOptimal(4)
 	if o.Name() != "Optimal" || o.Quantum() != DefaultQuantum {
 		t.Error("identity")
 	}
@@ -35,7 +22,7 @@ func TestOptimalSegregatesAntagonists(t *testing.T) {
 	// With CG at the head and BBMAs available, the model-driven search
 	// should prefer running the CG gang with the idle companions (or
 	// alone) over drowning it among antagonists.
-	o := newOptimal(t)
+	o := NewOptimal(4)
 	p, _ := workload.ByName("CG")
 	cg := NewJob(workload.NewApp(p, "CG#1"), 1, 0)
 	o.Add(cg)
@@ -62,7 +49,7 @@ func TestOptimalSegregatesAntagonists(t *testing.T) {
 }
 
 func TestOptimalNoStarvation(t *testing.T) {
-	o := newOptimal(t)
+	o := NewOptimal(4)
 	var jobs []*Job
 	p, _ := workload.ByName("CG")
 	for i := 0; i < 3; i++ {
@@ -98,7 +85,7 @@ func TestOptimalNoStarvation(t *testing.T) {
 }
 
 func TestOptimalPlacementsValid(t *testing.T) {
-	o := newOptimal(t)
+	o := NewOptimal(4)
 	m, err := machine.New(machine.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +106,7 @@ func TestOptimalPlacementsValid(t *testing.T) {
 }
 
 func TestOptimalRemove(t *testing.T) {
-	o := newOptimal(t)
+	o := NewOptimal(4)
 	p, _ := workload.ByName("CG")
 	j := NewJob(workload.NewApp(p, "CG#1"), 1, 0)
 	o.Add(j)
@@ -137,7 +124,7 @@ func TestOptimalPrefersHarmlessCompanions(t *testing.T) {
 	// antagonist or with an idle nBBMA, the predicted-throughput score
 	// with aging must eventually favour the nBBMA when the head is
 	// memory-bound.
-	o := newOptimal(t)
+	o := NewOptimal(4)
 	p, _ := workload.ByName("CG")
 	cg := NewJob(workload.NewApp(p, "CG#1"), 1, 0)
 	b := NewJob(workload.NewApp(workload.BBMA(), "B#1"), 1, 0)
@@ -158,10 +145,7 @@ func TestOptimalPrefersHarmlessCompanions(t *testing.T) {
 }
 
 func BenchmarkOptimalSchedule(b *testing.B) {
-	o, err := NewOptimal(4, bus.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
+	o := NewOptimal(4)
 	p, _ := workload.ByName("CG")
 	for i := 0; i < 2; i++ {
 		o.Add(NewJob(workload.NewApp(p, "CG"), 1, 0))

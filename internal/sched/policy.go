@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"busaware/internal/bus"
 	"busaware/internal/machine"
 	"busaware/internal/units"
 )
@@ -16,8 +15,8 @@ func Policies() []string {
 
 // New builds the named policy for machine m. Every policy schedules
 // against the paper machine's bus: the bandwidth-aware family budgets
-// units.SustainedBusRate, and Optimal prices subsets on
-// bus.DefaultConfig's model. The seed only affects the Linux
+// units.SustainedBusRate, and Optimal prices subsets on bus.New's
+// model. The seed only affects the Linux
 // baseline's runqueue shuffling, and p tunes the bandwidth-aware
 // family (latest, window, ewma, oracle, gang) only. This is the one
 // policy table: the busaware facade, the HTTP API and every experiment
@@ -40,7 +39,7 @@ func New(policy string, m machine.Config, seed int64, p Params) (Scheduler, erro
 	case "rr":
 		return NewRoundRobin(m.NumCPUs, 0), nil
 	case "optimal":
-		return NewOptimal(m.NumCPUs, bus.DefaultConfig())
+		return NewOptimal(m.NumCPUs), nil
 	}
 	names := Policies()
 	return nil, fmt.Errorf("unknown policy %q (want %s or %s)", policy,

@@ -41,7 +41,6 @@ import (
 
 	"busaware/internal/bus"
 	"busaware/internal/machine"
-	"busaware/internal/perfctr"
 	"busaware/internal/sched"
 	"busaware/internal/timeline"
 	"busaware/internal/trace"
@@ -347,13 +346,8 @@ func (ls *leapScratch) tryLeap(
 			st.trans += uint64(k) * st.qTrans
 		}
 	}
-	for i := range plan.Threads {
-		pt := &plan.Threads[i]
-		var d [perfctr.NumEvents]uint64
-		for e, perQ := range pt.Counters {
-			d[e] = uint64(k) * perQ
-		}
-		pt.Thread.Counters.AddAll(d)
+	for _, pt := range plan.Threads {
+		pt.Thread.Counters.Add(uint64(k) * pt.Transactions)
 	}
 	if err := m.Advance(quantum, k); err != nil {
 		return err
@@ -363,7 +357,7 @@ func (ls *leapScratch) tryLeap(
 		DurUsec:     int64(quantum),
 		Utilization: plan.MeanUtilization,
 		Served:      float64(plan.MeanServed),
-		Stretch:     plan.Outcome.Stretch,
+		Stretch:     plan.Stretch,
 		Placed:      len(plan.Threads),
 		Runnable:    connected,
 		Admitted:    admitted,

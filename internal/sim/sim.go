@@ -558,11 +558,11 @@ func run(cfg Config, s sched.Scheduler, apps []*workload.App) (Result, error) {
 		for _, st := range states {
 			var appTrans uint64
 			for ti := range st.app.Threads {
-				rates, ok := st.monitors[ti].Poll(m.Now())
+				rate, ok := st.monitors[ti].Poll(m.Now())
 				if !ok {
 					continue
 				}
-				appTrans += uint64(rates[perfctr.EventBusTransAny] * float64(quantum))
+				appTrans += uint64(rate * float64(quantum))
 			}
 			perThread, ran := st.sample(cfg.Sampling, appTrans, quantum)
 			st.sampled, st.qTrans = ran, appTrans
@@ -590,7 +590,7 @@ func run(cfg Config, s sched.Scheduler, apps []*workload.App) (Result, error) {
 			DurUsec:     int64(quantum),
 			Utilization: step.MeanUtilization,
 			Served:      float64(step.MeanServed),
-			Stretch:     step.Outcome.Stretch,
+			Stretch:     step.Stretch,
 			Placed:      len(step.Threads),
 			Runnable:    connected,
 			Admitted:    admitted,
@@ -652,7 +652,7 @@ func run(cfg Config, s sched.Scheduler, apps []*workload.App) (Result, error) {
 			if !st.scenario && res.EndTime > 0 {
 				var trans uint64
 				for _, th := range st.app.Threads {
-					trans += th.Counters.Read(perfctr.EventBusTransAny)
+					trans += th.Counters.Read()
 				}
 				res.MicrobenchRates = append(res.MicrobenchRates, units.Rate(float64(trans)/float64(res.EndTime)))
 			}

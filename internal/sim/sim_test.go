@@ -6,7 +6,6 @@ import (
 
 	"busaware/internal/faults"
 	"busaware/internal/machine"
-	"busaware/internal/perfctr"
 	"busaware/internal/sched"
 	"busaware/internal/timeline"
 	"busaware/internal/trace"
@@ -185,7 +184,7 @@ func TestMicrobenchRates(t *testing.T) {
 	for i, a := range endless {
 		var trans uint64
 		for _, th := range a.Threads {
-			trans += th.Counters.Read(perfctr.EventBusTransAny)
+			trans += th.Counters.Read()
 		}
 		if want := units.Rate(float64(trans) / float64(res.EndTime)); res.MicrobenchRates[i] != want {
 			t.Errorf("%s: rate %v, want %v", a.Instance, res.MicrobenchRates[i], want)

@@ -5,9 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"busaware/internal/bus"
 	"busaware/internal/machine"
-	"busaware/internal/perfctr"
 	"busaware/internal/sched"
 	"busaware/internal/units"
 	"busaware/internal/workload"
@@ -27,10 +25,6 @@ func TestSchedulerStressInvariants(t *testing.T) {
 		t.Skip("stress sweep in short mode")
 	}
 	mkScheds := func(seed int64) []sched.Scheduler {
-		opt, err := sched.NewOptimal(4, bus.DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
 		return []sched.Scheduler{
 			sched.NewLinux(4, seed),
 			sched.NewRoundRobin(4, 0),
@@ -39,7 +33,7 @@ func TestSchedulerStressInvariants(t *testing.T) {
 			sched.NewQuantaWindow(4, units.SustainedBusRate),
 			sched.NewEWMAPolicy(4, units.SustainedBusRate, 0.4),
 			sched.NewOracle(4, units.SustainedBusRate),
-			opt,
+			sched.NewOptimal(4),
 		}
 	}
 
@@ -93,7 +87,7 @@ func TestSchedulerStressInvariants(t *testing.T) {
 				}
 				var fromCounters uint64
 				for _, th := range app.Threads {
-					fromCounters += th.Counters.Read(perfctr.EventBusTransAny)
+					fromCounters += th.Counters.Read()
 				}
 				var recorded uint64
 				for _, ar := range res.Apps {

@@ -16,13 +16,13 @@ import (
 // reproduces Figure 1B's slowdown bands (41-61% for the top four when
 // two instances co-run, 2x-3x against two BBMA copies, near-solo
 // against nBBMA; LU CB and Water-nsqr migration-sensitive thanks to
-// their ~99.5% L2 hit rates).
+// their ~99.5% L2 hit rates, which make a rebuilt working set costly).
 
 const ms = units.Millisecond
 
 // uniform builds a single-phase two-thread profile from the cumulative
 // solo rate as plotted in Figure 1A.
-func uniform(name string, cumRate units.Rate, stall float64, solo units.Time, hit float64, migPenalty units.Time) Profile {
+func uniform(name string, cumRate units.Rate, stall float64, solo, migPenalty units.Time) Profile {
 	return Profile{
 		Name:     name,
 		Threads:  2,
@@ -30,7 +30,6 @@ func uniform(name string, cumRate units.Rate, stall float64, solo units.Time, hi
 		Phases: []Phase{
 			{Duration: 100 * ms, Demand: cumRate / 2, StallFrac: stall},
 		},
-		L2HitRate:        hit,
 		MigrationPenalty: migPenalty,
 		BarrierInterval:  DefaultBarrierInterval,
 	}
@@ -44,13 +43,13 @@ const DefaultBarrierInterval = 40 * ms
 // Radiosity through CG, in Figure 1A's increasing-rate order.
 func paperProfiles() []Profile {
 	ps := []Profile{
-		uniform("Radiosity", 0.48, 0.04, 14*units.Second, 0.97, 500),
+		uniform("Radiosity", 0.48, 0.04, 14*units.Second, 500),
 		// Water-nsqr: tiny bandwidth but ~99.5% hit rate; rebuilding its
 		// working set after a migration is expensive (paper Section 3).
-		uniform("Water-nsqr", 0.90, 0.05, 13*units.Second, 0.995, 6000),
-		uniform("Volrend", 1.40, 0.08, 12*units.Second, 0.95, 1000),
-		uniform("Barnes", 2.20, 0.12, 15*units.Second, 0.93, 1200),
-		uniform("FMM", 3.20, 0.18, 14*units.Second, 0.92, 1200),
+		uniform("Water-nsqr", 0.90, 0.05, 13*units.Second, 6000),
+		uniform("Volrend", 1.40, 0.08, 12*units.Second, 1000),
+		uniform("Barnes", 2.20, 0.12, 15*units.Second, 1200),
+		uniform("FMM", 3.20, 0.18, 14*units.Second, 1200),
 		{
 			// LU CB: 99.53% hit rate when run with two threads (paper),
 			// irregular bursts, very migration-sensitive.
@@ -61,13 +60,12 @@ func paperProfiles() []Profile {
 				{Duration: 250 * ms, Demand: 1.2, StallFrac: 0.10},
 				{Duration: 80 * ms, Demand: 4.71, StallFrac: 0.35},
 			},
-			L2HitRate:        0.9953,
 			MigrationPenalty: 8000,
 			BarrierInterval:  DefaultBarrierInterval,
 		},
-		uniform("BT", 6.80, 0.30, 16*units.Second, 0.90, 1500),
-		uniform("SP", 15.0, 0.52, 15*units.Second, 0.85, 1500),
-		uniform("MG", 16.5, 0.56, 14*units.Second, 0.84, 1500),
+		uniform("BT", 6.80, 0.30, 16*units.Second, 1500),
+		uniform("SP", 15.0, 0.52, 15*units.Second, 1500),
+		uniform("MG", 16.5, 0.56, 14*units.Second, 1500),
 		{
 			// Raytrace: "a highly irregular bus transactions pattern";
 			// the cycle below averages 17.45 cumulative (34.89 over four
@@ -88,11 +86,10 @@ func paperProfiles() []Profile {
 				{Duration: 90 * ms, Demand: 20.5, StallFrac: 0.88},
 				{Duration: 140 * ms, Demand: 5.2, StallFrac: 0.42},
 			},
-			L2HitRate:        0.80,
 			MigrationPenalty: 1200,
 			BarrierInterval:  DefaultBarrierInterval,
 		},
-		uniform("CG", 23.31, 0.65, 13*units.Second, 0.78, 1500),
+		uniform("CG", 23.31, 0.65, 13*units.Second, 1500),
 	}
 	return ps
 }
@@ -153,8 +150,8 @@ func BBMA() Profile {
 		Phases: []Phase{
 			{Duration: 100 * ms, Demand: 23.6, StallFrac: 0.97},
 		},
-		// L2HitRate 0: nothing cached worth rebuilding, so migrations
-		// are free.
+		// ~0% L2 hit rate: nothing cached worth rebuilding, so
+		// migrations are free.
 	}
 }
 
@@ -167,7 +164,6 @@ func NBBMA() Profile {
 		Phases: []Phase{
 			{Duration: 100 * ms, Demand: 0.0037, StallFrac: 0.001},
 		},
-		L2HitRate:        0.9999,
 		MigrationPenalty: 200,
 	}
 }
@@ -183,7 +179,6 @@ func STREAM() Profile {
 		Phases: []Phase{
 			{Duration: 100 * ms, Demand: 10.5, StallFrac: 0.95},
 		},
-		L2HitRate: 0.05,
 	}
 }
 
@@ -202,10 +197,11 @@ func RandomProfile(rng *rand.Rand, name string) Profile {
 			StallFrac: minf(0.97, float64(demand)/12*0.8+rng.Float64()*0.1),
 		}
 	}
-	hit := 0.7 + rng.Float64()*0.3
+	// Three discarded draws, one before solo and two after: they keep
+	// every later draw, and so the profiles a seed generates for the
+	// robustness sweep, unchanged.
+	rng.Float64()
 	solo := units.Time(4+rng.Intn(20)) * units.Second
-	// Two discarded draws: they keep every later draw, and so the
-	// profiles a seed generates for the robustness sweep, unchanged.
 	rng.Intn(224)
 	rng.Float64()
 	return Profile{
@@ -213,7 +209,6 @@ func RandomProfile(rng *rand.Rand, name string) Profile {
 		Threads:          threads,
 		SoloTime:         solo,
 		Phases:           phases,
-		L2HitRate:        hit,
 		MigrationPenalty: units.Time(rng.Intn(6000)),
 		BarrierInterval:  units.Time(rng.Intn(3)) * DefaultBarrierInterval,
 	}

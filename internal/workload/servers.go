@@ -28,7 +28,6 @@ func WebServer() Profile {
 			{Duration: 50 * ms, Demand: 9.0, StallFrac: 0.55},
 			{Duration: 160 * ms, Demand: 0.9, StallFrac: 0.07},
 		},
-		L2HitRate: 0.9,
 		// Request handlers rebuild state quickly after migrating.
 		MigrationPenalty: 800,
 		// Independent requests: no barriers.
@@ -47,7 +46,6 @@ func Database() Profile {
 			{Duration: 200 * ms, Demand: 4.8, StallFrac: 0.38},
 			{Duration: 60 * ms, Demand: 7.5, StallFrac: 0.5},
 		},
-		L2HitRate:        0.96,
 		MigrationPenalty: 5000,
 	}
 }

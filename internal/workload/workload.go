@@ -12,8 +12,8 @@
 // The simulator advances threads in solo-equivalent microseconds: the
 // bus model turns wall-clock quantum time into solo-equivalent
 // progress via the contention speed factor, and the thread consumes
-// its phases accordingly while its virtual performance counters
-// accumulate the transactions actually issued.
+// its phases accordingly while its virtual bus-transaction counter
+// accumulates the transactions actually issued.
 package workload
 
 import (
@@ -49,16 +49,12 @@ type Profile struct {
 	SoloTime units.Time
 	// Phases is the cyclic phase list; must be non-empty.
 	Phases []Phase
-	// L2HitRate is the steady-state L2 hit rate once warm (0..1). It
-	// sets the L2 reference and miss counters behind each bus
-	// transaction (see AccrueCounters); it does not price migrations.
-	L2HitRate float64
 	// MigrationPenalty prices a migration: the solo-equivalent extra
 	// work a thread owes after running on a different processor than
 	// last time. It is repaid at RefillDemand, the traffic of
-	// rebuilding the cache. Applications with very high hit rates (LU
-	// CB, Water-nsqr) have large penalties — the paper singles them
-	// out as migration-sensitive.
+	// rebuilding the cache. Applications with very high L2 hit rates
+	// (LU CB, Water-nsqr) have large penalties — the paper singles
+	// them out as migration-sensitive.
 	MigrationPenalty units.Time
 	// BarrierInterval is the solo-equivalent execution time between
 	// synchronization barriers. The paper's applications are OpenMP /
@@ -130,7 +126,7 @@ type Thread struct {
 	App *App
 	// Index is the thread's position within its gang.
 	Index int
-	// Counters is the thread's virtual performance counter file.
+	// Counters is the thread's virtual BUS_TRAN_ANY counter.
 	Counters perfctr.Counters
 
 	// phase progress, all in solo-equivalent usec
@@ -139,10 +135,6 @@ type Thread struct {
 	progress  float64 // total solo usec of real work completed
 	debt      float64 // migration penalty work still owed
 }
-
-// CPUFrequencyMHz converts simulated time to cycle counts for the
-// CYCLES counter; the paper's Xeons ran at 1.4 GHz.
-const CPUFrequencyMHz = 1400
 
 // Done reports whether the thread has completed its solo work.
 func (t *Thread) Done() bool {
@@ -231,7 +223,7 @@ const (
 
 // Migrate charges the thread its profile's MigrationPenalty as debt.
 // The thread repays it at RefillDemand (see Request), so the refill
-// traffic lands on its counters as the debt is worked off.
+// traffic lands on its counter as the debt is worked off.
 func (t *Thread) Migrate() {
 	t.AddDebt(float64(t.App.Profile.MigrationPenalty))
 }
@@ -249,44 +241,26 @@ func (t *Thread) AddDebt(usec float64) {
 // Debt returns the outstanding penalty work in solo-equivalent usec.
 func (t *Thread) Debt() float64 { return t.debt }
 
-// Advance runs the thread for soloUsec of solo-equivalent time (i.e.
-// wall time multiplied by the bus model's speed factor), consuming
-// migration debt first, then real phase work. It updates the virtual
-// counters with the transactions issued at rate actualRate (the bus
-// grant) over wallUsec of wall-clock time.
-func (t *Thread) Advance(soloUsec float64, wallUsec float64, actualRate units.Rate) {
-	var d [perfctr.NumEvents]uint64
-	t.AccrueCounters(&d, wallUsec, actualRate)
-	t.Counters.AddAll(d)
-	t.AdvanceWork(soloUsec)
+// AccrueCounters adds to sum the bus transactions issued running for
+// wallUsec of wall-clock time at actualRate (the bus grant), truncated
+// to an integer per call, so a caller summing micro-steps into sum and
+// committing it with one Counters.Add reaches exactly the value a
+// per-micro-step Add would (40-bit masked addition is associative and
+// 2^40 divides 2^64).
+func (t *Thread) AccrueCounters(sum *uint64, wallUsec float64, actualRate units.Rate) {
+	*sum += uint64(float64(actualRate) * wallUsec)
 }
 
-// AccrueCounters adds to sum the virtual-counter increments of running
-// for wallUsec of wall-clock time at actualRate: cycles, the bus
-// transactions issued and, when the profile misses in L2, the L2
-// references and misses behind them. Each increment is truncated to an
-// integer per call, so a caller summing micro-steps into sum and
-// committing it with one Counters.AddAll reaches exactly the values a
-// per-micro-step Advance would (40-bit masked addition is associative
-// and 2^40 divides 2^64).
-func (t *Thread) AccrueCounters(sum *[perfctr.NumEvents]uint64, wallUsec float64, actualRate units.Rate) {
-	// Counters reflect wall-clock activity.
-	trans := float64(actualRate) * wallUsec
-	sum[perfctr.EventCycles] += uint64(wallUsec * CPUFrequencyMHz)
-	sum[perfctr.EventBusTransAny] += uint64(trans)
-	if miss := 1 - t.App.Profile.L2HitRate; miss > 0 {
-		sum[perfctr.EventL2Refs] += uint64(trans / miss)
-		sum[perfctr.EventL2Misses] += uint64(trans)
-	}
-}
-
-// AdvanceWork is the debt/barrier/progress/phase portion of Advance,
-// without the performance-counter updates. The event-driven simulation
-// engine replays constant stretches with it: counter increments batch
-// exactly across identical quanta (modular addition is associative),
-// but floating-point progress accumulation is not, so the engine
-// repeats precisely these operations micro-step by micro-step to stay
-// bit-identical with stepped execution.
+// AdvanceWork runs the thread for soloUsec of solo-equivalent time
+// (wall time multiplied by the bus model's speed factor), consuming
+// migration debt first, then real phase work. It leaves the counter
+// alone: the caller accrues the transactions issued (AccrueCounters).
+// The event-driven simulation engine replays constant stretches with
+// it: counter increments batch exactly across identical quanta
+// (modular addition is associative), but floating-point progress
+// accumulation is not, so the engine repeats precisely these
+// operations micro-step by micro-step to stay bit-identical with
+// stepped execution.
 func (t *Thread) AdvanceWork(soloUsec float64) {
 	if soloUsec < 0 {
 		soloUsec = 0
@@ -388,7 +362,7 @@ func NewApp(p Profile, instance string) *App {
 }
 
 // CloneFresh returns a pristine copy of the app: same profile,
-// instance name and arrival time, with zeroed progress and counters —
+// instance name and arrival time, with zeroed progress and counter —
 // exactly what NewApp would have produced for the same inputs.
 // Run-time state accumulated so far is deliberately not copied; the
 // shadow engine uses CloneFresh before any quantum has run to execute
