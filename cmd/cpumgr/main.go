@@ -66,8 +66,10 @@ func main() {
 
 	// The manager's scheduling loop: the Director reads arenas, runs
 	// the Quanta Window selection, and enforces it with signals.
-	m := busaware.PaperMachine()
-	policy := sched.NewQuantaWindow(m.NumCPUs, units.SustainedBusRate)
+	policy, err := sched.New("window", busaware.PaperMachine(), 1, sched.Params{})
+	if err != nil {
+		fatal(err)
+	}
 	director, err := cpumanager.NewDirector(mgr, policy)
 	if err != nil {
 		fatal(err)

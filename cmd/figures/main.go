@@ -119,7 +119,7 @@ func run(fig, engine string, csv bool, app string, workers int, runstats bool, t
 		"degr":     func() error { return degradation(opt, emit) },
 		"servers":  func() error { return servers(opt, emit) },
 		"smt":      func() error { return smt(opt, emit) },
-		"timeline": func() error { return timelineFigure(emit, timelineOut) },
+		"timeline": func() error { return timelineFigure(opt, emit, timelineOut) },
 		"churn":    func() error { return churnFigure(opt, emit) },
 	}
 	// "timeline" and "churn" are deliberately outside the all-order:

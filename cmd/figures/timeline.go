@@ -32,10 +32,11 @@ type policyWindows struct {
 	Summary busaware.TimelineWindow
 }
 
-// timelineFigure runs the saturated mix under each policy with a
-// per-quantum collector attached, renders the windows as a table, and
-// optionally writes them to outPath (CSV or NDJSON by extension).
-func timelineFigure(emit func(*report.Table), outPath string) error {
+// timelineFigure runs the saturated mix under each policy on opt's
+// engine with a per-quantum collector attached, renders the windows as
+// a table, and optionally writes them to outPath (CSV or NDJSON by
+// extension).
+func timelineFigure(opt busaware.ExperimentOptions, emit func(*report.Table), outPath string) error {
 	mix, err := workload.ParseMix(timelineSpec)
 	if err != nil {
 		return err
@@ -46,7 +47,7 @@ func timelineFigure(emit func(*report.Table), outPath string) error {
 		if err != nil {
 			return err
 		}
-		cell := runner.Cell{Apps: mix, Policy: policy, Seed: 1, Config: sim.Config{Timeline: col}}
+		cell := runner.Cell{Apps: mix, Policy: policy, Seed: 1, Config: sim.Config{Timeline: col, Engine: opt.Engine}}
 		if _, err := cell.Simulate(); err != nil {
 			return err
 		}

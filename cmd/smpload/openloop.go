@@ -162,7 +162,7 @@ func runOpenLoop(httpc *http.Client, bases []string, entries []*mixEntry, plan [
 					time.Sleep(d)
 				}
 				issued := time.Now()
-				r := issue(httpc, base, entries[a.entry], a.entry, a.variant)
+				r := issue(httpc, base, entries[a.entry], a.variant)
 				r.phase = a.phase
 				r.late = issued.Sub(due) > lateSlack
 				results[i] = r

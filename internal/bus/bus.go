@@ -125,8 +125,6 @@ type Model struct {
 	mu     sync.Mutex
 	cache  *allocCache
 	keyBuf []byte
-	hits   uint64
-	misses uint64
 }
 
 // New builds a Model of the paper machine's bus.
@@ -155,13 +153,11 @@ func (m *Model) AllocateInto(dst []Grant, reqs []Request) ([]Grant, Outcome) {
 	m.mu.Lock()
 	m.keyBuf = appendKey(m.keyBuf[:0], reqs)
 	if e := m.cache.get(m.keyBuf); e != nil {
-		m.hits++
 		grants := append(dst[:0], e.grants...)
 		out = e.outcome
 		m.mu.Unlock()
 		return grants, out
 	}
-	m.misses++
 
 	masters := 0
 	var offered units.Rate

@@ -56,17 +56,18 @@ func TestCacheBitIdenticalToUncached(t *testing.T) {
 	// the most recently inserted vectors, which are still resident, so
 	// it exercises the hit path against the same fresh-model oracle.
 	check("populate", vectors)
+	// The full cache holds exactly the newest DefaultCacheSize vectors:
+	// the first pass evicted every older one.
+	oldest := string(appendKey(nil, vectors[len(vectors)-DefaultCacheSize]))
+	back := func() string { return cached.cache.order.Back().Value.(*allocEntry).key }
+	if size := cached.cache.Len(); size != DefaultCacheSize || back() != oldest {
+		t.Fatalf("after populate: %d entries, want the newest %d vectors", size, DefaultCacheSize)
+	}
 	check("replay-tail", vectors[len(vectors)-DefaultCacheSize/2:])
-
-	hits, misses, size := cached.hits, cached.misses, cached.cache.Len()
-	if size > DefaultCacheSize {
-		t.Errorf("cache grew past its bound: %d > %d", size, DefaultCacheSize)
-	}
-	if hits < uint64(DefaultCacheSize/2) {
-		t.Errorf("tail replay should hit resident entries: %d hits", hits)
-	}
-	if misses < uint64(len(vectors)) {
-		t.Errorf("eviction never forced a re-solve: %d misses for %d vectors", misses, len(vectors))
+	// A replay that missed would have inserted a second entry for its
+	// key and evicted the oldest: every one must have hit.
+	if size := cached.cache.Len(); size != DefaultCacheSize || back() != oldest {
+		t.Errorf("tail replay missed a resident vector: %d entries, oldest evicted %v", size, back() != oldest)
 	}
 }
 
@@ -128,8 +129,8 @@ func sameAnswer(g1 []Grant, o1 Outcome, g2 []Grant, o2 Outcome) bool {
 // For the request sequence A, A, B, A the second and last A are
 // answered by the keyed LRU lookup, the only repeat path the model
 // has (the machine skips repeats before they reach it). Both must
-// replay the first solve bit for bit, count as hits, and leave the LRU
-// order A most recent, then B.
+// replay the first solve bit for bit, hit (a miss would insert a
+// second entry), and leave the LRU order A most recent, then B.
 func TestFastPathMatchesLRUPath(t *testing.T) {
 	m := New()
 	a := []Request{{Demand: 11.65, StallFrac: 0.65}, {Demand: 23.6, StallFrac: 0.65}, {Demand: 0, StallFrac: 0.1}}
@@ -151,8 +152,8 @@ func TestFastPathMatchesLRUPath(t *testing.T) {
 				i, got[i].grants, got[i].out, got[0].grants, got[0].out)
 		}
 	}
-	if hits, misses, size := m.hits, m.misses, m.cache.Len(); hits != 2 || misses != 2 || size != 2 {
-		t.Errorf("hits %d, misses %d, size %d; want 2, 2, 2", hits, misses, size)
+	if size := m.cache.Len(); size != 2 {
+		t.Errorf("%d cache entries after A, A, B, A; want 2", size)
 	}
 	front, back := m.cache.order.Front().Value.(*allocEntry), m.cache.order.Back().Value.(*allocEntry)
 	if front.key != string(appendKey(nil, a)) || back.key != string(appendKey(nil, b)) {

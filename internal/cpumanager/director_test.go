@@ -1,7 +1,9 @@
 package cpumanager
 
 import (
+	"fmt"
 	"maps"
+	"strings"
 	"testing"
 
 	"busaware/internal/machine"
@@ -9,14 +11,19 @@ import (
 	"busaware/internal/units"
 )
 
-func newDirector(t *testing.T) (*Manager, *Director) {
+// newDirector builds a manager and a director enforcing the named
+// policy on the paper machine.
+func newDirector(t *testing.T, policy string) (*Manager, *Director) {
 	t.Helper()
 	mgr, err := NewManager(200 * units.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	policy := sched.NewQuantaWindow(4, units.SustainedBusRate)
-	d, err := NewDirector(mgr, policy)
+	s, err := sched.New(policy, machine.DefaultConfig(), 1, sched.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDirector(mgr, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +37,7 @@ func TestDirectorValidation(t *testing.T) {
 }
 
 func TestDirectorAdmitsEveryoneWhenIdle(t *testing.T) {
-	mgr, d := newDirector(t)
+	mgr, d := newDirector(t, "window")
 	a, _ := mgr.connect("A", 2)
 	b, _ := mgr.connect("B", 2)
 	a.Arena.Publish(0.5, 100)
@@ -45,7 +52,7 @@ func TestDirectorAdmitsEveryoneWhenIdle(t *testing.T) {
 }
 
 func TestDirectorPairsHungryWithIdle(t *testing.T) {
-	mgr, d := newDirector(t)
+	mgr, d := newDirector(t, "window")
 	cg, _ := mgr.connect("CG#1", 2)
 	b1, _ := mgr.connect("BBMA#1", 1)
 	b2, _ := mgr.connect("BBMA#2", 1)
@@ -77,7 +84,7 @@ func TestDirectorPairsHungryWithIdle(t *testing.T) {
 }
 
 func TestDirectorEnforcesWithSignals(t *testing.T) {
-	mgr, d := newDirector(t)
+	mgr, d := newDirector(t, "window")
 	// Six single-thread antagonists on four CPUs: someone must block.
 	var sessions []*Session
 	for i := 0; i < 6; i++ {
@@ -113,7 +120,7 @@ func TestDirectorEnforcesWithSignals(t *testing.T) {
 }
 
 func TestDirectorDropsDeadSessions(t *testing.T) {
-	mgr, d := newDirector(t)
+	mgr, d := newDirector(t, "window")
 	a, _ := mgr.connect("A", 1)
 	d.Tick()
 	if len(d.jobs) != 1 {
@@ -129,7 +136,7 @@ func TestDirectorDropsDeadSessions(t *testing.T) {
 }
 
 func TestDirectorIgnoresStaleArenas(t *testing.T) {
-	mgr, d := newDirector(t)
+	mgr, d := newDirector(t, "window")
 	a, _ := mgr.connect("A", 1)
 	// Publish once at t=0; after many quanta the page is stale, so the
 	// old estimate persists but no new samples are pushed (no panic,
@@ -139,6 +146,56 @@ func TestDirectorIgnoresStaleArenas(t *testing.T) {
 		out := d.Tick()
 		if len(out.Sessions) != 1 {
 			t.Fatalf("sole session not admitted at quantum %d", q)
+		}
+	}
+}
+
+// The director enforces any policy of the table, not only the
+// bandwidth-aware family. Gang round-robin admits whole gangs first
+// fit in list order and rotates them to the tail; the Linux baseline
+// places threads, and over one epoch each of six single-thread
+// sessions runs its two quanta. Every session left out is signalled.
+func TestDirectorNonBandwidthPolicies(t *testing.T) {
+	for _, tc := range []struct {
+		policy  string
+		threads []int
+		want    []string // the sessions each quantum admits, in order
+	}{
+		{"gang", []int{2, 2, 2}, []string{"s0 s1", "s2 s0", "s1 s2", "s0 s1"}},
+		{"linux", []int{1, 1, 1, 1, 1, 1}, []string{"s0 s1 s2 s3", "s4 s5 s0 s1", "s2 s3 s4 s5"}},
+	} {
+		mgr, d := newDirector(t, tc.policy)
+		var sessions []*Session
+		for i, n := range tc.threads {
+			s, err := mgr.connect(fmt.Sprintf("s%d", i), n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sessions = append(sessions, s)
+		}
+		for q, want := range tc.want {
+			out := d.Tick()
+			var got []string
+			admitted := map[*Session]bool{}
+			for _, s := range out.Sessions {
+				got = append(got, s.Instance)
+				admitted[s] = true
+			}
+			if strings.Join(got, " ") != want {
+				t.Errorf("%s: quantum %d admitted %v, want %s", tc.policy, q+1, got, want)
+			}
+			if out.Blocked != len(sessions)-len(out.Sessions) {
+				t.Errorf("%s: quantum %d blocked %d of %d sessions with %d admitted",
+					tc.policy, q+1, out.Blocked, len(sessions), len(out.Sessions))
+			}
+			// Signals count (SignalState), so only the first quantum's
+			// left-out sessions are certainly blocked; an admitted one is
+			// always runnable.
+			for _, s := range sessions {
+				if admitted[s] && s.Blocked() || q == 0 && !admitted[s] && !s.Blocked() {
+					t.Errorf("%s: quantum %d: %s blocked=%v, admitted=%v", tc.policy, q+1, s.Instance, s.Blocked(), admitted[s])
+				}
+			}
 		}
 	}
 }
@@ -159,7 +216,7 @@ func TestDirectorAdmitsWhatItRotates(t *testing.T) {
 		t.Fatal(err)
 	}
 	policy := s.(*sched.BandwidthAware)
-	d, err := NewDirector(mgr, policy)
+	d, err := NewDirector(mgr, s)
 	if err != nil {
 		t.Fatal(err)
 	}

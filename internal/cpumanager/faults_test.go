@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"busaware/internal/faults"
+	"busaware/internal/machine"
 	"busaware/internal/sched"
 	"busaware/internal/units"
 )
@@ -330,7 +331,11 @@ func TestDirectorReapsDeadSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr.SetReapTimeout(300 * units.Millisecond)
-	dir, err := NewDirector(mgr, sched.NewQuantaWindow(4, units.SustainedBusRate))
+	s, err := sched.New("window", machine.DefaultConfig(), 1, sched.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, err := NewDirector(mgr, s)
 	if err != nil {
 		t.Fatal(err)
 	}

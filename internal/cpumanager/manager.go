@@ -62,7 +62,6 @@ type Session struct {
 	// manager signals thread 0, which forwards to the rest — the
 	// paper's delivery chain.
 	signals []*SignalState
-	closed  bool
 	// lastSeen is the simulated time the manager last heard from the
 	// application (registration, wire activity, or a fresh arena
 	// publish). The reaper uses it to reclaim sessions whose client
@@ -238,9 +237,6 @@ func (m *Manager) Reap(now units.Time) []*Session {
 			last = written
 		}
 		if now-last > timeout {
-			s.mu.Lock()
-			s.closed = true
-			s.mu.Unlock()
 			delete(m.sessions, id)
 			reaped = append(reaped, s)
 		}
@@ -275,13 +271,9 @@ func (m *Manager) connect(instance string, threads int) (*Session, error) {
 func (m *Manager) disconnect(id uint64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s, ok := m.sessions[id]
-	if !ok {
+	if _, ok := m.sessions[id]; !ok {
 		return fmt.Errorf("cpumanager: unknown session %d", id)
 	}
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
 	delete(m.sessions, id)
 	return nil
 }

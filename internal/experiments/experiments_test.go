@@ -444,7 +444,11 @@ func TestSMTStudyLinuxSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := sim.Run(sim.Config{}, sched.NewLinux(machine.DefaultConfig().NumCPUs, 7), mix.Build())
+	linux, err := sched.New("linux", machine.DefaultConfig(), 7, sched.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := sim.Run(sim.Config{}, linux, mix.Build())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,25 +30,14 @@ const (
 	// EstNone estimates nothing: every job reads zero, every fitness
 	// value ties and the loop selects first-fit in list order — gang
 	// round-robin, the ablation without the bandwidth-driven pairing.
+	// It isolates how much of the improvement comes from gang
+	// scheduling itself versus from the pairing. The bus budget the
+	// loop reads cannot move its selection: allocatedBW stays 0, so
+	// every fitting candidate scores the same Fitness(C/free, 0) and
+	// the strict > keeps the first in list order, and under
+	// Params.Guard 0 <= remaining + C*slack holds for every C >= 0.
 	EstNone
 )
-
-func (e Estimator) String() string {
-	switch e {
-	case EstLatest:
-		return "latest"
-	case EstWindow:
-		return "window"
-	case EstEWMA:
-		return "ewma"
-	case EstOracle:
-		return "oracle"
-	case EstNone:
-		return "none"
-	default:
-		return "unknown"
-	}
-}
 
 // BandwidthAware implements the paper's Section 4 algorithm: gang-like
 // allocation driven by the proximity between each application's bus
@@ -59,10 +48,8 @@ type BandwidthAware struct {
 	name      string
 	quantum   units.Time
 	numCPUs   int
-	capacity  units.Rate
 	estimator Estimator
 	windowLen int
-	ewmaAlpha float64
 	guard     bool
 	staleK    int
 
@@ -85,6 +72,11 @@ type BandwidthAware struct {
 	selected []*Job
 	ran      map[*Job]bool
 	assign   assignScratch
+
+	// blind records whether the last Select was estimate-blind: no
+	// traversal step after the head had two non-degraded candidates
+	// to rank (see Stable).
+	blind bool
 }
 
 // Params tunes a policy of the bandwidth-aware family (latest, window,
@@ -151,62 +143,26 @@ const DefaultQuantum = 200 * units.Millisecond
 // applications.
 const DefaultWindow = 5
 
-// NewLatestQuantum builds the "Latest Quantum" policy for a machine
-// with numCPUs processors and the given sustained bus capacity.
-func NewLatestQuantum(numCPUs int, capacity units.Rate) *BandwidthAware {
-	return newBandwidthAware("LatestQuantum", EstLatest, 1, numCPUs, capacity)
-}
+// ewmaWeight is the EWMA estimator's weight on the newest sample.
+const ewmaWeight = 0.4
 
-// NewQuantaWindow builds the "Quanta Window" policy (window of 5).
-func NewQuantaWindow(numCPUs int, capacity units.Rate) *BandwidthAware {
-	return newBandwidthAware("QuantaWindow", EstWindow, DefaultWindow, numCPUs, capacity)
-}
-
-// NewEWMAPolicy builds the exponentially-weighted variant.
-func NewEWMAPolicy(numCPUs int, capacity units.Rate, alpha float64) *BandwidthAware {
-	b := newBandwidthAware("EWMA", EstEWMA, DefaultWindow, numCPUs, capacity)
-	if alpha > 0 && alpha <= 1 {
-		b.ewmaAlpha = alpha
-	}
-	return b
-}
-
-// NewOracle builds the clairvoyant ablation policy.
-func NewOracle(numCPUs int, capacity units.Rate) *BandwidthAware {
-	return newBandwidthAware("Oracle", EstOracle, 1, numCPUs, capacity)
-}
-
-// NewGang builds the bandwidth-oblivious gang round-robin ablation:
-// the paper's selection loop with no estimate (EstNone). It isolates
-// how much of the improvement comes from gang scheduling itself versus
-// from the bandwidth-driven pairing. Every fitness value ties, so the
-// loop allocates applications first-fit in list order, and the bus
-// capacity never matters.
-func NewGang(numCPUs int) *BandwidthAware {
-	return newBandwidthAware("GangRR", EstNone, 1, numCPUs, 0)
-}
-
-func newBandwidthAware(name string, est Estimator, window, numCPUs int, capacity units.Rate) *BandwidthAware {
-	return &BandwidthAware{
+// newBandwidthAware builds a policy of the family for numCPUs
+// processors and applies p's non-zero fields.
+func newBandwidthAware(name string, est Estimator, window, numCPUs int, p Params) *BandwidthAware {
+	b := &BandwidthAware{
 		name:      name,
 		quantum:   DefaultQuantum,
 		numCPUs:   numCPUs,
-		capacity:  capacity,
 		estimator: est,
 		windowLen: window,
-		ewmaAlpha: 0.4,
+		guard:     p.Guard,
 	}
-}
-
-// tune applies p's non-zero fields.
-func (b *BandwidthAware) tune(p Params) *BandwidthAware {
 	if p.Quantum > 0 {
 		b.quantum = p.Quantum
 	}
 	if p.Window >= 1 {
 		b.windowLen = p.Window
 	}
-	b.guard = p.Guard
 	if p.StaleQuanta > 0 {
 		b.staleK = p.StaleQuanta
 	}
@@ -218,9 +174,6 @@ func (b *BandwidthAware) Name() string { return b.name }
 
 // Quantum implements Scheduler.
 func (b *BandwidthAware) Quantum() units.Time { return b.quantum }
-
-// Estimator returns the policy's estimator kind.
-func (b *BandwidthAware) Estimator() Estimator { return b.estimator }
 
 // Add implements Scheduler. JobFor builds jobs with a window sized
 // for this policy.
@@ -330,8 +283,9 @@ func (b *BandwidthAware) Select() []*Job {
 		break
 	}
 
+	b.blind = true
 	for freeCPUs > 0 {
-		remaining := b.capacity - allocatedBW
+		remaining := units.SustainedBusRate - allocatedBW
 		abbwPerProc := remaining / units.Rate(freeCPUs)
 		best := -1
 		bestFit := -1.0
@@ -343,6 +297,7 @@ func (b *BandwidthAware) Select() []*Job {
 		// so the admission loop degrades gracefully instead of
 		// starving it or deadlocking.
 		rrPick := -1
+		ranked := 0
 		var allocAvg units.Rate
 		if allocatedThreads > 0 {
 			allocAvg = allocatedBW / units.Rate(allocatedThreads)
@@ -361,8 +316,9 @@ func (b *BandwidthAware) Select() []*Job {
 				}
 				continue
 			}
+			ranked++
 			est := b.est[i]
-			fits := !b.guard || est*units.Rate(n) <= remaining+b.capacity*DefaultOvercommitSlack
+			fits := !b.guard || est*units.Rate(n) <= remaining+units.SustainedBusRate*DefaultOvercommitSlack
 			if fits {
 				if fit := Fitness(abbwPerProc, est); fit > bestFit {
 					bestFit = fit
@@ -372,6 +328,9 @@ func (b *BandwidthAware) Select() []*Job {
 				fallbackFit = fit
 				fallback = i
 			}
+		}
+		if ranked > 1 {
+			b.blind = false
 		}
 		if best < 0 {
 			best = fallback
@@ -399,7 +358,7 @@ func (b *BandwidthAware) Select() []*Job {
 // the list tail, and lay their threads out with affinity preserved.
 // The returned placements alias internal scratch and are valid until
 // the next Schedule call.
-func (b *BandwidthAware) Schedule(now units.Time, aff Affinity) []machine.Placement {
+func (b *BandwidthAware) Schedule(aff Affinity) []machine.Placement {
 	if b.staleK > 0 {
 		for _, j := range b.list.all() {
 			j.settleQuantum()

@@ -82,8 +82,8 @@ func TestJobEstimators(t *testing.T) {
 	if got := j.WindowRate(); got != 30 {
 		t.Errorf("window mean = %v", got)
 	}
-	if j.Samples() != 3 {
-		t.Errorf("samples = %d", j.Samples())
+	if j.window.Len() != 3 {
+		t.Errorf("samples = %d", j.window.Len())
 	}
 	if j.EWMARate() <= 0 {
 		t.Error("ewma should be positive")
@@ -105,7 +105,7 @@ func TestTrueRateReflectsPhases(t *testing.T) {
 }
 
 func TestSelectHeadOfListAlwaysRuns(t *testing.T) {
-	lq := NewLatestQuantum(4, units.SustainedBusRate)
+	lq := tuned(t, "latest", Params{})
 	jHigh := job(t, "CG", 1)
 	jHigh.PushSample(11.65)
 	jB1 := NewJob(workload.NewApp(workload.BBMA(), "B#1"), 1, 0)
@@ -133,7 +133,7 @@ func names(js []*Job) []string {
 // the policy should fill remaining processors with low-bandwidth jobs
 // rather than more high-bandwidth ones.
 func TestSelectPairsHighWithLow(t *testing.T) {
-	lq := NewLatestQuantum(4, units.SustainedBusRate)
+	lq := tuned(t, "latest", Params{})
 	cg := job(t, "CG", 1) // 2 threads @ 11.65
 	cg.PushSample(11.65)
 	bbma1 := NewJob(workload.NewApp(workload.BBMA(), "B#1"), 1, 0)
@@ -163,7 +163,7 @@ func TestSelectPairsHighWithLow(t *testing.T) {
 // Reverse scenario from the paper: low-bandwidth jobs allocated first
 // make high-bandwidth ones the best candidates.
 func TestSelectPairsLowWithHigh(t *testing.T) {
-	lq := NewLatestQuantum(4, units.SustainedBusRate)
+	lq := tuned(t, "latest", Params{})
 	rad := job(t, "Radiosity", 1) // 2 threads @ 0.24
 	rad.PushSample(0.24)
 	bbma := NewJob(workload.NewApp(workload.BBMA(), "B#1"), 1, 0)
@@ -190,7 +190,7 @@ func TestSelectPairsLowWithHigh(t *testing.T) {
 // Saturated bus: when demand exceeds capacity, lowest-demand jobs win
 // the remaining slots.
 func TestSelectSaturatedPrefersLowest(t *testing.T) {
-	lq := NewLatestQuantum(4, units.SustainedBusRate)
+	lq := tuned(t, "latest", Params{})
 	b1 := NewJob(workload.NewApp(workload.BBMA(), "B#1"), 1, 0)
 	b1.PushSample(23.6)
 	b2 := NewJob(workload.NewApp(workload.BBMA(), "B#2"), 1, 0)
@@ -217,7 +217,7 @@ func TestSelectSaturatedPrefersLowest(t *testing.T) {
 func TestNoStarvationProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		lq := NewQuantaWindow(4, units.SustainedBusRate)
+		lq := tuned(t, "window", Params{})
 		var jobs []*Job
 		for i := 0; i < 6; i++ {
 			p := workload.RandomProfile(rng, "fuzz")
@@ -235,7 +235,7 @@ func TestNoStarvationProperty(t *testing.T) {
 				ranCount[j]++
 			}
 			// Mimic the scheduler's own rotation by calling Schedule.
-			lq.Schedule(0, nil)
+			lq.Schedule(nil)
 		}
 		for _, j := range jobs {
 			if ranCount[j] == 0 {
@@ -254,7 +254,7 @@ func TestNoStarvationProperty(t *testing.T) {
 func TestScheduleGangIntegrityProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		lq := NewLatestQuantum(4, units.SustainedBusRate)
+		lq := tuned(t, "latest", Params{})
 		apps := make(map[*workload.App]int)
 		for i := 0; i < 5; i++ {
 			p := workload.RandomProfile(rng, "fuzz")
@@ -268,7 +268,7 @@ func TestScheduleGangIntegrityProperty(t *testing.T) {
 			lq.Add(j)
 		}
 		for q := 0; q < 20; q++ {
-			pl := lq.Schedule(0, nil)
+			pl := lq.Schedule(nil)
 			if len(pl) > 4 {
 				return false
 			}
@@ -295,7 +295,7 @@ func TestScheduleGangIntegrityProperty(t *testing.T) {
 }
 
 func TestRemoveJob(t *testing.T) {
-	lq := NewLatestQuantum(4, units.SustainedBusRate)
+	lq := tuned(t, "latest", Params{})
 	j1 := job(t, "CG", 1)
 	j2 := job(t, "SP", 1)
 	lq.Add(j1)
@@ -330,37 +330,21 @@ func TestOptionValidation(t *testing.T) {
 	}
 }
 
-func TestEstimatorNames(t *testing.T) {
-	for e, want := range map[Estimator]string{
-		EstLatest: "latest", EstWindow: "window", EstEWMA: "ewma", EstOracle: "oracle", EstNone: "none", Estimator(9): "unknown",
-	} {
-		if e.String() != want {
-			t.Errorf("estimator %d = %q, want %q", e, e.String(), want)
-		}
-	}
-}
-
 func TestPolicyIdentities(t *testing.T) {
-	if n := NewLatestQuantum(4, 29.5).Name(); n != "LatestQuantum" {
-		t.Error(n)
-	}
-	if n := NewQuantaWindow(4, 29.5).Name(); n != "QuantaWindow" {
-		t.Error(n)
-	}
-	if NewLatestQuantum(4, 29.5).windowLen != 1 {
-		t.Error("LatestQuantum must use window length 1")
-	}
-	if NewQuantaWindow(4, 29.5).windowLen != DefaultWindow {
-		t.Error("QuantaWindow must default to the paper's window of 5")
-	}
-	if NewOracle(4, 29.5).Estimator() != EstOracle {
-		t.Error("oracle estimator")
-	}
-	if NewEWMAPolicy(4, 29.5, 0.3).Estimator() != EstEWMA {
-		t.Error("ewma estimator")
-	}
-	if g := NewGang(4); g.Name() != "GangRR" || g.Estimator() != EstNone || g.windowLen != 1 {
-		t.Errorf("gang is %s with estimator %v and window %d", g.Name(), g.Estimator(), g.windowLen)
+	for _, tc := range []struct {
+		policy, name string
+		est          Estimator
+		window       int
+	}{
+		{"latest", "LatestQuantum", EstLatest, 1},
+		{"window", "QuantaWindow", EstWindow, DefaultWindow},
+		{"ewma", "EWMA", EstEWMA, DefaultWindow},
+		{"oracle", "Oracle", EstOracle, 1},
+		{"gang", "GangRR", EstNone, 1},
+	} {
+		if b := tuned(t, tc.policy, Params{}); b.Name() != tc.name || b.estimator != tc.est || b.windowLen != tc.window {
+			t.Errorf("%s is %s with estimator %d and window %d", tc.policy, b.Name(), b.estimator, b.windowLen)
+		}
 	}
 	// The policy table hands every Params field to the five policies
 	// of the bandwidth-aware family.
@@ -375,7 +359,7 @@ func TestPolicyIdentities(t *testing.T) {
 }
 
 func TestJobsTooBigAreSkipped(t *testing.T) {
-	lq := NewLatestQuantum(2, units.SustainedBusRate)
+	lq := newBandwidthAware("LatestQuantum", EstLatest, 1, 2, Params{})
 	big := NewJob(workload.NewApp(workload.STREAM(), "S#1"), 1, 0) // 4 threads > 2 CPUs
 	small := job(t, "CG", 1)
 	lq.Add(big)

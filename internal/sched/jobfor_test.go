@@ -3,13 +3,12 @@ package sched
 import (
 	"testing"
 
-	"busaware/internal/units"
 	"busaware/internal/workload"
 )
 
 // TestJobFor checks that each policy decides its jobs' sampling state:
-// a bandwidth-aware policy's window and EWMA weight, one sample for
-// everything else.
+// a bandwidth-aware policy's window and, under EWMA, the policy's
+// weight; one sample for everything else.
 func TestJobFor(t *testing.T) {
 	p, ok := workload.ByName("CG")
 	if !ok {
@@ -22,13 +21,12 @@ func TestJobFor(t *testing.T) {
 		window int
 		alpha  float64 // 0 = no EWMA
 	}{
-		{"ewma", NewEWMAPolicy(4, units.SustainedBusRate, 0.05), DefaultWindow, 0.05},
-		{"ewma default weight", NewEWMAPolicy(4, units.SustainedBusRate, 2), DefaultWindow, 0.4},
-		{"quanta window", NewQuantaWindow(4, units.SustainedBusRate), DefaultWindow, 0},
+		{"ewma", tuned(t, "ewma", Params{}), DefaultWindow, 0.4},
+		{"quanta window", tuned(t, "window", Params{}), DefaultWindow, 0},
 		{"quanta window W=9", tuned(t, "window", Params{Window: 9}), 9, 0},
-		{"latest quantum", NewLatestQuantum(4, units.SustainedBusRate), 1, 0},
-		{"linux", NewLinux(4, 1), 1, 0},
-		{"gang", NewGang(4), 1, 0},
+		{"latest quantum", tuned(t, "latest", Params{}), 1, 0},
+		{"linux", newLinux(4, 1), 1, 0},
+		{"gang", tuned(t, "gang", Params{}), 1, 0},
 	} {
 		j := JobFor(tc.s, app)
 		if j.App != app {
@@ -36,7 +34,7 @@ func TestJobFor(t *testing.T) {
 		}
 		// A window holds at most its capacity: push well past it.
 		j.PushSamples(1, 100)
-		if got := j.Samples(); got != tc.window {
+		if got := j.window.Len(); got != tc.window {
 			t.Errorf("%s: window %d samples, want %d", tc.name, got, tc.window)
 		}
 		switch {

@@ -24,11 +24,9 @@ import (
 // pathological co-schedules of one application thread with three BBMA
 // instances that the paper describes.
 type Linux struct {
-	quantum units.Time
 	numCPUs int
 	rng     *rand.Rand
 
-	list jobList
 	// queue is the runqueue in its current order, shuffled per epoch.
 	// counters[i] is queue[i]'s epoch counter; the two move together.
 	queue    []*workload.Thread
@@ -58,25 +56,20 @@ const epochTicks = 2
 // to migrations; a modest bonus reproduces that regime.
 const affinityBonus = 1
 
-// NewLinux builds the baseline for numCPUs processors with a
+// newLinux builds the baseline for numCPUs processors with a
 // deterministic seed.
-func NewLinux(numCPUs int, seed int64) *Linux {
-	return &Linux{
-		quantum: LinuxQuantum,
-		numCPUs: numCPUs,
-		rng:     rand.New(rand.NewSource(seed)),
-	}
+func newLinux(numCPUs int, seed int64) *Linux {
+	return &Linux{numCPUs: numCPUs, rng: rand.New(rand.NewSource(seed))}
 }
 
 // Name implements Scheduler.
 func (l *Linux) Name() string { return "Linux" }
 
 // Quantum implements Scheduler.
-func (l *Linux) Quantum() units.Time { return l.quantum }
+func (l *Linux) Quantum() units.Time { return LinuxQuantum }
 
 // Add implements Scheduler.
 func (l *Linux) Add(j *Job) {
-	l.list.add(j)
 	for _, t := range j.App.Threads {
 		l.queue = append(l.queue, t)
 		l.counters = append(l.counters, epochTicks)
@@ -85,7 +78,6 @@ func (l *Linux) Add(j *Job) {
 
 // Remove implements Scheduler.
 func (l *Linux) Remove(j *Job) {
-	l.list.remove(j)
 	kept := 0
 	for i, t := range l.queue {
 		if t.App != j.App {
@@ -100,7 +92,7 @@ func (l *Linux) Remove(j *Job) {
 }
 
 // Schedule implements Scheduler.
-func (l *Linux) Schedule(now units.Time, aff Affinity) []machine.Placement {
+func (l *Linux) Schedule(aff Affinity) []machine.Placement {
 	// Epoch boundary: refill when every runnable thread is out of
 	// counter.
 	spent := true

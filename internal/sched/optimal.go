@@ -27,7 +27,6 @@ import (
 // "Scheduler comparison"). A true offline bound needs the
 // bandwidth-constrained ILP of Eremeev et al. (PAPERS.md).
 type Optimal struct {
-	quantum units.Time
 	numCPUs int
 	model   *bus.Model
 
@@ -54,11 +53,10 @@ type Optimal struct {
 	ran     map[*Job]bool
 }
 
-// NewOptimal builds the model-driven reference policy, pricing subsets
+// newOptimal builds the model-driven reference policy, pricing subsets
 // on the paper machine's bus.
-func NewOptimal(numCPUs int) *Optimal {
+func newOptimal(numCPUs int) *Optimal {
 	return &Optimal{
-		quantum: DefaultQuantum,
 		numCPUs: numCPUs,
 		model:   bus.New(),
 		waiting: make(map[*Job]int),
@@ -70,7 +68,7 @@ func NewOptimal(numCPUs int) *Optimal {
 func (o *Optimal) Name() string { return "Optimal" }
 
 // Quantum implements Scheduler.
-func (o *Optimal) Quantum() units.Time { return o.quantum }
+func (o *Optimal) Quantum() units.Time { return DefaultQuantum }
 
 // Add implements Scheduler.
 func (o *Optimal) Add(j *Job) {
@@ -116,7 +114,7 @@ func (o *Optimal) score(subset []*Job) float64 {
 }
 
 // Schedule implements Scheduler via exhaustive subset search.
-func (o *Optimal) Schedule(now units.Time, aff Affinity) []machine.Placement {
+func (o *Optimal) Schedule(aff Affinity) []machine.Placement {
 	jobs := o.list.all()
 	// Runnable jobs with their gang sizes.
 	cands, sizes := o.cands[:0], o.sizes[:0]

@@ -4,16 +4,15 @@ import (
 	"testing"
 
 	"busaware/internal/machine"
-	"busaware/internal/units"
 	"busaware/internal/workload"
 )
 
 func TestOptimalValidation(t *testing.T) {
-	o := NewOptimal(4)
+	o := newOptimal(4)
 	if o.Name() != "Optimal" || o.Quantum() != DefaultQuantum {
 		t.Error("identity")
 	}
-	if pl := o.Schedule(0, nil); pl != nil {
+	if pl := o.Schedule(nil); pl != nil {
 		t.Error("empty scheduler produced placements")
 	}
 }
@@ -22,7 +21,7 @@ func TestOptimalSegregatesAntagonists(t *testing.T) {
 	// With CG at the head and BBMAs available, the model-driven search
 	// should prefer running the CG gang with the idle companions (or
 	// alone) over drowning it among antagonists.
-	o := NewOptimal(4)
+	o := newOptimal(4)
 	p, _ := workload.ByName("CG")
 	cg := NewJob(workload.NewApp(p, "CG#1"), 1, 0)
 	o.Add(cg)
@@ -32,7 +31,7 @@ func TestOptimalSegregatesAntagonists(t *testing.T) {
 		bs = append(bs, b)
 		o.Add(b)
 	}
-	pl := o.Schedule(0, nil)
+	pl := o.Schedule(nil)
 	byApp := map[string]int{}
 	for _, pp := range pl {
 		byApp[pp.Thread.App.Profile.Name]++
@@ -49,7 +48,7 @@ func TestOptimalSegregatesAntagonists(t *testing.T) {
 }
 
 func TestOptimalNoStarvation(t *testing.T) {
-	o := NewOptimal(4)
+	o := newOptimal(4)
 	var jobs []*Job
 	p, _ := workload.ByName("CG")
 	for i := 0; i < 3; i++ {
@@ -64,7 +63,7 @@ func TestOptimalNoStarvation(t *testing.T) {
 	}
 	ran := map[*Job]int{}
 	for q := 0; q < 30; q++ {
-		pl := o.Schedule(0, nil)
+		pl := o.Schedule(nil)
 		seen := map[*Job]bool{}
 		for _, pp := range pl {
 			for _, j := range jobs {
@@ -85,7 +84,7 @@ func TestOptimalNoStarvation(t *testing.T) {
 }
 
 func TestOptimalPlacementsValid(t *testing.T) {
-	o := NewOptimal(4)
+	o := newOptimal(4)
 	m, err := machine.New(machine.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +97,7 @@ func TestOptimalPlacementsValid(t *testing.T) {
 	o.Add(NewJob(workload.NewApp(workload.BBMA(), "B#1"), 1, 0))
 	o.Add(NewJob(workload.NewApp(workload.NBBMA(), "n#1"), 1, 0))
 	for q := 0; q < 40; q++ {
-		pl := o.Schedule(m.Now(), m)
+		pl := o.Schedule(m)
 		if _, err := m.Step(pl, o.Quantum()); err != nil {
 			t.Fatalf("quantum %d: %v", q, err)
 		}
@@ -106,12 +105,12 @@ func TestOptimalPlacementsValid(t *testing.T) {
 }
 
 func TestOptimalRemove(t *testing.T) {
-	o := NewOptimal(4)
+	o := newOptimal(4)
 	p, _ := workload.ByName("CG")
 	j := NewJob(workload.NewApp(p, "CG#1"), 1, 0)
 	o.Add(j)
 	o.Remove(j)
-	if pl := o.Schedule(0, nil); pl != nil {
+	if pl := o.Schedule(nil); pl != nil {
 		t.Error("removed job scheduled")
 	}
 	if _, ok := o.waiting[j]; ok {
@@ -124,7 +123,7 @@ func TestOptimalPrefersHarmlessCompanions(t *testing.T) {
 	// antagonist or with an idle nBBMA, the predicted-throughput score
 	// with aging must eventually favour the nBBMA when the head is
 	// memory-bound.
-	o := NewOptimal(4)
+	o := newOptimal(4)
 	p, _ := workload.ByName("CG")
 	cg := NewJob(workload.NewApp(p, "CG#1"), 1, 0)
 	b := NewJob(workload.NewApp(workload.BBMA(), "B#1"), 1, 0)
@@ -132,7 +131,7 @@ func TestOptimalPrefersHarmlessCompanions(t *testing.T) {
 	o.Add(cg)
 	o.Add(b)
 	o.Add(nb)
-	pl := o.Schedule(0, nil)
+	pl := o.Schedule(nil)
 	placedN := false
 	for _, pp := range pl {
 		if pp.Thread.App == nb.App {
@@ -145,7 +144,7 @@ func TestOptimalPrefersHarmlessCompanions(t *testing.T) {
 }
 
 func BenchmarkOptimalSchedule(b *testing.B) {
-	o := NewOptimal(4)
+	o := newOptimal(4)
 	p, _ := workload.ByName("CG")
 	for i := 0; i < 2; i++ {
 		o.Add(NewJob(workload.NewApp(p, "CG"), 1, 0))
@@ -155,6 +154,6 @@ func BenchmarkOptimalSchedule(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		o.Schedule(units.Time(i), nil)
+		o.Schedule(nil)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"busaware/internal/machine"
-	"busaware/internal/units"
 )
 
 // Policies lists the policy names New accepts.
@@ -16,30 +15,30 @@ func Policies() []string {
 // New builds the named policy for machine m. Every policy schedules
 // against the paper machine's bus: the bandwidth-aware family budgets
 // units.SustainedBusRate, and Optimal prices subsets on bus.New's
-// model. The seed only affects the Linux
-// baseline's runqueue shuffling, and p tunes the bandwidth-aware
-// family (latest, window, ewma, oracle, gang) only. This is the one
-// policy table: the busaware facade, the HTTP API and every experiment
-// cell build their schedulers here, the first two prefixing errors
-// with their own package name.
+// model. The seed only affects the Linux baseline's runqueue
+// shuffling, and p tunes the bandwidth-aware family (latest, window,
+// ewma, oracle, gang) only. This is the one policy table: the busaware
+// facade, the HTTP API, the CPU manager and every experiment cell
+// build their schedulers here, the first two prefixing errors with
+// their own package name.
 func New(policy string, m machine.Config, seed int64, p Params) (Scheduler, error) {
 	switch policy {
 	case "latest":
-		return NewLatestQuantum(m.NumCPUs, units.SustainedBusRate).tune(p), nil
+		return newBandwidthAware("LatestQuantum", EstLatest, 1, m.NumCPUs, p), nil
 	case "window":
-		return NewQuantaWindow(m.NumCPUs, units.SustainedBusRate).tune(p), nil
+		return newBandwidthAware("QuantaWindow", EstWindow, DefaultWindow, m.NumCPUs, p), nil
 	case "ewma":
-		return NewEWMAPolicy(m.NumCPUs, units.SustainedBusRate, 0.4).tune(p), nil
+		return newBandwidthAware("EWMA", EstEWMA, DefaultWindow, m.NumCPUs, p), nil
 	case "oracle":
-		return NewOracle(m.NumCPUs, units.SustainedBusRate).tune(p), nil
+		return newBandwidthAware("Oracle", EstOracle, 1, m.NumCPUs, p), nil
 	case "gang":
-		return NewGang(m.NumCPUs).tune(p), nil
+		return newBandwidthAware("GangRR", EstNone, 1, m.NumCPUs, p), nil
 	case "linux":
-		return NewLinux(m.NumCPUs, seed), nil
+		return newLinux(m.NumCPUs, seed), nil
 	case "rr":
-		return NewRoundRobin(m.NumCPUs, 0), nil
+		return &RoundRobin{numCPUs: m.NumCPUs}, nil
 	case "optimal":
-		return NewOptimal(m.NumCPUs), nil
+		return newOptimal(m.NumCPUs), nil
 	}
 	names := Policies()
 	return nil, fmt.Errorf("unknown policy %q (want %s or %s)", policy,

@@ -10,33 +10,23 @@ import (
 // threads, numCPUs of which run each quantum, with no affinity, no
 // gangs and no bandwidth awareness. It bounds the schedulers from
 // below and exposes the cost of ignoring cache affinity entirely.
+// It runs at the Linux baseline's quantum.
 type RoundRobin struct {
-	quantum units.Time
 	numCPUs int
-	list    jobList
 	queue   []*workload.Thread
 	next    int
 	// placements is Schedule's result buffer, reused every call.
 	placements []machine.Placement
 }
 
-// NewRoundRobin builds the per-thread round-robin baseline.
-func NewRoundRobin(numCPUs int, quantum units.Time) *RoundRobin {
-	if quantum <= 0 {
-		quantum = LinuxQuantum
-	}
-	return &RoundRobin{quantum: quantum, numCPUs: numCPUs}
-}
-
 // Name implements Scheduler.
 func (r *RoundRobin) Name() string { return "RR" }
 
 // Quantum implements Scheduler.
-func (r *RoundRobin) Quantum() units.Time { return r.quantum }
+func (r *RoundRobin) Quantum() units.Time { return LinuxQuantum }
 
 // Add implements Scheduler.
 func (r *RoundRobin) Add(j *Job) {
-	r.list.add(j)
 	for _, t := range j.App.Threads {
 		r.queue = append(r.queue, t)
 	}
@@ -44,7 +34,6 @@ func (r *RoundRobin) Add(j *Job) {
 
 // Remove implements Scheduler.
 func (r *RoundRobin) Remove(j *Job) {
-	r.list.remove(j)
 	kept := r.queue[:0]
 	for _, t := range r.queue {
 		if t.App != j.App {
@@ -58,7 +47,7 @@ func (r *RoundRobin) Remove(j *Job) {
 }
 
 // Schedule implements Scheduler.
-func (r *RoundRobin) Schedule(now units.Time, aff Affinity) []machine.Placement {
+func (r *RoundRobin) Schedule(aff Affinity) []machine.Placement {
 	if len(r.queue) == 0 {
 		return nil
 	}

@@ -5,11 +5,13 @@
 // oblivious gang round-robin, per-thread round-robin, and a
 // clairvoyant oracle).
 //
-// A Scheduler owns an ordered list of Jobs (one per application, the
-// paper's "applications list") and is asked once per quantum to
-// produce processor placements. Bandwidth-aware policies consume
-// per-thread bus-transaction-rate samples pushed by the CPU manager
-// after every quantum.
+// A Scheduler is handed one Job per application and is asked once per
+// quantum to produce processor placements; New builds every policy.
+// The gang policies keep the Jobs in an ordered list (the paper's
+// "applications list"), the per-thread baselines their threads in a
+// runqueue. Bandwidth-aware policies consume per-thread
+// bus-transaction-rate samples pushed by the CPU manager after every
+// quantum.
 package sched
 
 import (
@@ -40,7 +42,20 @@ type Scheduler interface {
 	// returned slice aliases the scheduler's scratch: it stays valid,
 	// and the caller may rewrite it in place, until the next Schedule
 	// call, so no caller may keep it longer.
-	Schedule(now units.Time, aff Affinity) []machine.Placement
+	Schedule(aff Affinity) []machine.Placement
+	// Stable reports whether the next Schedule call is guaranteed to
+	// reproduce the previous one bit for bit (the same jobs selected
+	// in the same order, hence the same placements) and to leave the
+	// policy where the previous one did, provided the world outside
+	// the scheduler holds still: no job is added or removed, every
+	// selected job receives the same bandwidth sample it received
+	// last quantum, and thread demands do not change. The event-driven
+	// engine (internal/sim) verifies those outside conditions itself;
+	// Stable answers only for scheduler-internal state (list rotation,
+	// estimator drift, aging counters, RNG draws). A policy that cannot
+	// make the guarantee returns false, and the engine keeps stepping
+	// quantum by quantum, which is always correct.
+	Stable() bool
 }
 
 // Job is the scheduler's bookkeeping for one application.
@@ -82,7 +97,7 @@ func NewJob(app *workload.App, windowLen int, ewmaAlpha float64) *Job {
 // JobFor wraps app in the Job s schedules it through, with the
 // sampling state s's estimator reads: a bandwidth-aware policy's job
 // keeps the policy's window of samples and, under the EWMA estimator,
-// an average with the policy's weight; any other policy's job keeps
+// an average with weight ewmaWeight; any other policy's job keeps
 // only the latest sample.
 func JobFor(s Scheduler, app *workload.App) *Job {
 	b, ok := s.(*BandwidthAware)
@@ -91,13 +106,10 @@ func JobFor(s Scheduler, app *workload.App) *Job {
 	}
 	alpha := 0.0
 	if b.estimator == EstEWMA {
-		alpha = b.ewmaAlpha
+		alpha = ewmaWeight
 	}
 	return NewJob(app, b.windowLen, alpha)
 }
-
-// Threads returns the gang size.
-func (j *Job) Threads() int { return len(j.App.Threads) }
 
 // PushSample records the application's measured bus bandwidth per
 // thread over the last quantum it ran (BBW/thread in the paper).
@@ -167,10 +179,6 @@ func (j *Job) EWMARate() units.Rate {
 	}
 	return units.Rate(j.ewma.Value())
 }
-
-// Samples returns how many samples the job has received (capped at the
-// window length).
-func (j *Job) Samples() int { return j.window.Len() }
 
 // TrueRate returns the application's instantaneous per-thread demand
 // straight from the workload model — information a real scheduler

@@ -21,7 +21,7 @@ func staleTestJob(name string, threads int, rate units.Rate) *Job {
 // starve runs k scheduled quanta without feeding j a fresh sample.
 func starve(b *BandwidthAware, k int) {
 	for i := 0; i < k; i++ {
-		b.Schedule(0, nil)
+		b.Schedule(nil)
 	}
 }
 
@@ -48,22 +48,22 @@ func TestStaleQuantaBookkeeping(t *testing.T) {
 	j.noteScheduled()
 	j.settleQuantum()
 	j.ResetSamples()
-	if j.StaleQuanta() != 0 || j.Samples() != 0 {
-		t.Errorf("ResetSamples left state: stale=%d samples=%d", j.StaleQuanta(), j.Samples())
+	if j.StaleQuanta() != 0 || j.window.Len() != 0 {
+		t.Errorf("ResetSamples left state: stale=%d samples=%d", j.StaleQuanta(), j.window.Len())
 	}
 }
 
 // Without Params.StaleQuanta nothing changes: estimates are held
 // forever and noteScheduled is never invoked by the policy.
 func TestStaleFallbackDisabledByDefault(t *testing.T) {
-	b := NewQuantaWindow(4, 30)
+	b := tuned(t, "window", Params{})
 	if b.staleK != 0 {
 		t.Fatalf("fallback enabled by default: K=%d", b.staleK)
 	}
 	j := staleTestJob("a", 2, 6)
 	b.Add(j)
 	for i := 0; i < 50; i++ {
-		b.Schedule(0, nil)
+		b.Schedule(nil)
 	}
 	if j.StaleQuanta() != 0 {
 		t.Errorf("disabled policy accumulated staleness: %d", j.StaleQuanta())
@@ -124,7 +124,7 @@ func TestStaleFallbackPrefersFreshJobs(t *testing.T) {
 
 	// Starve only "stale": re-sample the others each quantum.
 	for i := 0; i < k+1; i++ {
-		b.Schedule(0, nil)
+		b.Schedule(nil)
 		head.PushSample(10)
 		fresh.PushSample(5)
 	}

@@ -274,8 +274,7 @@ func (ls *leapScratch) tryLeap(
 ) error {
 	// The scheduler must certify that re-running Schedule would
 	// reproduce these placements without evolving internal state.
-	ss, ok := s.(sched.StretchStable)
-	if !ok || !ss.Stable() {
+	if !s.Stable() {
 		return nil
 	}
 	// An application that completed during the probe changes the next

@@ -59,7 +59,6 @@ func TestEventEngineBitIdentical(t *testing.T) {
 		}
 		return p
 	}
-	busCap := units.SustainedBusRate
 	cases := []struct {
 		name     string
 		cfg      Config
@@ -69,7 +68,7 @@ func TestEventEngineBitIdentical(t *testing.T) {
 	}{
 		{
 			name:    "solo gang",
-			mkSched: func() sched.Scheduler { return sched.NewGang(4) },
+			mkSched: func() sched.Scheduler { return policy("gang") },
 			mkApps: func() []*workload.App {
 				return []*workload.App{workload.NewApp(paper("Volrend"), "V#1")}
 			},
@@ -77,7 +76,7 @@ func TestEventEngineBitIdentical(t *testing.T) {
 		},
 		{
 			name:    "fitting pair under latest quantum",
-			mkSched: func() sched.Scheduler { return sched.NewLatestQuantum(4, busCap) },
+			mkSched: func() sched.Scheduler { return policy("latest") },
 			mkApps: func() []*workload.App {
 				return []*workload.App{
 					workload.NewApp(paper("Volrend"), "V#1"),
@@ -88,7 +87,7 @@ func TestEventEngineBitIdentical(t *testing.T) {
 		},
 		{
 			name:    "fitting pair under quanta window",
-			mkSched: func() sched.Scheduler { return sched.NewQuantaWindow(4, busCap) },
+			mkSched: func() sched.Scheduler { return policy("window") },
 			mkApps: func() []*workload.App {
 				return []*workload.App{
 					workload.NewApp(paper("Volrend"), "V#1"),
@@ -99,7 +98,7 @@ func TestEventEngineBitIdentical(t *testing.T) {
 		},
 		{
 			name:    "ewma estimator",
-			mkSched: func() sched.Scheduler { return sched.NewEWMAPolicy(4, busCap, 0.4) },
+			mkSched: func() sched.Scheduler { return policy("ewma") },
 			mkApps: func() []*workload.App {
 				return []*workload.App{
 					workload.NewApp(paper("Volrend"), "V#1"),
@@ -109,7 +108,7 @@ func TestEventEngineBitIdentical(t *testing.T) {
 		},
 		{
 			name:    "oracle estimator",
-			mkSched: func() sched.Scheduler { return sched.NewOracle(4, busCap) },
+			mkSched: func() sched.Scheduler { return policy("oracle") },
 			mkApps: func() []*workload.App {
 				return []*workload.App{
 					workload.NewApp(paper("Volrend"), "V#1"),
@@ -120,7 +119,7 @@ func TestEventEngineBitIdentical(t *testing.T) {
 		},
 		{
 			name:    "multi-phase bursty app",
-			mkSched: func() sched.Scheduler { return sched.NewLatestQuantum(4, busCap) },
+			mkSched: func() sched.Scheduler { return policy("latest") },
 			mkApps: func() []*workload.App {
 				return []*workload.App{
 					workload.NewApp(paper("Raytrace"), "RT#1"),
@@ -130,7 +129,7 @@ func TestEventEngineBitIdentical(t *testing.T) {
 		},
 		{
 			name:    "oversubscribed saturated mix",
-			mkSched: func() sched.Scheduler { return sched.NewLatestQuantum(4, busCap) },
+			mkSched: func() sched.Scheduler { return policy("latest") },
 			mkApps: func() []*workload.App {
 				return []*workload.App{
 					workload.NewApp(paper("CG"), "CG#1"),
@@ -142,7 +141,7 @@ func TestEventEngineBitIdentical(t *testing.T) {
 		},
 		{
 			name:    "linux baseline never leaps",
-			mkSched: func() sched.Scheduler { return sched.NewLinux(4, 1) },
+			mkSched: func() sched.Scheduler { return policy("linux") },
 			mkApps: func() []*workload.App {
 				return []*workload.App{
 					workload.NewApp(paper("CG"), "CG#1"),
@@ -152,7 +151,7 @@ func TestEventEngineBitIdentical(t *testing.T) {
 		},
 		{
 			name:    "round robin",
-			mkSched: func() sched.Scheduler { return sched.NewRoundRobin(4, 0) },
+			mkSched: func() sched.Scheduler { return policy("rr") },
 			mkApps: func() []*workload.App {
 				return []*workload.App{
 					workload.NewApp(paper("Volrend"), "V#1"),
@@ -164,7 +163,7 @@ func TestEventEngineBitIdentical(t *testing.T) {
 		{
 			name: "dynamic arrival with idle gap",
 			mkSched: func() sched.Scheduler {
-				return sched.NewQuantaWindow(4, busCap)
+				return policy("window")
 			},
 			mkApps: func() []*workload.App {
 				early := workload.NewApp(paper("Volrend"), "V#early")
@@ -177,7 +176,7 @@ func TestEventEngineBitIdentical(t *testing.T) {
 		{
 			name:    "timeout guard mid-stretch",
 			cfg:     Config{MaxTime: 3 * units.Second},
-			mkSched: func() sched.Scheduler { return sched.NewGang(4) },
+			mkSched: func() sched.Scheduler { return policy("gang") },
 			mkApps: func() []*workload.App {
 				return []*workload.App{workload.NewApp(paper("CG"), "CG#1")}
 			},
@@ -188,7 +187,7 @@ func TestEventEngineBitIdentical(t *testing.T) {
 			cfg: Config{
 				Faults: faults.Config{Seed: 7, SampleLoss: 0.1, CounterNoise: 0.1},
 			},
-			mkSched: func() sched.Scheduler { return sched.NewQuantaWindow(4, busCap) },
+			mkSched: func() sched.Scheduler { return policy("window") },
 			mkApps: func() []*workload.App {
 				return []*workload.App{
 					workload.NewApp(paper("Volrend"), "V#1"),
@@ -199,7 +198,7 @@ func TestEventEngineBitIdentical(t *testing.T) {
 		{
 			name:    "manager overhead degrades to stepping",
 			cfg:     Config{ManagerOverhead: 4 * units.Millisecond},
-			mkSched: func() sched.Scheduler { return sched.NewGang(4) },
+			mkSched: func() sched.Scheduler { return policy("gang") },
 			mkApps: func() []*workload.App {
 				return []*workload.App{workload.NewApp(paper("Volrend"), "V#1")}
 			},
@@ -230,7 +229,7 @@ func TestShadowEngine(t *testing.T) {
 		}
 	}
 	factory := func() (sched.Scheduler, error) {
-		return sched.NewQuantaWindow(4, units.SustainedBusRate), nil
+		return policy("window"), nil
 	}
 
 	cfg := Config{

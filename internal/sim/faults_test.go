@@ -33,11 +33,11 @@ func qwPolicy(t *testing.T) sched.Scheduler {
 // The zero fault config must be inert: results are identical to a run
 // with no fault field set at all, byte for byte.
 func TestZeroFaultConfigInert(t *testing.T) {
-	clean, err := Run(Config{}, sched.NewQuantaWindow(4, 29.5), mixedApps(t))
+	clean, err := Run(Config{}, policy("window"), mixedApps(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	zero, err := Run(Config{Faults: faults.Config{Seed: 123}}, sched.NewQuantaWindow(4, 29.5), mixedApps(t))
+	zero, err := Run(Config{Faults: faults.Config{Seed: 123}}, policy("window"), mixedApps(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestZeroFaultConfigInert(t *testing.T) {
 	// quantum would blow this bound by an order of magnitude.
 	const setupBound = 200 // measured ~121 incl. mixedApps construction
 	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := Run(Config{Faults: faults.Config{Seed: 123}}, sched.NewQuantaWindow(4, 29.5), mixedApps(t)); err != nil {
+		if _, err := Run(Config{Faults: faults.Config{Seed: 123}}, policy("window"), mixedApps(t)); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -22,7 +22,7 @@ func churn(t *testing.T, pattern, pool string, seed int64) *scenario.Schedule {
 func TestScenarioChurnCounters(t *testing.T) {
 	// Two CG instances churn in at t=0 and depart at 2s; CG needs 13
 	// solo seconds, so neither completes. The base app is untouched.
-	sched4 := sched.NewGang(4)
+	sched4 := policy("gang")
 	base := workload.NewApp(profile(t, "Volrend"), "V#1")
 	res, err := Run(Config{
 		Scenario: churn(t, "step:2s@2; step:2s@0", "CG", 1),
@@ -55,7 +55,7 @@ func TestScenarioCompletionAndTurnaround(t *testing.T) {
 	base := workload.NewApp(profile(t, "Barnes"), "B#1") // 15s solo
 	res, err := Run(Config{
 		Scenario: churn(t, "step:1s@0; step:29s@1", "Volrend", 1), // 12s solo, arrives at 1s
-	}, sched.NewGang(4), []*workload.App{base})
+	}, policy("gang"), []*workload.App{base})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestTurnaroundSubtractsArrival(t *testing.T) {
 	first := workload.NewApp(profile(t, "Barnes"), "B#1")
 	late := workload.NewApp(profile(t, "Volrend"), "V#1")
 	late.Arrived = 5 * units.Second
-	res, err := Run(Config{}, sched.NewGang(4), []*workload.App{first, late})
+	res, err := Run(Config{}, policy("gang"), []*workload.App{first, late})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestScenarioDeterministicResults(t *testing.T) {
 		return Run(Config{
 			Scenario: churn(t, "flashcrowd", "Volrend, CG", 42),
 			MaxTime:  20 * units.Second,
-		}, sched.NewQuantaWindow(4, units.SustainedBusRate), []*workload.App{
+		}, policy("window"), []*workload.App{
 			workload.NewApp(profile(t, "Barnes"), "B#1"),
 		})
 	}
@@ -150,13 +150,13 @@ func TestScenarioValidation(t *testing.T) {
 	bad := &scenario.Schedule{Events: []scenario.Event{
 		{At: 0, Kind: scenario.EventArrive, Profile: "NoSuchApp", Instance: "X/s1"},
 	}}
-	if _, err := Run(Config{Scenario: bad}, sched.NewGang(4), base); err == nil {
+	if _, err := Run(Config{Scenario: bad}, policy("gang"), base); err == nil {
 		t.Error("unknown scenario profile accepted")
 	}
 	orphan := &scenario.Schedule{Events: []scenario.Event{
 		{At: 0, Kind: scenario.EventDepart, Profile: "CG", Instance: "CG/s1"},
 	}}
-	if _, err := Run(Config{Scenario: orphan}, sched.NewGang(4), base); err == nil {
+	if _, err := Run(Config{Scenario: orphan}, policy("gang"), base); err == nil {
 		t.Error("departure of never-arrived instance accepted")
 	}
 }
@@ -166,7 +166,7 @@ func TestScenarioValidation(t *testing.T) {
 // mix settles, and the event engine stays bitwise identical to the
 // stepped loop through arrivals and departures.
 func TestEventEngineChurnGating(t *testing.T) {
-	mkSched := func() sched.Scheduler { return sched.NewQuantaWindow(4, units.SustainedBusRate) }
+	mkSched := func() sched.Scheduler { return policy("window") }
 
 	t.Run("suppressed while churn outstanding", func(t *testing.T) {
 		// The drain departure sits at the 30s horizon, past the base

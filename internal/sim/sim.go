@@ -478,7 +478,7 @@ func run(cfg Config, s sched.Scheduler, apps []*workload.App) (Result, error) {
 			st.departed = true
 			res.ScenarioDepartures++
 		}
-		placements := s.Schedule(m.Now(), m)
+		placements := s.Schedule(m)
 		if len(placements) > 0 && (inj.CrashEnabled() || inj.SignalLossEnabled()) {
 			// Control-channel faults, decided per application in input
 			// order (deterministic draw sequence). A crash models the

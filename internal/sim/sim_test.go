@@ -13,6 +13,16 @@ import (
 	"busaware/internal/workload"
 )
 
+// policy builds the named policy for the paper machine through the
+// policy table, as every production caller does.
+func policy(name string) sched.Scheduler {
+	s, err := sched.New(name, machine.DefaultConfig(), 1, sched.Params{})
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 func profile(t *testing.T, name string) workload.Profile {
 	t.Helper()
 	p, ok := workload.ByName(name)
@@ -27,15 +37,15 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(Config{}, nil, []*workload.App{app}); err == nil {
 		t.Error("nil scheduler accepted")
 	}
-	s := sched.NewGang(4)
+	s := policy("gang")
 	if _, err := Run(Config{}, s, nil); err == nil {
 		t.Error("empty workload accepted")
 	}
-	if _, err := Run(Config{}, sched.NewGang(4), []*workload.App{nil}); err == nil {
+	if _, err := Run(Config{}, policy("gang"), []*workload.App{nil}); err == nil {
 		t.Error("nil app accepted")
 	}
 	// All-endless workloads can never finish.
-	if _, err := Run(Config{}, sched.NewGang(4), []*workload.App{workload.NewApp(workload.BBMA(), "B#1")}); err == nil {
+	if _, err := Run(Config{}, policy("gang"), []*workload.App{workload.NewApp(workload.BBMA(), "B#1")}); err == nil {
 		t.Error("endless-only workload accepted")
 	}
 }
@@ -44,7 +54,7 @@ func TestSoloRunMatchesSoloTime(t *testing.T) {
 	// An app alone on the machine should complete in ~its solo time
 	// (within quantum granularity and mild self-contention).
 	app := workload.NewApp(profile(t, "Volrend"), "V#1")
-	res, err := Run(Config{}, sched.NewGang(4), []*workload.App{app})
+	res, err := Run(Config{}, policy("gang"), []*workload.App{app})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +73,7 @@ func TestSoloRunAchievesCalibratedRate(t *testing.T) {
 	for _, name := range []string{"Radiosity", "CG", "SP"} {
 		p := profile(t, name)
 		app := workload.NewApp(p, name+"#1")
-		res, err := Run(Config{}, sched.NewGang(4), []*workload.App{app})
+		res, err := Run(Config{}, policy("gang"), []*workload.App{app})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +95,7 @@ func TestSaturatedWorkloadSlowdown(t *testing.T) {
 		workload.NewApp(workload.BBMA(), "B#1"),
 		workload.NewApp(workload.BBMA(), "B#2"),
 	}
-	res, err := Run(Config{}, sched.NewLinux(4, 1), apps)
+	res, err := Run(Config{}, policy("linux"), apps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +122,11 @@ func TestPolicyBeatsLinuxOnSaturatedMix(t *testing.T) {
 			workload.NewApp(workload.BBMA(), "B#4"),
 		}
 	}
-	linux, err := Run(Config{}, sched.NewLinux(4, 1), mkApps())
+	linux, err := Run(Config{}, policy("linux"), mkApps())
 	if err != nil {
 		t.Fatal(err)
 	}
-	lq, err := Run(Config{}, sched.NewLatestQuantum(4, units.SustainedBusRate), mkApps())
+	lq, err := Run(Config{}, policy("latest"), mkApps())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +143,11 @@ func TestManagerOverheadCostsSomething(t *testing.T) {
 	mk := func() []*workload.App {
 		return []*workload.App{workload.NewApp(profile(t, "Volrend"), "V#1")}
 	}
-	free, err := Run(Config{}, sched.NewGang(4), mk())
+	free, err := Run(Config{}, policy("gang"), mk())
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Run(Config{ManagerOverhead: 4 * units.Millisecond}, sched.NewGang(4), mk())
+	loaded, err := Run(Config{ManagerOverhead: 4 * units.Millisecond}, policy("gang"), mk())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +163,7 @@ func TestManagerOverheadCostsSomething(t *testing.T) {
 
 func TestTimeoutGuard(t *testing.T) {
 	apps := []*workload.App{workload.NewApp(profile(t, "CG"), "CG#1")}
-	res, err := Run(Config{MaxTime: 400 * units.Millisecond}, sched.NewGang(4), apps)
+	res, err := Run(Config{MaxTime: 400 * units.Millisecond}, policy("gang"), apps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +181,7 @@ func TestMicrobenchRates(t *testing.T) {
 		workload.NewApp(profile(t, "Volrend"), "V#1"),
 		workload.NewApp(workload.NBBMA(), "n#1"),
 	}
-	res, err := Run(Config{}, sched.NewGang(4), apps)
+	res, err := Run(Config{}, policy("gang"), apps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +213,7 @@ func TestResultBookkeeping(t *testing.T) {
 		workload.NewApp(profile(t, "Volrend"), "V#1"),
 		workload.NewApp(profile(t, "Radiosity"), "R#1"),
 	}
-	res, err := Run(Config{}, sched.NewQuantaWindow(4, units.SustainedBusRate), apps)
+	res, err := Run(Config{}, policy("window"), apps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +241,11 @@ func TestCustomMachineConfig(t *testing.T) {
 	cfg := Config{Machine: machine.DefaultConfig()}
 	cfg.Machine.NumCPUs = 2
 	apps := []*workload.App{workload.NewApp(profile(t, "Volrend"), "V#1")}
-	res, err := Run(cfg, sched.NewGang(2), apps)
+	s, err := sched.New("gang", cfg.Machine, 1, sched.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(cfg, s, apps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +257,7 @@ func TestCustomMachineConfig(t *testing.T) {
 func TestTimelineRecording(t *testing.T) {
 	tl := &trace.Timeline{}
 	apps := []*workload.App{workload.NewApp(profile(t, "Volrend"), "V#1")}
-	res, err := Run(Config{Trace: tl}, sched.NewGang(4), apps)
+	res, err := Run(Config{Trace: tl}, policy("gang"), apps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +289,7 @@ func TestTimelineCollectorRecording(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{Timeline: col}, sched.NewQuantaWindow(4, units.SustainedBusRate), newApps())
+	res, err := Run(Config{Timeline: col}, policy("window"), newApps())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +320,7 @@ func TestTimelineCollectorRecording(t *testing.T) {
 
 	// Telemetry must be a pure observer: the same workload without a
 	// collector produces identical results.
-	plain, err := Run(Config{}, sched.NewQuantaWindow(4, units.SustainedBusRate), newApps())
+	plain, err := Run(Config{}, policy("window"), newApps())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +345,7 @@ func TestTimelineCollectorSeesFaults(t *testing.T) {
 		Timeline: col,
 		Faults:   faults.Config{Seed: 7, SampleLoss: 0.2, CounterNoise: 0.2},
 	}
-	res, err := Run(cfg, sched.NewQuantaWindow(4, units.SustainedBusRate), apps)
+	res, err := Run(cfg, policy("window"), apps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +362,7 @@ func TestDynamicArrivals(t *testing.T) {
 	early := workload.NewApp(vol, "V#early")
 	late := workload.NewApp(vol, "V#late")
 	late.Arrived = 5 * units.Second
-	res, err := Run(Config{}, sched.NewQuantaWindow(4, units.SustainedBusRate),
+	res, err := Run(Config{}, policy("window"),
 		[]*workload.App{early, late})
 	if err != nil {
 		t.Fatal(err)
@@ -376,7 +390,7 @@ func TestArrivalBeforeAnyoneElseFinishes(t *testing.T) {
 	lone := workload.NewApp(vol, "V#late")
 	lone.Arrived = 2 * units.Second
 	quick := workload.NewApp(vol, "V#quick")
-	res, err := Run(Config{}, sched.NewGang(4), []*workload.App{quick, lone})
+	res, err := Run(Config{}, policy("gang"), []*workload.App{quick, lone})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +403,7 @@ func TestNegativeArrivalRejected(t *testing.T) {
 	vol := profile(t, "Volrend")
 	bad := workload.NewApp(vol, "V#bad")
 	bad.Arrived = -1
-	if _, err := Run(Config{}, sched.NewGang(4), []*workload.App{bad}); err == nil {
+	if _, err := Run(Config{}, policy("gang"), []*workload.App{bad}); err == nil {
 		t.Error("negative arrival accepted")
 	}
 }

@@ -25,16 +25,15 @@ func TestSchedulerStressInvariants(t *testing.T) {
 		t.Skip("stress sweep in short mode")
 	}
 	mkScheds := func(seed int64) []sched.Scheduler {
-		return []sched.Scheduler{
-			sched.NewLinux(4, seed),
-			sched.NewRoundRobin(4, 0),
-			sched.NewGang(4),
-			sched.NewLatestQuantum(4, units.SustainedBusRate),
-			sched.NewQuantaWindow(4, units.SustainedBusRate),
-			sched.NewEWMAPolicy(4, units.SustainedBusRate, 0.4),
-			sched.NewOracle(4, units.SustainedBusRate),
-			sched.NewOptimal(4),
+		var out []sched.Scheduler
+		for _, name := range []string{"linux", "rr", "gang", "latest", "window", "ewma", "oracle", "optimal"} {
+			s, err := sched.New(name, machine.DefaultConfig(), seed, sched.Params{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, s)
 		}
+		return out
 	}
 
 	for trial := 0; trial < 6; trial++ {
@@ -124,7 +123,7 @@ func TestProgressConservation(t *testing.T) {
 			workload.NewApp(p, "A#1"),
 			workload.NewApp(workload.BBMA(), "B#1"),
 		}
-		res, err := Run(Config{}, sched.NewQuantaWindow(4, units.SustainedBusRate), apps)
+		res, err := Run(Config{}, policy("window"), apps)
 		if err != nil {
 			t.Fatal(err)
 		}
