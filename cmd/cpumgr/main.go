@@ -55,13 +55,23 @@ func main() {
 		{"nBBMA#1", 1, 0.0037},
 		{"nBBMA#2", 1, 0.0037},
 	}
+	// Connect and attach every client before any publishes, in spec
+	// order: session IDs follow connect order and the Director adds
+	// jobs in ID order, so this keeps the admissions reproducible.
 	stop := make(chan struct{})
 	for _, spec := range specs {
-		spec := spec
-		go runClient(l.Addr().String(), mgr, spec.name, spec.threads, spec.rate, stop)
+		c, err := cpumanager.Dial("tcp", l.Addr().String(), spec.name, spec.threads)
+		if err != nil {
+			fatal(fmt.Errorf("%s: %w", spec.name, err))
+		}
+		session, err := mgr.Attach(c.SessionID())
+		if err != nil {
+			fatal(fmt.Errorf("%s: %w", spec.name, err))
+		}
+		go runClient(c, session, spec.rate, stop)
 	}
 
-	// Give clients a moment to connect and publish.
+	// Give clients a moment to publish.
 	time.Sleep(50 * time.Millisecond)
 
 	// The manager's scheduling loop: the Director reads arenas, runs
@@ -87,21 +97,11 @@ func main() {
 	fmt.Printf("\nsignals sent: %d; sessions at exit: %d\n", mgr.SignalsSent(), len(mgr.Sessions()))
 }
 
-// runClient is one live application: connect, attach the arena, and
-// publish its rate twice per quantum until stopped, honouring
-// block/unblock signals.
-func runClient(addr string, mgr *cpumanager.Manager, name string, threads int, rate units.Rate, stop <-chan struct{}) {
-	c, err := cpumanager.Dial("tcp", addr, name, threads)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-		return
-	}
+// runClient is one live application, connected and attached: it
+// publishes its rate twice per quantum through the session's arena
+// until stopped, honouring block/unblock signals, then disconnects.
+func runClient(c *cpumanager.Client, session *cpumanager.Session, rate units.Rate, stop <-chan struct{}) {
 	defer c.Disconnect()
-	session, err := mgr.Attach(c.SessionID())
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-		return
-	}
 	period := time.Duration(c.UpdatePeriod()) * time.Microsecond / 10 // scaled
 	tick := time.NewTicker(period)
 	defer tick.Stop()

@@ -16,8 +16,8 @@ var benchReqs = []Request{
 	{Demand: 0.0037, StallFrac: 0.01},
 }
 
-// BenchmarkBusAllocate measures the memoized replay path: after the
-// first solve the vector repeats, so every call is a keyed LRU hit.
+// BenchmarkBusAllocate measures the table's replay path: after the
+// first solve the vector repeats, so every call is a keyed table hit.
 // The machine asks only when its vector changes, so in a simulation
 // this is the cost of a return to an earlier vector, not of each
 // micro-step.
@@ -31,9 +31,9 @@ func BenchmarkBusAllocate(b *testing.B) {
 	}
 }
 
-// BenchmarkBusAllocateCold measures the uncached fixed-point solve by
-// perturbing one demand every iteration so no vector ever repeats
-// within the LRU bound.
+// BenchmarkBusAllocateCold measures the uncached fixed-point solve and
+// its table insert by perturbing one demand every iteration, so no
+// vector repeats before its slot has been overwritten.
 func BenchmarkBusAllocateCold(b *testing.B) {
 	m := New()
 	reqs := append([]Request(nil), benchReqs...)

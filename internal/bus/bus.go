@@ -32,6 +32,15 @@
 // with two copies of the BBMA microbenchmark slows down 2x-3x (Figure
 // 1B). The capacity C is units.SustainedBusRate, the 29.5 trans/usec
 // STREAM sustained on that machine.
+//
+// # Memoization
+//
+// A Model remembers the equilibria it solves in a fixed-size table
+// keyed on the exact bits of the request vector, so a repeated vector
+// replays the first solve's bits without solving again, and neither a
+// hit nor a warm miss allocates. The bus has no configuration, so a
+// model's table stays exact for every later caller: internal/machine
+// pools models across simulation runs.
 package bus
 
 import (
@@ -114,22 +123,23 @@ type Outcome struct {
 // Equilibria are memoized: demands are piecewise-constant across
 // workload phases, so a run presents few distinct request vectors, and
 // each one's fixed point is solved once and replayed bit-for-bit from
-// a bounded LRU keyed on the exact float64 bits of the requests. Safe
-// for concurrent use.
+// a fixed-size table keyed on the exact float64 bits of the requests
+// (see table). The bus has no configuration, so the request vector is
+// the whole key: an equilibrium a model solved for one run holds for
+// every later run that reuses the model. Safe for concurrent use.
 type Model struct {
 	// bracketable reports whether solveStretch may certify a bracket:
 	// the bracketable constant, which tests clear to exercise the
 	// uncertified path on every architecture.
 	bracketable bool
 
-	mu     sync.Mutex
-	cache  *allocCache
-	keyBuf []byte
+	mu    sync.Mutex
+	table table
 }
 
 // New builds a Model of the paper machine's bus.
 func New() *Model {
-	return &Model{bracketable: bracketable, cache: newAllocCache(DefaultCacheSize)}
+	return &Model{bracketable: bracketable}
 }
 
 // Allocate computes the equilibrium grants for the given co-scheduled
@@ -151,10 +161,10 @@ func (m *Model) AllocateInto(dst []Grant, reqs []Request) ([]Grant, Outcome) {
 	}
 
 	m.mu.Lock()
-	m.keyBuf = appendKey(m.keyBuf[:0], reqs)
-	if e := m.cache.get(m.keyBuf); e != nil {
-		grants := append(dst[:0], e.grants...)
-		out = e.outcome
+	s := m.table.slotFor(reqs)
+	if s.holds(reqs) {
+		grants := append(dst[:0], s.grants...)
+		out = s.outcome
 		m.mu.Unlock()
 		return grants, out
 	}
@@ -184,7 +194,7 @@ func (m *Model) AllocateInto(dst []Grant, reqs []Request) ([]Grant, Outcome) {
 	}
 	out.Served = served
 	out.Utilization = float64(served / ceff)
-	m.cache.put(m.keyBuf, append([]Grant(nil), grants...), out)
+	s.store(reqs, grants, out)
 	m.mu.Unlock()
 	return grants, out
 }

@@ -1,72 +1,70 @@
 package bus
 
-import (
-	"container/list"
-	"encoding/binary"
-	"math"
-)
+import "math"
 
-// DefaultCacheSize bounds the equilibrium cache. Workload demands are
-// piecewise-constant across phases, so the set of distinct request
-// vectors a run presents is small (co-scheduled phase combinations);
-// a few hundred entries covers even the robustness sweeps while
-// keeping memory flat over 9000-quantum runs.
-const DefaultCacheSize = 512
+// tableBits sets the equilibrium table's size: 1<<tableBits slots of
+// 72 bytes, plus each used slot's two vectors. Workload demands are
+// piecewise-constant across phases, so one run presents few distinct
+// request vectors (co-scheduled phase combinations). A model the
+// machine reuses across runs sees many more (the figure sweep asks
+// about 11,000), so the table keeps the recent ones, and a collision
+// costs one re-solve.
+const tableBits = 10
 
-// allocEntry is one memoized equilibrium: the exact grants and outcome
-// computed for one request vector.
-type allocEntry struct {
-	key     string
+const tableSize = 1 << tableBits
+
+// slot is one remembered equilibrium: the request vector it was solved
+// for (empty while the slot is unused) and the exact grants and
+// outcome the solve produced.
+type slot struct {
+	reqs    []Request
 	grants  []Grant
 	outcome Outcome
 }
 
-// allocCache is a bounded LRU over exact request-vector keys. Keys are
-// the raw IEEE-754 bits of every (Demand, StallFrac) pair, so a hit
-// replays the bit-identical grants of the original solve — no
-// warm-start approximation, no tolerance, no drift. Not safe for
-// concurrent use; the owning Model serializes access.
-type allocCache struct {
-	limit   int
-	entries map[string]*list.Element // key -> element holding an *allocEntry
-	order   list.List                // recency order, front = most recent
-}
+// table is a direct-mapped exact table of equilibria. The key is the
+// whole request vector, compared bit for bit (math.Float64bits of
+// every Demand and StallFrac, in order, so -0 and +0 are different
+// keys), so a hit replays the bit-identical grants of the original
+// solve: no warm-start approximation, no tolerance, no drift. A miss
+// overwrites its slot and reuses the slot's storage, so once the slots
+// have held vectors as long as the ones asked, neither a hit nor a miss
+// allocates. Not safe for concurrent use; the owning Model serializes
+// access.
+type table [tableSize]slot
 
-func newAllocCache(limit int) *allocCache {
-	return &allocCache{limit: limit, entries: make(map[string]*list.Element)}
-}
-
-// appendKey encodes reqs into dst as the exact float64 bit patterns,
-// reusing dst's capacity. Two vectors collide only if every demand and
-// stall fraction is bit-for-bit equal, in order.
-func appendKey(dst []byte, reqs []Request) []byte {
+// slotFor returns the slot reqs maps to: a multiply–xorshift hash of
+// the length and of every field's bit pattern, whose top bits pick the
+// slot.
+func (t *table) slotFor(reqs []Request) *slot {
+	h := uint64(len(reqs))
 	for _, r := range reqs {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(float64(r.Demand)))
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.StallFrac))
+		h = (h ^ math.Float64bits(float64(r.Demand))) * 0x9e3779b97f4a7c15
+		h = (h ^ math.Float64bits(r.StallFrac)) * 0xbf58476d1ce4e5b9
+		h ^= h >> 31
 	}
-	return dst
+	return &t[h>>(64-tableBits)]
 }
 
-// get returns the entry for key and promotes it to most-recent, or nil.
-// The []byte→string conversion in the map lookup does not allocate.
-func (c *allocCache) get(key []byte) *allocEntry {
-	e, ok := c.entries[string(key)]
-	if !ok {
-		return nil
+// holds reports whether s was solved for reqs: equal length and
+// bitwise-equal fields.
+func (s *slot) holds(reqs []Request) bool {
+	if len(s.reqs) != len(reqs) {
+		return false
 	}
-	c.order.MoveToFront(e)
-	return e.Value.(*allocEntry)
+	for i, r := range reqs {
+		if math.Float64bits(float64(s.reqs[i].Demand)) != math.Float64bits(float64(r.Demand)) ||
+			math.Float64bits(s.reqs[i].StallFrac) != math.Float64bits(r.StallFrac) {
+			return false
+		}
+	}
+	return true
 }
 
-// put inserts a new entry for key, evicting the least recently used
-// entry once the cache is full. grants must be a private copy.
-func (c *allocCache) put(key []byte, grants []Grant, out Outcome) {
-	if c.order.Len() >= c.limit {
-		delete(c.entries, c.order.Remove(c.order.Back()).(*allocEntry).key)
-	}
-	e := &allocEntry{key: string(key), grants: grants, outcome: out}
-	c.entries[e.key] = c.order.PushFront(e)
+// store makes s the equilibrium of reqs, copying both vectors into the
+// slot's own storage.
+func (s *slot) store(reqs []Request, grants []Grant, out Outcome) {
+	s.reqs = append(s.reqs[:0], reqs...)
+	s.grants = append(s.grants[:0], grants...)
+	s.outcome = out
 }
-
-// Len returns the number of cached equilibria.
-func (c *allocCache) Len() int { return c.order.Len() }

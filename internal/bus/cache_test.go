@@ -20,94 +20,176 @@ func randReqs(rng *rand.Rand) []Request {
 	return reqs
 }
 
-// Property: the memoized Allocate is bit-identical to an uncached
-// solve for every request vector, on both the miss path (first call)
-// and the hit path (replay), across randomized vectors that overflow
-// the LRU bound many times over.
+// agreeWithFresh fails t unless m answers reqs bit for bit as a fresh
+// model does. A fresh model is the uncached reference: its first solve
+// cannot hit.
+func agreeWithFresh(t *testing.T, what string, m *Model, reqs []Request) {
+	t.Helper()
+	wantG, wantO := New().Allocate(reqs)
+	gotG, gotO := m.Allocate(append([]Request(nil), reqs...))
+	if !sameAnswer(gotG, gotO, wantG, wantO) {
+		t.Fatalf("%s: diverged from a fresh solve:\ngot  %+v %+v\nwant %+v %+v", what, gotG, gotO, wantG, wantO)
+	}
+}
+
+// collidingPair returns two different request vectors of length n that
+// map to one table slot.
+func collidingPair(t *testing.T, n int) (a, b []Request) {
+	t.Helper()
+	var tb table
+	rng := rand.New(rand.NewSource(11))
+	gen := func() []Request {
+		reqs := make([]Request, n)
+		for i := range reqs {
+			reqs[i] = Request{Demand: units.Rate(rng.Float64() * 30), StallFrac: rng.Float64()}
+		}
+		return reqs
+	}
+	a = gen()
+	for i := 0; i < 100*tableSize; i++ {
+		if b = gen(); tb.slotFor(b) == tb.slotFor(a) {
+			return a, b
+		}
+	}
+	t.Fatal("no colliding vector found")
+	return nil, nil
+}
+
+// Property: the table-backed Allocate is bit-identical to an uncached
+// solve for every request vector, on the miss path and the hit path,
+// across randomized vectors that overflow the table 4x over.
 func TestCacheBitIdenticalToUncached(t *testing.T) {
 	cached := New()
 	rng := rand.New(rand.NewSource(42))
-
-	vectors := make([][]Request, 4*DefaultCacheSize)
+	vectors := make([][]Request, 4*tableSize)
 	for i := range vectors {
 		vectors[i] = randReqs(rng)
 	}
-
-	check := func(pass string, vecs [][]Request) {
-		for vi, reqs := range vecs {
-			// A fresh model per vector is the uncached reference: its
-			// first solve cannot hit.
-			fresh := New()
-			wantG, wantO := fresh.Allocate(reqs)
-			gotG, gotO := cached.Allocate(reqs)
-			if gotO != wantO {
-				t.Fatalf("%s: vector %d outcome diverged:\ngot  %+v\nwant %+v", pass, vi, gotO, wantO)
-			}
-			for i := range wantG {
-				if gotG[i] != wantG[i] {
-					t.Fatalf("%s: vector %d grant %d diverged: got %+v want %+v", pass, vi, i, gotG[i], wantG[i])
-				}
-			}
+	// The populate pass overwrites most slots several times, reusing
+	// their storage for vectors of other lengths.
+	for vi, reqs := range vectors {
+		agreeWithFresh(t, "populate", cached, reqs)
+		if s := cached.table.slotFor(reqs); !s.holds(reqs) {
+			t.Fatalf("populate: vector %d not resident right after its solve", vi)
 		}
 	}
-	// The full sequential pass overflows the LRU 4x over, so by the
-	// time any vector would repeat it has been evicted — every call is
-	// a miss-and-re-solve after eviction. The tail pass then replays
-	// the most recently inserted vectors, which are still resident, so
-	// it exercises the hit path against the same fresh-model oracle.
-	check("populate", vectors)
-	// The full cache holds exactly the newest DefaultCacheSize vectors:
-	// the first pass evicted every older one.
-	oldest := string(appendKey(nil, vectors[len(vectors)-DefaultCacheSize]))
-	back := func() string { return cached.cache.order.Back().Value.(*allocEntry).key }
-	if size := cached.cache.Len(); size != DefaultCacheSize || back() != oldest {
-		t.Fatalf("after populate: %d entries, want the newest %d vectors", size, DefaultCacheSize)
+	// Each slot now holds the last vector that mapped to it; replaying
+	// those exercises the hit path. The hash must spread 4x the table's
+	// capacity over nearly every slot (1-e^-4 of them, ~98%, for a
+	// uniform hash).
+	var resident [][]Request
+	for _, reqs := range vectors {
+		if cached.table.slotFor(reqs).holds(reqs) {
+			resident = append(resident, reqs)
+		}
 	}
-	check("replay-tail", vectors[len(vectors)-DefaultCacheSize/2:])
-	// A replay that missed would have inserted a second entry for its
-	// key and evicted the oldest: every one must have hit.
-	if size := cached.cache.Len(); size != DefaultCacheSize || back() != oldest {
-		t.Errorf("tail replay missed a resident vector: %d entries, oldest evicted %v", size, back() != oldest)
+	if len(resident) < tableSize*9/10 {
+		t.Fatalf("%d of %d slots resident after %d vectors: the hash clusters", len(resident), tableSize, len(vectors))
+	}
+	for _, reqs := range resident {
+		agreeWithFresh(t, "replay", cached, reqs)
 	}
 }
 
 // A hit must replay the identical grants even when the same vector is
-// presented through a different backing slice, and repeated hits keep
-// promoting the entry so a hot vector survives interleaved churn.
+// presented through a different backing slice, and a hot vector keeps
+// its exact answer through churn that overwrites its slot.
 func TestCacheHitSurvivesChurn(t *testing.T) {
 	m := New()
-	hot := []Request{{Demand: 12, StallFrac: 0.8}, {Demand: 3, StallFrac: 0.4}}
+	hot, rival := collidingPair(t, 2)
 	wantG, wantO := m.Allocate(hot)
+	wantG = append([]Grant(nil), wantG...)
 
 	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 3*DefaultCacheSize; i++ {
+	for i := 0; i < 3*tableSize; i++ {
 		m.Allocate(randReqs(rng)) // churn
-		hotCopy := append([]Request(nil), hot...)
-		gotG, gotO := m.Allocate(hotCopy) // keep the hot entry fresh
-		if gotO != wantO {
-			t.Fatalf("churn round %d: outcome diverged", i)
+		if i%16 == 0 {
+			m.Allocate(rival) // evict the hot vector
 		}
-		for k := range wantG {
-			if gotG[k] != wantG[k] {
-				t.Fatalf("churn round %d: grant %d diverged", i, k)
-			}
+		gotG, gotO := m.Allocate(append([]Request(nil), hot...))
+		if !sameAnswer(gotG, gotO, wantG, wantO) {
+			t.Fatalf("churn round %d: hot vector's answer diverged", i)
 		}
-	}
-	if size := m.cache.Len(); size > DefaultCacheSize {
-		t.Errorf("cache grew past its bound: %d", size)
 	}
 }
 
-// AllocateInto must not allocate on the hit path.
+// Two vectors forced into one slot take it from each other on every
+// call; each answer is still the fresh solve's, and the slot holds the
+// vector asked last.
+func TestTableSlotCollision(t *testing.T) {
+	m := New()
+	a, b := collidingPair(t, 3)
+	for round := 0; round < 4; round++ {
+		for _, reqs := range [][]Request{a, b} {
+			agreeWithFresh(t, "collision", m, reqs)
+			s := m.table.slotFor(reqs)
+			if !s.holds(reqs) || s.holds(a) == s.holds(b) {
+				t.Fatalf("round %d: the shared slot does not hold exactly the vector asked last", round)
+			}
+		}
+	}
+}
+
+// A key is the whole vector: a slot holding a vector does not hold its
+// prefixes or its extensions, and answers to vectors that share a
+// prefix stay apart.
+func TestTableLengthIsPartOfTheKey(t *testing.T) {
+	full := []Request{{Demand: 11.65, StallFrac: 0.65}, {Demand: 23.6, StallFrac: 0.95}, {Demand: 0.0037, StallFrac: 0.01}}
+	var s slot
+	s.store(full[:2], make([]Grant, 2), Outcome{})
+	if !s.holds(full[:2]) || s.holds(full[:1]) || s.holds(full) {
+		t.Error("a slot holding a 2-vector matched a vector of another length")
+	}
+	m := New()
+	for _, pass := range []string{"cold", "warm"} {
+		for n := 1; n <= len(full); n++ {
+			agreeWithFresh(t, pass, m, full[:n])
+		}
+	}
+}
+
+// -0 and +0 are different keys, in Demand and in StallFrac, even
+// where the solver's answers for them agree.
+func TestTableSignedZeroIsANewKey(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	pos := []Request{{Demand: 0, StallFrac: 0}, {Demand: 5.2, StallFrac: 0.42}}
+	for _, neg := range [][]Request{
+		{{Demand: units.Rate(negZero), StallFrac: 0}, pos[1]},
+		{{Demand: 0, StallFrac: negZero}, pos[1]},
+	} {
+		var s slot
+		s.store(pos, make([]Grant, 2), Outcome{})
+		if s.holds(neg) {
+			t.Errorf("a slot holding %+v matched %+v", pos, neg)
+		}
+		m := New()
+		agreeWithFresh(t, "+0", m, pos)
+		agreeWithFresh(t, "-0", m, neg)
+		agreeWithFresh(t, "+0 again", m, pos)
+	}
+}
+
+// AllocateInto must not allocate on the hit path, nor on a miss into a
+// slot that has held a vector of the same length.
 func TestAllocateIntoHitPathZeroAllocs(t *testing.T) {
 	m := New()
 	reqs := []Request{{Demand: 10, StallFrac: 0.9}, {Demand: 2, StallFrac: 0.3}}
 	grants, _ := m.AllocateInto(nil, reqs) // prime
-	avg := testing.AllocsPerRun(100, func() {
+	if avg := testing.AllocsPerRun(100, func() {
 		grants, _ = m.AllocateInto(grants, reqs)
-	})
-	if avg != 0 {
+	}); avg != 0 {
 		t.Errorf("hit path allocates %v times per call, want 0", avg)
+	}
+
+	a, b := collidingPair(t, 4)
+	grants, _ = m.AllocateInto(grants, a)
+	grants, _ = m.AllocateInto(grants, b)
+	pair, i := [2][]Request{a, b}, 0
+	if avg := testing.AllocsPerRun(100, func() {
+		grants, _ = m.AllocateInto(grants, pair[i%2]) // the vector the slot just lost
+		i++
+	}); avg != 0 {
+		t.Errorf("warm miss allocates %v times per call, want 0", avg)
 	}
 }
 
@@ -126,15 +208,18 @@ func sameAnswer(g1 []Grant, o1 Outcome, g2 []Grant, o2 Outcome) bool {
 	return true
 }
 
-// For the request sequence A, A, B, A the second and last A are
-// answered by the keyed LRU lookup, the only repeat path the model
-// has (the machine skips repeats before they reach it). Both must
-// replay the first solve bit for bit, hit (a miss would insert a
-// second entry), and leave the LRU order A most recent, then B.
+// For the request sequence A, A, B, A (A and B in different slots) the
+// second and last A are answered by the keyed table lookup, the only
+// repeat path the model has (the machine skips repeats before they
+// reach it). Both must replay the first solve bit for bit, and the
+// table must end holding both vectors.
 func TestFastPathMatchesLRUPath(t *testing.T) {
 	m := New()
 	a := []Request{{Demand: 11.65, StallFrac: 0.65}, {Demand: 23.6, StallFrac: 0.65}, {Demand: 0, StallFrac: 0.1}}
 	b := []Request{{Demand: 5.2, StallFrac: 0.42}, {Demand: 23.6, StallFrac: 0.65}}
+	if m.table.slotFor(a) == m.table.slotFor(b) {
+		t.Fatal("A and B share a slot; pick vectors that do not")
+	}
 	type answer struct {
 		grants []Grant
 		out    Outcome
@@ -152,11 +237,7 @@ func TestFastPathMatchesLRUPath(t *testing.T) {
 				i, got[i].grants, got[i].out, got[0].grants, got[0].out)
 		}
 	}
-	if size := m.cache.Len(); size != 2 {
-		t.Errorf("%d cache entries after A, A, B, A; want 2", size)
-	}
-	front, back := m.cache.order.Front().Value.(*allocEntry), m.cache.order.Back().Value.(*allocEntry)
-	if front.key != string(appendKey(nil, a)) || back.key != string(appendKey(nil, b)) {
-		t.Error("LRU order after A, A, B, A is not A then B")
+	if !m.table.slotFor(a).holds(a) || !m.table.slotFor(b).holds(b) {
+		t.Error("the table does not hold both A and B after A, A, B, A")
 	}
 }

@@ -37,7 +37,7 @@ func (r *refMachine) step(placements []Placement, dt units.Time) {
 		case ran && last != p.CPU:
 			p.Thread.Migrate()
 		case ran && r.lastThread[p.CPU] != p.Thread:
-			p.Thread.AddDebt(pollutionFrac * float64(p.Thread.App.Profile.MigrationPenalty))
+			p.Thread.AddDebt(float64(pollutionFrac * float64(p.Thread.App.Profile.MigrationPenalty)))
 		}
 		r.lastCPU[p.Thread] = p.CPU
 		r.lastThread[p.CPU] = p.Thread
@@ -67,7 +67,7 @@ func (r *refMachine) step(placements []Placement, dt units.Time) {
 			var trans uint64
 			p.Thread.AccrueCounters(&trans, wall, g.Rate*units.Rate(speed/maxf(g.Speed, 1e-12)))
 			p.Thread.Counters.Add(trans)
-			p.Thread.AdvanceWork(wall * speed)
+			p.Thread.AdvanceWork(float64(wall * speed))
 		}
 	}
 }
@@ -96,12 +96,25 @@ func threadDiff(x, y *workload.Thread) string {
 	return ""
 }
 
-// TestStepMatchesPerMicroStepAdvance holds Step's once-per-Step counter
-// commit to the per-micro-step reference, bitwise, over migrations and
-// cache-pollution debt, a barrier gang with a descheduled sibling,
-// multi-phase Raytrace crossing phase edges, SMT sibling sharing, and a
-// quantum that ends on a partial micro-step.
-func TestStepMatchesPerMicroStepAdvance(t *testing.T) {
+// stepCase is a schedule of placements to run on a Machine and on the
+// per-micro-step reference side by side.
+type stepCase struct {
+	name     string
+	cfg      Config
+	apps     []string
+	quantum  units.Time
+	schedule [][]slot
+	// exercised reports whether the run has reached the case's
+	// feature; it is asked after every quantum.
+	exercised func(apps []*workload.App, migrations int) bool
+}
+
+// stepCases cover migrations and cache-pollution debt, a barrier gang
+// with a descheduled sibling, multi-phase Raytrace crossing phase
+// edges, SMT sibling sharing, and quanta that end on a partial
+// micro-step: Step's per-grant values must be derived again whenever
+// the bus answer or the micro-step length changes.
+func stepCases() []stepCase {
 	smt := DefaultConfig()
 	smt.SMT = true
 	repeat := func(n int, q []slot) [][]slot {
@@ -118,16 +131,7 @@ func TestStepMatchesPerMicroStepAdvance(t *testing.T) {
 		return idx > 1
 	}
 	always := func([]*workload.App, int) bool { return true }
-	cases := []struct {
-		name     string
-		cfg      Config
-		apps     []string
-		quantum  units.Time
-		schedule [][]slot
-		// exercised reports whether the run has reached the case's
-		// feature; it is asked after every quantum.
-		exercised func(apps []*workload.App, migrations int) bool
-	}{
+	return []stepCase{
 		{
 			name:    "migration-debt",
 			cfg:     DefaultConfig(),
@@ -170,47 +174,104 @@ func TestStepMatchesPerMicroStepAdvance(t *testing.T) {
 			exercised: always,
 		},
 	}
-	for _, tc := range cases {
+}
+
+// matchRef runs tc's schedule on m and on a fresh per-micro-step
+// reference, and fails t at the first bitwise difference in any
+// thread's counters, progress, phase position or debt.
+func matchRef(t *testing.T, m *Machine, tc stepCase) {
+	t.Helper()
+	ref := newRefMachine(tc.cfg)
+	build := func() []*workload.App {
+		apps := make([]*workload.App, len(tc.apps))
+		for i, name := range tc.apps {
+			apps[i] = appThreads(name, fmt.Sprintf("%s#%d", name, i), t)
+		}
+		return apps
+	}
+	got, want := build(), build()
+	migrations, reached := 0, false
+	for q, slots := range tc.schedule {
+		pg := make([]Placement, len(slots))
+		pw := make([]Placement, len(slots))
+		for i, s := range slots {
+			pg[i] = Placement{Thread: got[s.a].Threads[s.th], CPU: s.cpu}
+			pw[i] = Placement{Thread: want[s.a].Threads[s.th], CPU: s.cpu}
+		}
+		res, err := m.Step(pg, tc.quantum)
+		if err != nil {
+			t.Fatalf("quantum %d: %v", q, err)
+		}
+		migrations += res.Migrations
+		ref.step(pw, tc.quantum)
+		for a := range got {
+			for th := range got[a].Threads {
+				if d := threadDiff(got[a].Threads[th], want[a].Threads[th]); d != "" {
+					t.Fatalf("quantum %d, %s/%d: %s", q, got[a].Instance, th, d)
+				}
+			}
+		}
+		reached = reached || tc.exercised(got, migrations)
+	}
+	if !reached {
+		t.Errorf("schedule never reached the case's feature")
+	}
+}
+
+// TestStepMatchesPerMicroStepAdvance holds Step's once-per-Step counter
+// commit and its per-grant micro-step values to the per-micro-step
+// reference, bitwise, over stepCases.
+func TestStepMatchesPerMicroStepAdvance(t *testing.T) {
+	for _, tc := range stepCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			m, err := New(tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref := newRefMachine(tc.cfg)
-			build := func() []*workload.App {
-				apps := make([]*workload.App, len(tc.apps))
-				for i, name := range tc.apps {
-					apps[i] = appThreads(name, fmt.Sprintf("%s#%d", name, i), t)
-				}
-				return apps
-			}
-			got, want := build(), build()
-			migrations, reached := 0, false
-			for q, slots := range tc.schedule {
-				pg := make([]Placement, len(slots))
-				pw := make([]Placement, len(slots))
-				for i, s := range slots {
-					pg[i] = Placement{Thread: got[s.a].Threads[s.th], CPU: s.cpu}
-					pw[i] = Placement{Thread: want[s.a].Threads[s.th], CPU: s.cpu}
-				}
-				res, err := m.Step(pg, tc.quantum)
-				if err != nil {
-					t.Fatalf("quantum %d: %v", q, err)
-				}
-				migrations += res.Migrations
-				ref.step(pw, tc.quantum)
-				for a := range got {
-					for th := range got[a].Threads {
-						if d := threadDiff(got[a].Threads[th], want[a].Threads[th]); d != "" {
-							t.Fatalf("quantum %d, %s/%d: %s", q, got[a].Instance, th, d)
-						}
-					}
-				}
-				reached = reached || tc.exercised(got, migrations)
-			}
-			if !reached {
-				t.Errorf("schedule never reached the case's feature")
-			}
+			matchRef(t, m, tc)
 		})
 	}
+}
+
+// TestPooledBusMatchesFresh runs each case on a machine whose bus model
+// came back through the pool from a machine that ran the same case, so
+// the second run's vectors are answered from the equilibria the first
+// run solved. Its bits must still be the fresh reference's.
+func TestPooledBusMatchesFresh(t *testing.T) {
+	for _, tc := range stepCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			first, err := New(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			matchRef(t, first, tc)
+			model := first.bus
+			first.Release()
+			if first.bus != nil || first.busAllocate != nil {
+				t.Fatal("Release left the machine holding its bus model")
+			}
+			matchRef(t, machineWith(t, tc.cfg, model), tc)
+		})
+	}
+}
+
+// machineWith returns a machine built by New that drew model from the
+// pool. A pool may drop what it is given (it does so at random under
+// the race detector) or hand it out on another processor, so each
+// retry gives model back before building again; a second copy left in
+// the pool is harmless, as a Model is safe for concurrent use.
+func machineWith(t *testing.T, cfg Config, model *bus.Model) *Machine {
+	t.Helper()
+	for try := 0; try < 100; try++ {
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.bus == model {
+			return m
+		}
+		busModels.Put(model)
+	}
+	t.Fatal("the pool never handed back the released model")
+	return nil
 }

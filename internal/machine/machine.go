@@ -9,12 +9,21 @@
 // every placed thread at the speed the bus model grants it, maintains
 // cache-affinity state, charges migration costs, and accumulates each
 // thread's virtual bus-transaction counter.
+//
+// A machine's bus model outlives the machine: New takes one from a
+// pool, and Release hands it back with the equilibria it solved, for
+// the next machine to replay (the bus has no configuration, so the
+// request vector is the whole key and a remembered equilibrium is
+// exact on every machine). A pool rather than a package-wide table:
+// the garbage collector empties it, so no model survives two
+// collections.
 package machine
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"busaware/internal/bus"
 	"busaware/internal/units"
@@ -119,25 +128,33 @@ type StepResult struct {
 }
 
 // Machine is the simulated SMP. Not safe for concurrent use.
+//
+// A thread runs on one machine: the machine keeps each thread's last
+// processor on the thread itself (workload.Thread.RanOn), so two
+// machines must not share a thread. The shadow engine clones its
+// applications for its second core.
 type Machine struct {
 	cfg        Config
 	now        units.Time
-	lastCPU    map[*workload.Thread]int
 	lastThread []*workload.Thread // per-CPU most recent occupant
 
-	// busAllocate is the bus model's AllocateInto; tests wrap it to
-	// count the request vectors the machine asks about.
+	// bus is the machine's bus model, from busModels until Release.
+	// busAllocate is its AllocateInto; tests wrap it to count the
+	// request vectors the machine asks about.
+	bus         *bus.Model
 	busAllocate func(dst []bus.Grant, reqs []bus.Request) ([]bus.Grant, bus.Outcome)
 
 	// Per-call scratch, reused across Steps so the quantum loop
 	// allocates nothing after a machine's first Step (or a longer
 	// quantum): the ThreadStep slice and the one array its SoloPerSub
-	// slices are carved from.
+	// slices are carved from, and each placement's per-micro-step
+	// values (see Step).
 	cpuUsed    []bool
 	busyCore   []int
 	reqs       []bus.Request
 	steps      []ThreadStep
 	soloPerSub []float64
+	adds       []microAdds
 
 	// The bus model's last answer: asked is the request vector it was
 	// given, grants and out what it returned (see allocate).
@@ -152,25 +169,52 @@ type Machine struct {
 	uniform bool
 }
 
-// New builds a Machine.
+// microAdds is what one placement's micro-step adds under one bus
+// answer and one micro-step length (see Step).
+type microAdds struct {
+	solo  float64    // solo-equivalent progress: wall µs × contended speed
+	trans uint64     // bus-transaction counter increment
+	speed float64    // the micro-step's share of ThreadStep.Speed
+	rate  units.Rate // the micro-step's share of ThreadStep.Rate
+}
+
+// busModels holds the bus models of released machines (see the package
+// doc), and builds a fresh one when it is empty.
+var busModels = sync.Pool{New: func() any { return bus.New() }}
+
+// New builds a Machine. Its bus model comes from the pool that Release
+// returns models to.
 func New(cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	model := busModels.Get().(*bus.Model)
 	m := &Machine{
 		cfg:         cfg,
-		busAllocate: bus.New().AllocateInto,
-		lastCPU:     make(map[*workload.Thread]int),
+		bus:         model,
+		busAllocate: model.AllocateInto,
 		lastThread:  make([]*workload.Thread, cfg.NumCPUs),
 		cpuUsed:     make([]bool, cfg.NumCPUs),
 		busyCore:    make([]int, (cfg.NumCPUs+1)/2),
 		reqs:        make([]bus.Request, 0, cfg.NumCPUs),
 		steps:       make([]ThreadStep, 0, cfg.NumCPUs),
+		adds:        make([]microAdds, cfg.NumCPUs),
 		asked:       make([]bus.Request, 0, cfg.NumCPUs),
 		grants:      make([]bus.Grant, 0, cfg.NumCPUs),
 	}
 	_, m.out = m.busAllocate(nil, nil) // the answer to the empty vector asked
 	return m, nil
+}
+
+// Release hands the machine's bus model back to the pool New takes
+// from, with every equilibrium it solved, for a later machine to
+// replay. The machine must not be used after Release; a second Release
+// does nothing.
+func (m *Machine) Release() {
+	if m.bus != nil {
+		busModels.Put(m.bus)
+		m.bus, m.busAllocate = nil, nil
+	}
 }
 
 // allocate returns the bus grants and outcome for reqs, and whether
@@ -214,12 +258,7 @@ func sameRequest(a, b bus.Request) bool {
 func (m *Machine) Now() units.Time { return m.now }
 
 // LastCPU returns where the thread last ran, or -1 if it never ran.
-func (m *Machine) LastCPU(t *workload.Thread) int {
-	if cpu, ok := m.lastCPU[t]; ok {
-		return cpu
-	}
-	return -1
-}
+func (m *Machine) LastCPU(t *workload.Thread) int { return t.RanOn - 1 }
 
 // Step runs the given placements for dt of wall-clock time. Placements
 // must reference distinct CPUs within range and distinct, unfinished
@@ -231,6 +270,15 @@ func (m *Machine) LastCPU(t *workload.Thread) int {
 // with one Counters.Add, which is exact because masked counter
 // addition is associative. Nothing may read a placed thread's counter
 // while Step runs.
+//
+// What a micro-step adds to a placement (its solo-equivalent advance,
+// counter increment and Speed and Rate weights) depends only on the
+// bus grant, the SMT sharing, the micro-step length and dt. Step
+// derives those values when the bus answer changes or the micro-step
+// length does (the first micro-step, and a quantum's short last one),
+// and each micro-step adds the stored values. The expressions are the
+// ones a per-micro-step derivation evaluates, each product rounded
+// explicitly, so the bits are the same on every GOARCH.
 func (m *Machine) Step(placements []Placement, dt units.Time) (StepResult, error) {
 	m.uniform = false
 	if dt <= 0 {
@@ -276,22 +324,22 @@ func (m *Machine) Step(placements []Placement, dt units.Time) (StepResult, error
 	}
 	for i, p := range placements {
 		res.Threads[i] = ThreadStep{Thread: p.Thread, CPU: p.CPU, SoloPerSub: m.soloPerSub[i*steps : (i+1)*steps]}
-		last, ran := m.lastCPU[p.Thread]
+		last := p.Thread.RanOn - 1 // -1: never ran
 		switch {
-		case ran && last != p.CPU:
+		case last >= 0 && last != p.CPU:
 			// Full migration: the working set must be rebuilt.
 			p.Thread.Migrate()
 			res.Threads[i].Migrated = true
 			res.Migrations++
-		case ran && m.lastThread[p.CPU] != p.Thread:
+		case last >= 0 && m.lastThread[p.CPU] != p.Thread:
 			// Resuming on its own processor after someone else used
 			// it: partial working-set refill.
-			p.Thread.AddDebt(pollutionFrac * float64(p.Thread.App.Profile.MigrationPenalty))
+			p.Thread.AddDebt(float64(pollutionFrac * float64(p.Thread.App.Profile.MigrationPenalty)))
 		}
 		if m.lastThread[p.CPU] != p.Thread {
 			res.ContextSwitches++
 		}
-		m.lastCPU[p.Thread] = p.CPU
+		p.Thread.RanOn = p.CPU + 1
 		m.lastThread[p.CPU] = p.Thread
 	}
 
@@ -313,6 +361,8 @@ func (m *Machine) Step(placements []Placement, dt units.Time) (StepResult, error
 	var servedSum units.Rate
 	uniform := true
 	reqs := m.reqs[:len(placements)] // cap is NumCPUs >= len(placements)
+	adds := m.adds[:len(placements)]
+	var derivedSub units.Time // the micro-step length adds holds; 0: none yet
 	for s := 0; s < steps; s++ {
 		sub := microStep
 		if sub > remaining {
@@ -326,23 +376,33 @@ func (m *Machine) Step(placements []Placement, dt units.Time) (StepResult, error
 		if changed && s > 0 {
 			uniform = false
 		}
-		wall := float64(sub)
-		w := float64(sub) / float64(dt)
-		for i, p := range placements {
-			g := grants[i]
-			speed := g.Speed
-			if m.cfg.SMT && busyCore[p.CPU/2] > 1 {
-				// Both logical siblings of this core are busy: they
-				// share the core's execution resources.
-				speed *= smtEfficiency
+		if changed || sub != derivedSub {
+			derivedSub = sub
+			wall := float64(sub)
+			w := float64(sub) / float64(dt)
+			for i, p := range placements {
+				g := grants[i]
+				speed := g.Speed
+				if m.cfg.SMT && busyCore[p.CPU/2] > 1 {
+					// Both logical siblings of this core are busy: they
+					// share the core's execution resources.
+					speed *= smtEfficiency
+				}
+				a := &adds[i]
+				a.trans = 0
+				p.Thread.AccrueCounters(&a.trans, wall, g.Rate*units.Rate(speed/maxf(g.Speed, 1e-12)))
+				a.solo = float64(wall * speed)
+				a.speed = float64(speed * w)
+				a.rate = units.Rate(g.Rate * units.Rate(w*speed/maxf(g.Speed, 1e-12)))
 			}
-			solo := wall * speed
-			ts := &res.Threads[i]
-			p.Thread.AccrueCounters(&ts.Transactions, wall, g.Rate*units.Rate(speed/maxf(g.Speed, 1e-12)))
-			ts.SoloPerSub[s] = solo
-			p.Thread.AdvanceWork(solo)
-			ts.Speed += speed * w
-			ts.Rate += g.Rate * units.Rate(w*speed/maxf(g.Speed, 1e-12))
+		}
+		for i, p := range placements {
+			a, ts := &adds[i], &res.Threads[i]
+			ts.Transactions += a.trans
+			ts.SoloPerSub[s] = a.solo
+			p.Thread.AdvanceWork(a.solo)
+			ts.Speed += a.speed
+			ts.Rate += a.rate
 		}
 		utilSum += out.Utilization
 		servedSum += out.Served

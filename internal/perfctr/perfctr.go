@@ -13,13 +13,14 @@
 // Hardware realism kept on purpose: counters are W bits wide (40 on
 // the Pentium 4 family) and wrap; Monitor corrects a single wrap
 // between polls, as the real run-time library had to.
+//
+// Counters and monitors take no lock. A simulation run is one
+// goroutine: the machine writes a thread's counter and the run's
+// monitors read it, in turn, on that goroutine, and nothing else
+// touches them.
 package perfctr
 
-import (
-	"sync"
-
-	"busaware/internal/units"
-)
+import "busaware/internal/units"
 
 // CounterBits is the hardware counter width; Pentium 4 PMCs are 40 bits.
 const CounterBits = 40
@@ -27,30 +28,19 @@ const CounterBits = 40
 // counterMask keeps values within the hardware width.
 const counterMask = (uint64(1) << CounterBits) - 1
 
-// Counters is one thread's virtual BUS_TRAN_ANY counter. It is safe
-// for concurrent use: the simulator writes while the CPU manager
-// polls.
+// Counters is one thread's virtual BUS_TRAN_ANY counter. Not safe for
+// concurrent use (see the package doc).
 type Counters struct {
-	mu    sync.Mutex
 	value uint64
 }
 
 // Add increments the counter by n, wrapping at the hardware width.
 // Masked addition is associative, so committing summed increments
 // with one Add leaves the same value as adding each part.
-func (c *Counters) Add(n uint64) {
-	c.mu.Lock()
-	c.value = (c.value + n) & counterMask
-	c.mu.Unlock()
-}
+func (c *Counters) Add(n uint64) { c.value = (c.value + n) & counterMask }
 
 // Read returns the counter's current value.
-func (c *Counters) Read() uint64 {
-	c.mu.Lock()
-	v := c.value
-	c.mu.Unlock()
-	return v
-}
+func (c *Counters) Read() uint64 { return c.value }
 
 // Sample is a point-in-time reading of one counter.
 type Sample struct {

@@ -2,7 +2,6 @@ package perfctr
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -104,35 +103,6 @@ func TestMonitorSurvivesWrap(t *testing.T) {
 	}
 	if rate != 2.0 {
 		t.Errorf("rate across wrap = %v, want 2.0", rate)
-	}
-}
-
-func TestConcurrentAddPoll(t *testing.T) {
-	var c Counters
-	m := NewMonitor(&c)
-	m.Poll(0)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 10000; i++ {
-				c.Add(1)
-			}
-		}()
-	}
-	done := make(chan struct{})
-	go func() {
-		for i := 1; i <= 100; i++ {
-			m.Poll(units.Time(i))
-		}
-		close(done)
-	}()
-	wg.Wait()
-	<-done
-	// After everything quiesces the total must be exact.
-	if got := c.Read(); got != 40000 {
-		t.Errorf("final counter = %d, want 40000", got)
 	}
 }
 

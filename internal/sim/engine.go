@@ -16,8 +16,9 @@
 //     value-by-value in the exact order the stepped loop would have
 //     produced, because float addition is not associative and the
 //     goldens pin results to the bit. The replay skips everything else
-//     (scheduling, bus allocation, counter mutexes, monitor polls,
-//     per-quantum map traffic), which is where the speedup comes from.
+//     (scheduling, bus allocation, per-quantum counter updates, monitor
+//     polls, per-quantum map traffic), which is where the speedup comes
+//     from.
 //
 // The stretch ends at the earliest "interesting" time: the MaxTime
 // guard, a phase boundary, a completion, a barrier that is not in

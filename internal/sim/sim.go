@@ -335,6 +335,9 @@ func run(cfg Config, s sched.Scheduler, apps []*workload.App) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	// The run is the machine's only user: its bus model goes back to
+	// the pool, warm, for the next run.
+	defer m.Release()
 
 	states := make([]*appState, len(apps))
 	byApp := make(map[*workload.App]*appState, len(apps))

@@ -128,6 +128,10 @@ type Thread struct {
 	Index int
 	// Counters is the thread's virtual BUS_TRAN_ANY counter.
 	Counters perfctr.Counters
+	// RanOn belongs to the machine that runs the thread: one more than
+	// the processor the thread last ran on, or zero before its first
+	// run. A thread runs on one machine.
+	RanOn int
 
 	// phase progress, all in solo-equivalent usec
 	phaseIdx  int
@@ -248,7 +252,10 @@ func (t *Thread) Debt() float64 { return t.debt }
 // per-micro-step Add would (40-bit masked addition is associative and
 // 2^40 divides 2^64).
 func (t *Thread) AccrueCounters(sum *uint64, wallUsec float64, actualRate units.Rate) {
-	*sum += uint64(float64(actualRate) * wallUsec)
+	// The explicit float64 rounds the product before the conversion,
+	// which subtracts 2^63 from large values on some GOARCHes and must
+	// not fuse with it.
+	*sum += uint64(float64(float64(actualRate) * wallUsec))
 }
 
 // AdvanceWork runs the thread for soloUsec of solo-equivalent time
