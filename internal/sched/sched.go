@@ -252,7 +252,10 @@ type assignScratch struct {
 // aliases sc's buffers and is valid until the next call with sc.
 func assignCPUsInto(sc *assignScratch, selected []*Job, aff Affinity, numCPUs int) []machine.Placement {
 	if cap(sc.free) < numCPUs {
+		// Placements and homeless threads are at most one per processor.
 		sc.free = make([]bool, numCPUs)
+		sc.placements = make([]machine.Placement, 0, numCPUs)
+		sc.homeless = make([]*workload.Thread, 0, numCPUs)
 	}
 	free := sc.free[:numCPUs]
 	for i := range free {

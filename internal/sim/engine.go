@@ -104,7 +104,8 @@ func ParseEngine(s string) (EngineKind, error) {
 // of horizon.
 const leapSlack = 1e-9
 
-// leapScratch is tryLeap's reusable state, owned by one run loop.
+// leapScratch is tryLeap's reusable state, owned by one run loop. Each
+// list holds plan thread indices, at most one per plan thread.
 type leapScratch struct {
 	// finiteThreads and multiPhase are the per-quantum stop watch list:
 	// the plan threads whose replay-visible state can actually move.
@@ -113,8 +114,22 @@ type leapScratch struct {
 	// the whole stretch (PlanStretch verified them at the probe). What
 	// remains observable per quantum is a finite thread completing and
 	// a multi-phase thread wrapping (visible as a request change).
-	finiteThreads []*workload.Thread
+	finiteThreads []int
 	multiPhase    []int
+	// twin[i] is the earlier plan thread whose replay plan thread i's
+	// would repeat bit for bit, or -1 (see replayTwin).
+	twin []int
+}
+
+// newLeapScratch sizes the scratch for a machine of numCPUs processors,
+// the most threads a plan holds, from one array, so no leap grows it.
+func newLeapScratch(numCPUs int) leapScratch {
+	buf := make([]int, 3*numCPUs)
+	return leapScratch{
+		finiteThreads: buf[:0:numCPUs],
+		multiPhase:    buf[numCPUs : numCPUs : 2*numCPUs],
+		twin:          buf[2*numCPUs : 2*numCPUs : 3*numCPUs],
+	}
 }
 
 // leapHorizon bounds how many quanta may be replayed from the plan
@@ -205,16 +220,8 @@ func lockstepGang(plan *machine.StepResult, app *workload.App) bool {
 			continue
 		}
 		a, b := &plan.Threads[first], &plan.Threads[i]
-		if b.Thread.Progress() != a.Thread.Progress() {
+		if !sameBits(b.Thread.Progress(), a.Thread.Progress()) || !sameAdvances(a.SoloPerSub, b.SoloPerSub) {
 			return false
-		}
-		if len(b.SoloPerSub) != len(a.SoloPerSub) {
-			return false
-		}
-		for s := range a.SoloPerSub {
-			if a.SoloPerSub[s] != b.SoloPerSub[s] {
-				return false
-			}
 		}
 	}
 	if first < 0 || count != len(app.Threads) {
@@ -229,6 +236,42 @@ func lockstepGang(plan *machine.StepResult, app *workload.App) bool {
 	return maxSub*2 <= float64(app.Profile.BarrierInterval)
 }
 
+// replayTwin returns the first plan thread before i whose replay thread
+// i's would repeat bit for bit, or -1. ReplayAdvance is a pure function
+// of the thread's progress and phase position, its app's phases and the
+// advances, so a thread of the same app that starts with all of them
+// bitwise equal ends with the same state, quantum after quantum
+// (Thread.ReplayLike copies it). A lockstep gang replays once.
+func replayTwin(plan *machine.StepResult, i int) int {
+	b := &plan.Threads[i]
+	bIdx, bUsed := b.Thread.PhasePos()
+	for j := range plan.Threads[:i] {
+		a := &plan.Threads[j]
+		aIdx, aUsed := a.Thread.PhasePos()
+		if a.Thread.App == b.Thread.App && sameBits(a.Thread.Progress(), b.Thread.Progress()) &&
+			aIdx == bIdx && sameBits(aUsed, bUsed) && sameAdvances(a.SoloPerSub, b.SoloPerSub) {
+			return j
+		}
+	}
+	return -1
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// sameAdvances reports whether a and b are bitwise equal, element by
+// element.
+func sameAdvances(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !sameBits(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // leapStop reports whether a stretch invariant that replay can actually
 // move broke after a replayed quantum: a finite thread or application
 // finished, or a multi-phase thread's bus request drifted. With a
@@ -237,8 +280,8 @@ func lockstepGang(plan *machine.StepResult, app *workload.App) bool {
 // per-quantum check — nothing in the replay loop writes them (see
 // leapScratch).
 func (ls *leapScratch) leapStop(plan *machine.StepResult, finite []*appState) bool {
-	for _, t := range ls.finiteThreads {
-		if t.Done() {
+	for _, i := range ls.finiteThreads {
+		if plan.Threads[i].Thread.Done() {
 			return true
 		}
 	}
@@ -298,19 +341,7 @@ func (ls *leapScratch) tryLeap(
 		return nil
 	}
 
-	// Watch list for the per-quantum stop check: only state replay can
-	// move needs re-testing each quantum.
-	ls.finiteThreads = ls.finiteThreads[:0]
-	ls.multiPhase = ls.multiPhase[:0]
-	for i := range plan.Threads {
-		t := plan.Threads[i].Thread
-		if !t.App.Profile.Endless() {
-			ls.finiteThreads = append(ls.finiteThreads, t)
-		}
-		if len(t.App.Profile.Phases) > 1 {
-			ls.multiPhase = append(ls.multiPhase, i)
-		}
-	}
+	ls.prepare(&plan)
 
 	// Replay. Per quantum: the exact micro-step advance sequence and
 	// the utilization accumulation — the float-visible footprint of a
@@ -322,10 +353,7 @@ func (ls *leapScratch) tryLeap(
 	startNow := m.Now()
 	k := 0
 	for k < maxK {
-		for i := range plan.Threads {
-			pt := &plan.Threads[i]
-			pt.Thread.ReplayAdvance(pt.SoloPerSub)
-		}
+		ls.replayQuantum(&plan)
 		k++
 		*utilSum += plan.MeanUtilization
 		if ls.leapStop(&plan, finite) {
@@ -363,6 +391,39 @@ func (ls *leapScratch) tryLeap(
 		Admitted:    admitted,
 	}, k, plan.Threads)
 	return nil
+}
+
+// prepare fills the scratch for a leap from its plan: the watch list
+// for the per-quantum stop check (only state replay can move needs
+// re-testing each quantum) and each thread's replay twin.
+func (ls *leapScratch) prepare(plan *machine.StepResult) {
+	ls.finiteThreads = ls.finiteThreads[:0]
+	ls.multiPhase = ls.multiPhase[:0]
+	ls.twin = ls.twin[:0]
+	for i := range plan.Threads {
+		t := plan.Threads[i].Thread
+		if !t.App.Profile.Endless() {
+			ls.finiteThreads = append(ls.finiteThreads, i)
+		}
+		if len(t.App.Profile.Phases) > 1 {
+			ls.multiPhase = append(ls.multiPhase, i)
+		}
+		ls.twin = append(ls.twin, replayTwin(plan, i))
+	}
+}
+
+// replayQuantum replays one quantum of the plan's thread advances: a
+// thread with a twin copies the twin's result (see replayTwin), and
+// every other thread replays its own. A twin precedes its follower.
+func (ls *leapScratch) replayQuantum(plan *machine.StepResult) {
+	for i := range plan.Threads {
+		pt := &plan.Threads[i]
+		if j := ls.twin[i]; j >= 0 {
+			pt.Thread.ReplayLike(plan.Threads[j].Thread)
+		} else {
+			pt.Thread.ReplayAdvance(pt.SoloPerSub)
+		}
+	}
 }
 
 // closeLeap accounts k leapt quanta described by s, during each of which

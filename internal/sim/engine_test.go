@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"busaware/internal/faults"
@@ -475,5 +477,64 @@ func TestLeapHorizonBarrier(t *testing.T) {
 	plan = mk()
 	if got := leapHorizon(&plan, 0, 20*q); got != 0 {
 		t.Errorf("barrier-imminent horizon = %d, want 0", got)
+	}
+}
+
+// TestReplayTwins pins lockstep replay: siblings at bitwise-equal
+// progress and phase position with bitwise-equal advances share one
+// replay, a sibling that differs only in phaseUsed does not, and every
+// thread ends each replayed quantum bitwise where its own ReplayAdvance
+// puts it, across phase wraps.
+func TestReplayTwins(t *testing.T) {
+	prof := workload.Profile{
+		Name: "gang", Threads: 3, SoloTime: 100 * units.Second,
+		Phases:          []workload.Phase{{Duration: 100, Demand: 1}, {Duration: 250, Demand: 2, StallFrac: 0.5}},
+		BarrierInterval: units.Second,
+	}
+	// Threads 0 and 1 advance alike. Thread 2 takes the same two
+	// advances in the other order: the same progress (addition
+	// commutes), but its phase wraps at a different point, so phaseUsed
+	// rounds differently.
+	mk := func() *workload.App {
+		app := workload.NewApp(prof, "G#1")
+		for _, th := range app.Threads[:2] {
+			th.AdvanceWork(100.3)
+			th.AdvanceWork(0.1)
+		}
+		app.Threads[2].AdvanceWork(0.1)
+		app.Threads[2].AdvanceWork(100.3)
+		return app
+	}
+	app, ref := mk(), mk()
+	th := app.Threads
+	_, used0 := th[0].PhasePos()
+	_, used2 := th[2].PhasePos()
+	if th[2].Progress() != th[0].Progress() || used2 == used0 {
+		t.Fatalf("setup: progress %v/%v, phaseUsed %v/%v; want equal progress, different phaseUsed",
+			th[0].Progress(), th[2].Progress(), used0, used2)
+	}
+	subs := []float64{7.3, 7.3, 7.3, 7.3, 7.3, 7.3, 7.3, 7.3, 7.3, 7.3}
+	plan := machine.StepResult{Threads: []machine.ThreadStep{
+		{Thread: th[0], SoloPerSub: subs},
+		{Thread: th[1], SoloPerSub: append([]float64(nil), subs...)},
+		{Thread: th[2], SoloPerSub: subs},
+	}}
+	ls := newLeapScratch(4)
+	ls.prepare(&plan)
+	if want := []int{-1, 0, -1}; !slices.Equal(ls.twin, want) {
+		t.Fatalf("twins = %v, want %v", ls.twin, want)
+	}
+	for q := range 100 {
+		ls.replayQuantum(&plan)
+		for i, r := range ref.Threads {
+			r.ReplayAdvance(subs)
+			gi, gu := th[i].PhasePos()
+			wi, wu := r.PhasePos()
+			if math.Float64bits(th[i].Progress()) != math.Float64bits(r.Progress()) || gi != wi ||
+				math.Float64bits(gu) != math.Float64bits(wu) || th[i].CurrentPhase() != r.CurrentPhase() {
+				t.Fatalf("quantum %d thread %d: progress %v phase %d/%v, own replay %v phase %d/%v",
+					q, i, th[i].Progress(), gi, gu, r.Progress(), wi, wu)
+			}
+		}
 	}
 }

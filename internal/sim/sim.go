@@ -435,6 +435,7 @@ func run(cfg Config, s sched.Scheduler, apps []*workload.App) (Result, error) {
 	var finite []*appState
 	var ls leapScratch
 	if leapable {
+		ls = newLeapScratch(cfg.Machine.NumCPUs)
 		for _, st := range states {
 			if !st.app.Profile.Endless() {
 				finite = append(finite, st)
@@ -565,7 +566,10 @@ func run(cfg Config, s sched.Scheduler, apps []*workload.App) (Result, error) {
 				if !ok {
 					continue
 				}
-				appTrans += uint64(rate * float64(quantum))
+				// The explicit float64 rounds the product before the
+				// conversion, which must not fuse with it (see
+				// workload.Thread.AccrueCounters).
+				appTrans += uint64(float64(rate * float64(quantum)))
 			}
 			perThread, ran := st.sample(cfg.Sampling, appTrans, quantum)
 			st.sampled, st.qTrans = ran, appTrans

@@ -191,10 +191,12 @@ func RandomProfile(rng *rand.Rand, name string) Profile {
 	phases := make([]Phase, nPhases)
 	for i := range phases {
 		demand := units.Rate(rng.Float64() * 12)
+		// Each product is rounded by its float64 conversion, so neither
+		// fuses into the sum on any GOARCH.
 		phases[i] = Phase{
 			Duration:  units.Time(50+rng.Intn(300)) * ms,
 			Demand:    demand,
-			StallFrac: minf(0.97, float64(demand)/12*0.8+rng.Float64()*0.1),
+			StallFrac: minf(0.97, float64(float64(demand)/12*0.8)+float64(rng.Float64()*0.1)),
 		}
 	}
 	// Three discarded draws, one before solo and two after: they keep

@@ -100,8 +100,8 @@ func (p Profile) Validate() error {
 }
 
 // Endless reports whether the application never completes. Its
-// pointer receiver lets the per-micro-step completion checks ask
-// without copying the Profile.
+// pointer receiver lets the per-quantum completion checks ask without
+// copying the Profile.
 func (p *Profile) Endless() bool { return p.SoloTime <= 0 }
 
 // SoloRate returns the application's cumulative steady-state solo
@@ -113,7 +113,9 @@ func (p Profile) SoloRate() units.Rate {
 	var weighted float64
 	for _, ph := range p.Phases {
 		total += ph.Duration
-		weighted += float64(ph.Demand) * float64(ph.Duration)
+		// The explicit float64 rounds the product before the sum, so it
+		// cannot fuse into a multiply-add on any GOARCH.
+		weighted += float64(float64(ph.Demand) * float64(ph.Duration))
 	}
 	if total == 0 {
 		return 0
@@ -122,6 +124,15 @@ func (p Profile) SoloRate() units.Rate {
 }
 
 // Thread is one runnable thread of an App instance.
+//
+// A micro-step asks each placed thread three questions: what it
+// requests of the bus (Request), whether it is done (Done), and how far
+// it may advance before its barrier (AdvanceWork). The thread answers
+// all three from its own fields, kept next to each other: NewApp copies
+// from the fixed Profile what they read (the completion threshold, the
+// barrier interval and the current phase), and sibFloor bounds the
+// siblings' progress from below, so a sibling scan runs only where the
+// bound cannot decide the answer (see sibFloor).
 type Thread struct {
 	App *App
 	// Index is the thread's position within its gang.
@@ -133,28 +144,38 @@ type Thread struct {
 	// run. A thread runs on one machine.
 	RanOn int
 
-	// phase progress, all in solo-equivalent usec
-	phaseIdx  int
+	// The hot state a micro-step reads; work in solo-equivalent usec.
+	phase    Phase   // App.Profile.Phases[phaseIdx], rewritten where phaseIdx moves
+	progress float64 // total solo usec of real work completed
+	debt     float64 // migration penalty work still owed
+	// sibFloor is the smallest sibling progress the thread's last
+	// sibling scan (barrierCap) saw, zero before the first. Progress
+	// never decreases (AdvanceWork and ReplayAdvance add only positive
+	// advances, and ReplayLike writes what ReplayAdvance would), so
+	// sibFloor <= m, the siblings' minimum now. Rounding to nearest is
+	// monotone in each operand, so the headroom bound
+	// fl(fl(sibFloor+interval) - progress) is at most
+	// fl(fl(m+interval) - progress), the headroom a scan computes before
+	// clamping it at zero. An advance no larger than the bound is
+	// therefore not clamped, and a positive bound means no barrier: each
+	// is the scan's own answer, whatever order siblings advance in.
+	sibFloor  float64
+	interval  float64 // float64(BarrierInterval); +Inf without a barrier or siblings
+	soloTime  float64 // float64(SoloTime); +Inf when the app is endless
 	phaseUsed float64 // solo usec consumed within the current phase
-	progress  float64 // total solo usec of real work completed
-	debt      float64 // migration penalty work still owed
+	phaseIdx  int
 }
 
-// Done reports whether the thread has completed its solo work.
-func (t *Thread) Done() bool {
-	if t.App.Profile.Endless() {
-		return false
-	}
-	return t.progress >= float64(t.App.Profile.SoloTime)
-}
+// Done reports whether the thread has completed its solo work. An
+// endless thread's threshold is +Inf, which its progress, a sum of
+// finite advances, never reaches.
+func (t *Thread) Done() bool { return t.progress >= t.soloTime }
 
 // Progress returns completed solo-equivalent work in usec.
 func (t *Thread) Progress() float64 { return t.progress }
 
 // CurrentPhase returns the phase governing the thread right now.
-func (t *Thread) CurrentPhase() Phase {
-	return t.App.Profile.Phases[t.phaseIdx]
-}
+func (t *Thread) CurrentPhase() Phase { return t.phase }
 
 // PhasePos reports the thread's position in its cyclic phase list: the
 // current phase index and the solo-equivalent time consumed within it.
@@ -169,14 +190,13 @@ func (t *Thread) PhasePos() (idx int, used float64) {
 // memory speed: the refill stream dominates both. A thread
 // spin-waiting at a barrier hits in cache and issues almost nothing.
 func (t *Thread) Request() (demand units.Rate, stallFrac float64) {
-	ph := t.CurrentPhase()
 	switch {
 	case t.debt > 0:
-		return maxRate(ph.Demand, RefillDemand), maxf(ph.StallFrac, RefillStallFrac)
+		return maxRate(t.phase.Demand, RefillDemand), maxf(t.phase.StallFrac, RefillStallFrac)
 	case t.AtBarrier():
 		return SpinDemand, 0
 	}
-	return ph.Demand, ph.StallFrac
+	return t.phase.Demand, t.phase.StallFrac
 }
 
 // Demand returns the thread's instantaneous solo bus demand, as
@@ -192,25 +212,35 @@ const SpinDemand units.Rate = 0.01
 
 // AtBarrier reports whether the thread has run ahead of its slowest
 // sibling by a full barrier interval and must spin until the sibling
-// catches up.
+// catches up. A positive headroom bound settles it without a scan.
 func (t *Thread) AtBarrier() bool {
+	if t.headroomFloor() > 0 {
+		return false
+	}
 	return t.barrierCap() == 0 && !t.Done()
 }
 
 // BarrierHeadroom returns how much further the thread may progress
 // before it would spin at a barrier, or +Inf without barriers — the
 // exported view of barrierCap the event-driven engine bounds leap
-// horizons with.
+// horizons with. It always scans.
 func (t *Thread) BarrierHeadroom() float64 { return t.barrierCap() }
 
-// barrierCap returns how much further the thread may progress before
-// spinning, or +Inf without barriers.
+// headroomFloor bounds barrierCap's headroom from below without a scan
+// (see sibFloor). It is +Inf without barriers.
+func (t *Thread) headroomFloor() float64 {
+	return t.sibFloor + t.interval - t.progress
+}
+
+// barrierCap scans the siblings, refreshes sibFloor, and returns how
+// much further the thread may progress before spinning, or +Inf
+// without barriers.
 func (t *Thread) barrierCap() float64 {
-	interval := t.App.Profile.BarrierInterval
-	if interval <= 0 || len(t.App.Threads) < 2 {
-		return math.Inf(1)
+	if math.IsInf(t.interval, 1) {
+		return t.interval
 	}
-	cap := t.App.minProgress(t) + float64(interval) - t.progress
+	t.sibFloor = t.App.minProgress(t)
+	cap := t.sibFloor + t.interval - t.progress
 	if cap < 0 {
 		return 0
 	}
@@ -282,18 +312,22 @@ func (t *Thread) AdvanceWork(soloUsec float64) {
 		return
 	}
 	// Barrier synchronization: progress beyond a barrier interval ahead
-	// of the slowest sibling is spin-waiting, not work.
-	if cap := t.barrierCap(); soloUsec > cap {
-		soloUsec = cap
-	}
-	if soloUsec <= 0 {
-		return
+	// of the slowest sibling is spin-waiting, not work. An advance
+	// within the floor's bound is never clamped, so only a larger one
+	// scans.
+	if soloUsec > t.headroomFloor() {
+		if cap := t.barrierCap(); soloUsec > cap {
+			soloUsec = cap
+		}
+		if soloUsec <= 0 {
+			return
+		}
 	}
 	t.progress += soloUsec
 	// Walk the cyclic phase list.
 	t.phaseUsed += soloUsec
 	for {
-		d := float64(t.CurrentPhase().Duration)
+		d := float64(t.phase.Duration)
 		if t.phaseUsed < d {
 			break
 		}
@@ -302,6 +336,7 @@ func (t *Thread) AdvanceWork(soloUsec float64) {
 		if t.phaseIdx == len(t.App.Profile.Phases) {
 			t.phaseIdx = 0
 		}
+		t.phase = t.App.Profile.Phases[t.phaseIdx]
 	}
 }
 
@@ -338,11 +373,22 @@ func (t *Thread) ReplayAdvance(soloPerSub []float64) {
 			d = float64(phases[idx].Duration)
 		}
 	}
-	t.progress, t.phaseUsed, t.phaseIdx = progress, used, idx
+	t.progress, t.phaseUsed, t.phaseIdx, t.phase = progress, used, idx, phases[idx]
+}
+
+// ReplayLike gives the thread lead's progress and phase position. It
+// is what ReplayAdvance would leave when the thread and lead belong to
+// one app, started from bitwise-equal progress and phase position, and
+// replayed bitwise-equal advances: ReplayAdvance reads nothing else.
+// The event engine replays a lockstep gang's quantum once this way.
+func (t *Thread) ReplayLike(lead *Thread) {
+	t.progress, t.phaseUsed, t.phaseIdx, t.phase = lead.progress, lead.phaseUsed, lead.phaseIdx, lead.phase
 }
 
 // App is one running instance of a Profile.
 type App struct {
+	// Profile is fixed once NewApp returns: the threads keep copies of
+	// what their micro-steps read from it.
 	Profile  Profile
 	Instance string // distinguishes multiple copies, e.g. "CG#1"
 	Threads  []*Thread
@@ -361,9 +407,16 @@ func NewApp(p Profile, instance string) *App {
 		panic(err)
 	}
 	a := &App{Profile: p, Instance: instance}
+	soloTime, interval := math.Inf(1), math.Inf(1)
+	if !p.Endless() {
+		soloTime = float64(p.SoloTime)
+	}
+	if p.BarrierInterval > 0 && p.Threads > 1 {
+		interval = float64(p.BarrierInterval)
+	}
 	a.Threads = make([]*Thread, p.Threads)
 	for i := range a.Threads {
-		a.Threads[i] = &Thread{App: a, Index: i}
+		a.Threads[i] = &Thread{App: a, Index: i, phase: p.Phases[0], soloTime: soloTime, interval: interval}
 	}
 	return a
 }
